@@ -14,23 +14,33 @@ open Sentry_kernel
 open Sentry_core
 
 (* Shared --backend plumbing: every workload-ish subcommand takes
-   --backend NAME, with the older --per-page flag kept as an alias for
-   --backend per-page. *)
+   --backend NAME. *)
 let backend_names = String.concat "|" (List.map Backend.kind_name Backend.all_kinds)
 
-let resolve_backend ~per_page = function
-  | Some name -> (
-      match Backend.kind_of_string name with
-      | Some b -> b
-      | None ->
-          Printf.eprintf "unknown backend %S (%s)\n" name backend_names;
-          exit 1)
-  | None -> if per_page then Sentry.Per_page else Sentry.Batched
+let resolve_backend name =
+  match Backend.kind_of_string name with
+  | Some b -> b
+  | None ->
+      Printf.eprintf "unknown backend %S (%s)\n" name backend_names;
+      exit 1
 
 let backend_arg =
-  Arg.(value & opt (some string) None
-       & info [ "backend" ] ~docv:"BACKEND"
-           ~doc:"protection backend: batched|per-page|offload|no-access")
+  Arg.(value & opt string "batched"
+       & info [ "backend" ] ~docv:"BACKEND" ~doc:("protection backend: " ^ backend_names))
+
+(* Shared --domains plumbing for fleet, serve and slo, as the
+   (?shards, domains) pair handed to [run_sharded].  Without the flag
+   every tenant shares one simulated machine (the one-shard plan, so
+   later tenants queue behind earlier tenants' faults); with
+   --domains D the tenants run as the default shard plan on D domains,
+   and the merged outputs are the same for every D. *)
+let shards_arg =
+  let domains =
+    Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"D"
+           ~doc:"split the tenants into the default shard plan and run it on $(docv) OCaml \
+                 domains; merged outputs are identical for every $(docv)")
+  in
+  Term.(const (function None -> (Some 1, 1) | Some d -> (None, d)) $ domains)
 
 (* ------------------------------ list ----------------------------- *)
 
@@ -278,7 +288,7 @@ let faults plan_name platform variant backend list_plans =
       Fault_scenario.plans
   else begin
     let platform = platform_of_string platform in
-    let backend = resolve_backend ~per_page:false backend in
+    let backend = resolve_backend backend in
     let variant =
       match variant with
       | "warm" -> Sentry_attacks.Cold_boot.Os_reboot
@@ -396,9 +406,10 @@ let attack_cmd =
 
 (* ----------------------------- fleet ----------------------------- *)
 
-let fleet procs pages cycles wakes io touch per_page backend domains json folded =
+let fleet procs pages cycles wakes io touch backend (shards, domains) json folded =
   let open Sentry_obs in
   let module F = Sentry_workloads.Fleet in
+  let module Shard = Sentry_workloads.Shard in
   let cfg =
     {
       F.procs;
@@ -407,39 +418,21 @@ let fleet procs pages cycles wakes io touch per_page backend domains json folded
       touch_fraction = touch;
       service_wakes = wakes;
       io_sectors = io;
-      backend = resolve_backend ~per_page backend;
+      backend = resolve_backend backend;
     }
   in
-  (* only pay for tracing when the folded-stacks export was asked for;
-     with --domains, installing here is what opts the shards into
-     per-shard recorders (merged deterministically afterwards) *)
-  let recorder =
-    match folded with
-    | None -> None
-    | Some _ ->
-        let r = Trace.Recorder.create ~capacity:65536 () in
-        Trace.install r;
-        Some r
-  in
-  let s, sharded =
-    match domains with
-    | None -> (F.run cfg, None)
-    | Some d ->
-        let sh = F.run_sharded ~domains:d cfg in
-        (sh.F.merged, Some sh)
-  in
-  Option.iter (fun _ -> Trace.uninstall ()) recorder;
-  (let folded_source =
-     match (folded, sharded) with
-     | Some path, Some sh -> Option.map (fun r -> (path, r)) sh.F.merged_recorder
-     | Some path, None -> Option.map (fun r -> (path, r)) recorder
-     | None, _ -> None
-   in
-   match folded_source with
-   | Some (path, r) ->
-       Export.write_file ~path (Export.folded (Trace.Recorder.events r));
-       Printf.printf "wrote folded stacks to %s\n" path
-   | None -> ());
+  (* only pay for tracing when the folded-stacks export was asked for:
+     installing a recorder here opts the shards into per-shard
+     recorders, merged deterministically afterwards *)
+  Option.iter (fun _ -> Trace.install (Trace.Recorder.create ~capacity:65536 ())) folded;
+  let sh = F.run_sharded ?shards ~domains cfg in
+  Trace.uninstall ();
+  let s = sh.F.merged and run = sh.F.shards in
+  (match (folded, run.Shard.merged_recorder) with
+  | Some path, Some r ->
+      Export.write_file ~path (Export.folded (Trace.Recorder.events r));
+      Printf.printf "wrote folded stacks to %s\n" path
+  | _ -> ());
   if json then begin
     let latency_json (cls, (l : F.latency)) =
       ( cls,
@@ -453,20 +446,12 @@ let fleet procs pages cycles wakes io touch per_page backend domains json folded
             ("max_ns", Json_out.Float l.F.max_ns);
           ] )
     in
-    let shard_fields =
-      match sharded with
-      | None -> []
-      | Some sh ->
-          [
-            ("domains", Json_out.Int sh.F.domains);
-            ("shards", Json_out.Int sh.F.shard_count);
-            ("wall_s", Json_out.Float sh.F.wall_s);
-          ]
-    in
     let doc =
       Json_out.Obj
-        (shard_fields
-        @ [
+        [
+          ("domains", Json_out.Int run.Shard.domains);
+          ("shards", Json_out.Int (List.length run.Shard.plan));
+          ("wall_s", Json_out.Float run.Shard.wall_s);
           ("procs", Json_out.Int procs);
           ("pages_per_proc", Json_out.Int pages);
           ("cycles", Json_out.Int cycles);
@@ -484,14 +469,11 @@ let fleet procs pages cycles wakes io touch per_page backend domains json folded
           ("unlock_to_first_touch_by_class", Json_out.Obj (List.map latency_json s.F.latency_by_class));
           ("sim_elapsed_ns", Json_out.Float s.F.sim_elapsed_ns);
           ("energy_j", Json_out.Float s.F.energy_j);
-        ])
+        ]
     in
     print_endline (Json_out.to_string doc)
   end
-  else
-    match sharded with
-    | Some sh -> Format.printf "%a@." F.pp_sharded sh
-    | None -> Format.printf "%a@." F.pp s
+  else Format.printf "%a@." F.pp_sharded sh
 
 let fleet_cmd =
   let doc = "run the multi-tenant fleet churn workload" in
@@ -513,27 +495,19 @@ let fleet_cmd =
   let touch =
     Arg.(value & opt float 0.25 & info [ "touch" ] ~docv:"FRAC" ~doc:"fraction of pages faulted in after unlock")
   in
-  let per_page =
-    Arg.(value & flag & info [ "per-page" ] ~doc:"alias for --backend per-page")
-  in
-  let domains =
-    Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"D"
-           ~doc:"shard the tenants and run them on $(docv) OCaml domains; merged outputs are \
-                 identical for every $(docv)")
-  in
   let json = Arg.(value & flag & info [ "json" ] ~doc:"machine-readable output") in
   let folded =
     Arg.(value & opt (some string) None & info [ "folded" ] ~docv:"FILE"
            ~doc:"trace the run and write folded stacks (flamegraph.pl input)")
   in
   Cmd.v (Cmd.info "fleet" ~doc)
-    Term.(const fleet $ procs $ pages $ cycles $ wakes $ io $ touch $ per_page $ backend_arg
-          $ domains $ json $ folded)
+    Term.(const fleet $ procs $ pages $ cycles $ wakes $ io $ touch $ backend_arg $ shards_arg
+          $ json $ folded)
 
 (* ----------------------------- serve ----------------------------- *)
 
 let serve tenants pages rate burst duration queue_depth backlog batch seed soak soak_period
-    per_page backend domains json =
+    backend (shards, domains) json =
   let module Sv = Sentry_serve.Server in
   let cfg =
     {
@@ -548,21 +522,14 @@ let serve tenants pages rate burst duration queue_depth backlog batch seed soak 
       seed;
       soak;
       soak_period;
-      backend = resolve_backend ~per_page backend;
+      backend = resolve_backend backend;
     }
   in
-  let stats, sharded =
-    match domains with
-    | None -> (Sv.run cfg, None)
-    | Some d ->
-        let sh = Sv.run_sharded ~domains:d cfg in
-        (sh.Sv.merged, Some sh)
-  in
+  let sh = Sv.run_sharded ?shards ~domains cfg in
+  let stats = sh.Sv.merged in
   if json then print_endline (Sentry_obs.Json_out.to_string (Sv.json stats))
   else begin
-    (match sharded with
-    | Some sh -> Format.printf "%a@." Sv.pp_sharded sh
-    | None -> Format.printf "%a@." Sv.pp stats);
+    Format.printf "%a@." Sv.pp_sharded sh;
     if stats.Sv.audit_findings > 0 then
       Printf.printf "WARNING: %d post-recovery consistency finding(s)\n" stats.Sv.audit_findings
   end;
@@ -610,22 +577,14 @@ let serve_cmd =
   let soak_period =
     Arg.(value & opt int 4 & info [ "soak-period" ] ~docv:"K" ~doc:"crash every Kth batch when soaking")
   in
-  let per_page =
-    Arg.(value & flag & info [ "per-page" ] ~doc:"alias for --backend per-page")
-  in
-  let domains =
-    Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"D"
-           ~doc:"shard the tenant pool and serve on $(docv) OCaml domains; merged outputs are \
-                 identical for every $(docv)")
-  in
   let json = Arg.(value & flag & info [ "json" ] ~doc:"machine-readable output (deterministic fields only)") in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(const serve $ tenants $ pages $ rate $ burst $ duration $ queue_depth $ backlog $ batch
-          $ seed $ soak $ soak_period $ per_page $ backend_arg $ domains $ json)
+          $ seed $ soak $ soak_period $ backend_arg $ shards_arg $ json)
 
 (* ------------------------------ slo ------------------------------ *)
 
-let slo spec procs pages cycles wakes io touch per_page backend domains json =
+let slo spec procs pages cycles wakes io touch backend (shards, domains) json =
   let open Sentry_obs in
   let module F = Sentry_workloads.Fleet in
   match Slo.load ~path:spec with
@@ -641,26 +600,20 @@ let slo spec procs pages cycles wakes io touch per_page backend domains json =
           touch_fraction = touch;
           service_wakes = wakes;
           io_sectors = io;
-          backend = resolve_backend ~per_page backend;
+          backend = resolve_backend backend;
         }
       in
-      (* with --domains the gate runs over the merged per-shard
-         registries — the same snapshot regardless of D.  The serve
-         workload rides along in the same snapshot so the queue-wait
-         and shed-rate objectives are gated by the same invocation. *)
+      (* the gate runs over the run's merged registries: the
+         one-machine fleet and serve without --domains, the default
+         shard plan's (the same snapshot for every D) with it.  The
+         serve workload rides along in the same snapshot so the
+         queue-wait and shed-rate objectives are gated by the same
+         invocation. *)
       let module Sv = Sentry_serve.Server in
-      let flat =
-        match domains with
-        | None ->
-            let metrics = Metrics.create () in
-            ignore (F.run ~metrics cfg);
-            ignore (Sv.run ~metrics Sv.default);
-            Metrics.flat metrics
-        | Some d ->
-            let fleet_metrics = (F.run_sharded ~domains:d cfg).F.merged_metrics in
-            let serve_metrics = (Sv.run_sharded ~domains:d Sv.default).Sv.merged_metrics in
-            Metrics.flat (Metrics.merge fleet_metrics serve_metrics)
-      in
+      let module Shard = Sentry_workloads.Shard in
+      let fleet_metrics = (F.run_sharded ?shards ~domains cfg).F.shards.Shard.merged_metrics in
+      let serve_metrics = (Sv.run_sharded ?shards ~domains Sv.default).Sv.shards.Shard.merged_metrics in
+      let flat = Metrics.flat (Metrics.merge fleet_metrics serve_metrics) in
       let report = Slo.evaluate objectives flat in
       Format.printf "%a@." Slo.pp_report report;
       Option.iter
@@ -688,19 +641,12 @@ let slo_cmd =
   let touch =
     Arg.(value & opt float 0.25 & info [ "touch" ] ~docv:"FRAC" ~doc:"fraction of pages faulted in after unlock")
   in
-  let per_page =
-    Arg.(value & flag & info [ "per-page" ] ~doc:"alias for --backend per-page")
-  in
-  let domains =
-    Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"D"
-           ~doc:"run the fleet sharded on $(docv) domains and gate the merged metrics snapshot")
-  in
   let json =
     Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc:"also write the report as JSON")
   in
   Cmd.v (Cmd.info "slo" ~doc)
-    Term.(const slo $ spec $ procs $ pages $ cycles $ wakes $ io $ touch $ per_page $ backend_arg
-          $ domains $ json)
+    Term.(const slo $ spec $ procs $ pages $ cycles $ wakes $ io $ touch $ backend_arg
+          $ shards_arg $ json)
 
 let () =
   let doc = "Sentry: on-SoC protection against memory attacks (simulator)" in

@@ -123,7 +123,7 @@ let reboot_of_fault = function
     design, so [survived] is expected to be [false] there). *)
 let run ?(platform = `Nexus4) ?(variant = Sentry_attacks.Cold_boot.Two_second_reset)
     ?(backend = Sentry.Batched) plan =
-  let system = System.boot platform in
+  let system = System.boot ~pid_base:1 platform in
   let machine = System.machine system in
   let config = { (Config.default platform) with track_taint = true; journal = true } in
   let sentry = Sentry.install system config in

@@ -31,9 +31,6 @@ type resumed = Resumed_lock | Rolled_back_unlock
     [No_access] diverges by design. *)
 type backend = Backend.kind = Batched | Per_page | Offload | No_access
 
-type pipeline = backend
-(** Historical alias from when only [Batched]/[Per_page] existed. *)
-
 type recovery_stats = {
   resumed : resumed;
   pages_fixed : int;  (** pages (re-)transformed by the recovery sweep *)
@@ -86,7 +83,8 @@ let install (system : System.t) (config : Config.t) =
   (* The recorder timestamps clockless emitters (dm-crypt, the crypto
      registry, this state machine) off the machine clock. *)
   if config.Config.trace then begin
-    Sentry_obs.Trace.ensure ();
+    if not (Sentry_obs.Trace.on ()) then
+      Sentry_obs.Trace.install (Sentry_obs.Trace.Recorder.create ());
     Sentry_obs.Trace.set_time_source (fun () ->
         Sentry_soc.Clock.now (Sentry_soc.Machine.clock machine));
     Sentry_obs.Trace.emit ~cat:Sentry_obs.Event.Lock ~subsystem:"core.sentry" "install"
@@ -195,9 +193,6 @@ let set_backend t b =
            (Lock_state.state_name (Lock_state.state t.lock_state)));
     t.backend <- Backend.of_kind b
   end
-
-let pipeline = backend
-let set_pipeline = set_backend
 
 (* Backend-dispatched walk drivers. *)
 let lock_walk t =

@@ -35,9 +35,6 @@ val is_locked : t -> bool
     [No_access] leaves cleartext in DRAM by design. *)
 type backend = Backend.kind = Batched | Per_page | Offload | No_access
 
-type pipeline = backend
-(** Historical alias from when only [Batched]/[Per_page] existed. *)
-
 val backend : t -> backend
 
 (** Switch the protection backend.  Only legal while [Unlocked]: each
@@ -47,12 +44,6 @@ val backend : t -> backend
     Switching to the installed backend is a no-op in any state.
     @raise Invalid_argument outside [Unlocked]. *)
 val set_backend : t -> backend -> unit
-
-val pipeline : t -> backend
-(** Alias of [backend]. *)
-
-val set_pipeline : t -> backend -> unit
-(** Alias of [set_backend] (including the [Unlocked] guard). *)
 
 (** Mark an application for protection (the settings-menu extension
     of §7). *)

@@ -51,7 +51,7 @@ let install_traced system platform =
   Sentry.install system { (Config.default platform) with Config.trace = true }
 
 let lock_cycle ~seed platform =
-  let system = System.boot ~seed platform in
+  let system = System.boot ~seed ~pid_base:1 platform in
   let machine = System.machine system in
   let sentry = install_traced system platform in
   let app = System.spawn system ~name:"mail" ~bytes:(128 * Sentry_util.Units.kib) in
@@ -88,7 +88,7 @@ let lock_cycle ~seed platform =
   { system; sentry }
 
 let dm_crypt_io ~seed platform =
-  let system = System.boot ~seed platform in
+  let system = System.boot ~seed ~pid_base:1 platform in
   let machine = System.machine system in
   let sentry = install_traced system platform in
   let dev =
@@ -112,9 +112,6 @@ let dm_crypt_io ~seed platform =
 (** [run ?seed name platform] executes the scenario; the recorder is
     started by [Sentry.install] if the caller has not already. *)
 let run ?(seed = default_seed) name platform =
-  (* pid numbering is OS-process-global: restart it so repeated runs
-     emit identical streams *)
-  Process.reset_pids ();
   match name with
   | Lock_cycle -> lock_cycle ~seed platform
   | Dm_crypt_io -> dm_crypt_io ~seed platform

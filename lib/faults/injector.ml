@@ -11,9 +11,7 @@
     plumbing, nothing allocated while disarmed — which keeps the
     lock-path allocation ceilings intact.  The slot is [Domain.DLS],
     so every tenant shard on a pool worker owns its own session and
-    arming one shard never perturbs another.  The module-level
-    [arm]/[disarm]/[fired] API is a thin compat layer over handles:
-    [arm] is create-and-activate (in the calling domain).
+    arming one shard never perturbs another.
 
     Active with a [Plan], every [fire]/[poll] arrival at a hook point
     bumps that point's occurrence counter and evaluates the plan's
@@ -27,7 +25,7 @@
       machine-owning harness flips DRAM bits) and execution continues
       — the fault is silent, as in real hardware.
 
-    Every firing is recorded (inspectable via [fired]) and emitted to
+    Every firing is recorded (inspectable via [fired_of]) and emitted to
     the trace ring under the [Fault] category. *)
 
 open Sentry_util
@@ -80,22 +78,6 @@ let current () = Domain.DLS.get active_key
 
 let activate s = Domain.DLS.set active_key (Some s)
 let deactivate () = Domain.DLS.set active_key None
-
-(* ------------------------- compat wrappers ------------------------ *)
-
-let arm plan = activate (create plan)
-let disarm () = deactivate ()
-let armed () = current () <> None
-let plan () = Option.map plan_of (current ())
-
-let set_bit_flip_handler f =
-  match current () with
-  | Some s -> set_bit_flip_handler_of s f
-  | None -> invalid_arg "Injector.set_bit_flip_handler: not armed"
-
-let fired () = match current () with Some s -> fired_of s | None -> []
-
-let occurrences point = match current () with Some s -> occurrences_of s point | None -> 0
 
 (* --------------------------- hook points -------------------------- *)
 

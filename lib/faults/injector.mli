@@ -4,8 +4,7 @@
     {e active} session (a [Domain.DLS] slot — per-domain, so tenant
     shards on pool workers own independent sessions and start
     disarmed), and a disarmed hook is one domain-local read that
-    allocates nothing.  [arm]/[disarm] are compat wrappers over
-    handles, acting on the calling domain's slot. *)
+    allocates nothing. *)
 
 type record = { point : string; kind : Fault.kind; occurrence : int }
 
@@ -35,26 +34,6 @@ val activate : session -> unit
 
 val deactivate : unit -> unit
 val current : unit -> session option
-
-(** {2 Compat wrappers over the active session} *)
-
-(** [arm plan] — create and activate. *)
-val arm : Plan.t -> unit
-
-val disarm : unit -> unit
-val armed : unit -> bool
-
-(** The active plan, if any. *)
-val plan : unit -> Plan.t option
-
-(** @raise Invalid_argument when not armed. *)
-val set_bit_flip_handler : (point:string -> bits:int -> unit) -> unit
-
-(** Firings so far, oldest first (empty when disarmed). *)
-val fired : unit -> record list
-
-(** Arrivals seen at a point this armed session. *)
-val occurrences : string -> int
 
 (** {2 Hook points} *)
 

@@ -25,13 +25,9 @@ type t = {
    pid space); the [Atomic.t] keeps allocation race-free across
    Domains.  Interleaved cross-domain allocation is still
    nondeterministic, though — and pids feed the per-page ESSIV IVs —
-   so sharded harnesses pass an explicit [?pid] (from a per-shard
-   base, via [System.boot ~pid_base]) and never touch this counter;
-   single-domain deterministic harnesses [reset_pids] before
-   booting. *)
+   so deterministic harnesses pass an explicit [?pid] (from a private
+   base, via [System.boot ~pid_base]) and never touch this counter. *)
 let next_pid = Atomic.make 1
-
-let reset_pids () = Atomic.set next_pid 1
 
 let create ?pid ~name ~aspace ~kstack () =
   let pid = match pid with Some p -> p | None -> Atomic.fetch_and_add next_pid 1 in

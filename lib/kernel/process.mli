@@ -17,18 +17,12 @@ type t = {
 }
 
 (** [create ?pid ~name ~aspace ~kstack ()] — an explicit [pid]
-    bypasses the global allocator entirely (the sharded fleet assigns
-    deterministic per-shard pid ranges this way, because pids feed
-    the per-page ESSIV IVs); without it the pid comes off the global
-    atomic counter. *)
+    bypasses the global allocator entirely; deterministic harnesses
+    pass one (via [System.boot ~pid_base]) because pids feed the
+    per-page ESSIV IVs.  Without it the pid comes off the OS-process
+    global atomic counter, which never collides across domains but
+    does interleave. *)
 val create : ?pid:int -> name:string -> aspace:Address_space.t -> kstack:int -> unit -> t
 
-(** Restart global pid numbering at 1.  Default pids are global to
-    the OS process (atomically allocated, so concurrent domains never
-    collide but do interleave); single-domain deterministic harnesses
-    (trace scenarios) reset before booting so repeated runs produce
-    identical event streams.  Sharded harnesses use explicit
-    per-shard pids instead — see {!create}. *)
-val reset_pids : unit -> unit
 val mark_sensitive : t -> unit
 val pp : Format.formatter -> t -> unit

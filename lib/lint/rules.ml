@@ -23,9 +23,9 @@
       [Array.unsafe_*], [String.unsafe_*] outside the audited
       fast-path modules (the PR-3/PR-5 zero-allocation kernels, which
       carry their own differential suites).
-    - {b R5 ambient-in-spawn}: an ambient (module-level compat)
+    - {b R5 ambient-in-spawn}: an ambient (module-level)
       trace/fault call — [Trace.emit], [Trace.enter_span],
-      [Injector.arm], … — lexically inside a closure handed to
+      [Injector.fire], … — lexically inside a closure handed to
       [Domain.spawn] / [Dpool.submit] / [Dpool.run].  The ambient
       slots are domain-local ([Domain.DLS]) and start {e empty} in a
       fresh domain, so such a call silently no-ops or targets the
@@ -202,13 +202,12 @@ let unsafe_path lid =
 (* Entry points whose closure arguments run on another domain. *)
 let spawn_entries = [ "Domain.spawn"; "Dpool.submit"; "Dpool.run" ]
 
-(* The ambient compat surface: emission / arming through the
+(* The ambient surface: emission and hook arrivals through the
    domain-local slot.  [Trace.install] / [Injector.activate] are the
    blessed per-domain setup and deliberately absent. *)
 let ambient_apis =
-  [ "Trace.emit"; "Trace.span"; "Trace.enter_span"; "Trace.exit_span"; "Trace.start";
-    "Trace.ensure"; "Trace.stop"; "Trace.clear"; "Trace.set_time_source"; "Injector.arm";
-    "Injector.disarm" ]
+  [ "Trace.emit"; "Trace.span"; "Trace.enter_span"; "Trace.exit_span"; "Trace.clear";
+    "Trace.set_time_source"; "Injector.fire"; "Injector.poll" ]
 
 (* Last two path components: [Sentry_obs.Trace.emit] and [Trace.emit]
    both yield ["Trace.emit"]. *)

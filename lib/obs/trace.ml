@@ -228,14 +228,6 @@ let uninstall () = Domain.DLS.set current_key None
 
 let on () = installed () <> None
 
-let start ?capacity ?now () = install (make ?capacity ?now ())
-
-(** Idempotent [start]: keeps an already-installed recorder (and its
-    events) instead of replacing it. *)
-let ensure ?capacity ?now () = if not (on ()) then start ?capacity ?now ()
-
-let stop () = uninstall ()
-
 let set_time_source f = match installed () with Some t -> set_time_source_r t f | None -> ()
 
 let now () = match installed () with Some t -> now_r t | None -> 0.0

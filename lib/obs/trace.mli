@@ -3,7 +3,7 @@
     {!Recorder} is the explicit-handle API: create a recorder, thread
     it to whatever harvests events, read it back — one per tenant
     shard in the multicore fleet.  The module-level functions operate
-    on the calling domain's {e ambient} recorder ([install]/[start] —
+    on the calling domain's {e ambient} recorder ([install] —
     the slot is [Domain.DLS], so each domain owns its own and freshly
     spawned pool workers start with none installed); hot-path emitters
     use those so the disabled path stays one domain-local read with
@@ -86,7 +86,7 @@ end
 
 (** {2 The ambient recorder}
 
-    One installed handle behind one ref read — the compat layer the
+    One installed handle behind one domain-local read — what the
     hot-path emitters go through. *)
 
 (** Make [r] the ambient recorder. *)
@@ -103,15 +103,6 @@ val installed : unit -> Recorder.t option
 (** Is an ambient recorder installed?  The hot-path guard: emitters
     must check this before building argument lists. *)
 val on : unit -> bool
-
-(** [start ?capacity ?now ()] — create and install a fresh recorder. *)
-val start : ?capacity:int -> ?now:(unit -> float) -> unit -> unit
-
-(** [ensure] is [start] unless a recorder is already installed. *)
-val ensure : ?capacity:int -> ?now:(unit -> float) -> unit -> unit
-
-(** [uninstall] under its historical name. *)
-val stop : unit -> unit
 
 (** The remaining module-level functions delegate to the ambient
     recorder and are no-ops (or zeros / empty lists) when none is

@@ -23,20 +23,21 @@
     [Checkers.Locked_state_consistent], and keeps draining — arrivals
     never stop for a crash.
 
-    {b Sharding.}  [run_sharded] partitions the tenant pool into
-    contiguous shards exactly like the fleet workload: every shard
+    {b Sharding.}  [run_sharded] runs contiguous tenant shards through
+    the fleet's {!Sentry_workloads.Shard} executor: every shard
     regenerates the full arrival schedule from the run seed (a pure
-    function) and filters out its own tenants, owns a private
-    [System] / admission queue / metrics registry / injector sessions,
-    and executes on a [Dpool].  The partition and every per-shard
-    input depend only on [(tenants, shards)] — never the domain
-    count — so merged outputs are bit-identical across [D]. *)
+    function) and filters out its own tenants, and owns a private
+    [System] / admission queue / metrics registry / trace recorder /
+    injector sessions.  The partition and every per-shard input depend
+    only on [(tenants, shards)] — never the domain count — so merged
+    outputs are bit-identical across [D].  [run] is the one-shard
+    plan. *)
 
-open Sentry_util
 open Sentry_soc
 open Sentry_kernel
 open Sentry_core
 module Fleet = Sentry_workloads.Fleet
+module Shard = Sentry_workloads.Shard
 module Injector = Sentry_faults.Injector
 module Plan = Sentry_faults.Plan
 module Fault = Sentry_faults.Fault
@@ -73,7 +74,7 @@ let default =
     backend = Sentry.Batched;
   }
 
-type dist = {
+type dist = Fleet.latency = {
   count : int;
   mean_ns : float;
   p50_ns : float;
@@ -122,25 +123,6 @@ let validate (cfg : config) =
 let request_pages ~pages_per_proc (r : Arrivals.request) =
   1 + Fleet.dma_pages_for ~index:r.Arrivals.tenant ~pages_per_proc
 
-let summarize_by_class samples =
-  let classes = List.sort_uniq String.compare (List.map fst samples) in
-  List.map
-    (fun cls ->
-      let xs =
-        Array.of_list (List.filter_map (fun (c, v) -> if c = cls then Some v else None) samples)
-      in
-      let s = Stats.summarize xs in
-      ( cls,
-        {
-          count = s.Stats.n;
-          mean_ns = s.Stats.mean;
-          p50_ns = Stats.percentile 50.0 xs;
-          p99_ns = Stats.percentile 99.0 xs;
-          p999_ns = Stats.percentile 99.9 xs;
-          max_ns = s.Stats.max;
-        } ))
-    classes
-
 (** Record one run's samples and counters into a metrics registry —
     the labeled fan-in sharded runs [Metrics.merge].  The shed-rate
     gauge is deliberately {e not} recorded here: a rate does not merge
@@ -180,7 +162,7 @@ let set_shed_rate metrics ~ts rate =
 (* One slice: serve the sub-stream of the global schedule whose
    tenants fall in [first, first+count).  Everything simulated lives
    in a private [System], so concurrent slices share nothing. *)
-let run_slice ~platform ~seed ~pid_base ~first ~count ?metrics (cfg : config) =
+let run_slice ~platform (cfg : config) ~seed ~pid_base ~first ~count ~metrics =
   let system = System.boot ~seed ~pid_base platform in
   let machine = System.machine system in
   let sentry = Sentry.install system { (Config.default platform) with Config.journal = true } in
@@ -354,139 +336,78 @@ let run_slice ~platform ~seed ~pid_base ~first ~count ?metrics (cfg : config) =
         (if !requests = 0 then 0.0 else float_of_int (!shed + !rejected) /. float_of_int !requests);
       latency_samples = latency;
       queue_wait_samples = queue_wait;
-      latency_by_class = summarize_by_class latency;
-      queue_wait_by_class = summarize_by_class queue_wait;
+      latency_by_class = Fleet.summarize_by_class latency;
+      queue_wait_by_class = Fleet.summarize_by_class queue_wait;
       sim_elapsed_ns = System.now system -. sim0;
       energy_j = Energy.category (Machine.energy machine) "aes" -. energy0;
     }
   in
-  Option.iter (fun m -> record_into m stats) metrics;
+  record_into metrics stats;
   stats
 
 (* ------------------------------ sharding --------------------------- *)
 
-type shard = {
-  shard_index : int;
-  first_tenant : int;
-  tenants : int;
-  pid_base : int;  (** first_tenant + 1 — sharded pids equal serial pids *)
-  shard_seed : int;
-  shard_stats : stats;
-  shard_metrics : Sentry_obs.Metrics.t;
-}
+type sharded = { merged : stats; shards : stats Shard.t }
 
-type sharded = {
-  domains : int;
-  shard_count : int;
-  wall_s : float;  (** host time over the whole parallel section *)
-  shards : shard list;  (** in shard-index order *)
-  merged : stats;
-  merged_metrics : Sentry_obs.Metrics.t;
-}
-
-let default_shards ~tenants = max 1 (min tenants 16)
-
-let merge_stats (cfg : config) shards =
-  let stats_list = List.map (fun sh -> sh.shard_stats) shards in
-  let sum f = List.fold_left (fun a s -> a + f s) 0 stats_list in
-  let latency = List.concat_map (fun s -> s.latency_samples) stats_list in
-  let queue_wait = List.concat_map (fun s -> s.queue_wait_samples) stats_list in
-  let requests = sum (fun s -> s.requests) in
-  let dropped = sum (fun s -> s.shed) + sum (fun s -> s.rejected) in
-  {
-    config = cfg;
-    requests;
-    served = sum (fun s -> s.served);
-    shed = sum (fun s -> s.shed);
-    rejected = sum (fun s -> s.rejected);
-    batches = sum (fun s -> s.batches);
-    crashes_injected = sum (fun s -> s.crashes_injected);
-    recoveries = sum (fun s -> s.recoveries);
-    audit_findings = sum (fun s -> s.audit_findings);
-    pages_locked = sum (fun s -> s.pages_locked);
-    pages_fixed = sum (fun s -> s.pages_fixed);
-    pages_faulted = sum (fun s -> s.pages_faulted);
-    shed_rate = (if requests = 0 then 0.0 else float_of_int dropped /. float_of_int requests);
-    latency_samples = latency;
-    queue_wait_samples = queue_wait;
-    latency_by_class = summarize_by_class latency;
-    queue_wait_by_class = summarize_by_class queue_wait;
-    (* shards serve concurrently in simulated time: the service's
-       elapsed time is the slowest shard's, not the sum *)
-    sim_elapsed_ns =
-      List.fold_left (fun a s -> Float.max a s.sim_elapsed_ns) 0.0 stats_list;
-    energy_j = List.fold_left (fun a s -> a +. s.energy_j) 0.0 stats_list;
-  }
-
-let seed_for ~seed shard_index = seed + (shard_index * 7919)
+(* A single shard's stats already are the merge (same config, rates
+   and summaries), so the one-shard plan skips the refold. *)
+let merge_stats (cfg : config) = function
+  | [ s ] -> { s with config = cfg }
+  | stats_list ->
+    let sum f = List.fold_left (fun a s -> a + f s) 0 stats_list in
+    let latency = List.concat_map (fun s -> s.latency_samples) stats_list in
+    let queue_wait = List.concat_map (fun s -> s.queue_wait_samples) stats_list in
+    let requests = sum (fun s -> s.requests) in
+    let dropped = sum (fun s -> s.shed) + sum (fun s -> s.rejected) in
+    {
+      config = cfg;
+      requests;
+      served = sum (fun s -> s.served);
+      shed = sum (fun s -> s.shed);
+      rejected = sum (fun s -> s.rejected);
+      batches = sum (fun s -> s.batches);
+      crashes_injected = sum (fun s -> s.crashes_injected);
+      recoveries = sum (fun s -> s.recoveries);
+      audit_findings = sum (fun s -> s.audit_findings);
+      pages_locked = sum (fun s -> s.pages_locked);
+      pages_fixed = sum (fun s -> s.pages_fixed);
+      pages_faulted = sum (fun s -> s.pages_faulted);
+      shed_rate = (if requests = 0 then 0.0 else float_of_int dropped /. float_of_int requests);
+      latency_samples = latency;
+      queue_wait_samples = queue_wait;
+      latency_by_class = Fleet.summarize_by_class latency;
+      queue_wait_by_class = Fleet.summarize_by_class queue_wait;
+      (* shards serve concurrently in simulated time: the service's
+         elapsed time is the slowest shard's, not the sum *)
+      sim_elapsed_ns =
+        List.fold_left (fun a s -> Float.max a s.sim_elapsed_ns) 0.0 stats_list;
+      energy_j = List.fold_left (fun a s -> a +. s.energy_j) 0.0 stats_list;
+    }
 
 let run_sharded ?(platform = `Tegra3) ?shards ~domains (cfg : config) =
   validate cfg;
-  if domains <= 0 then invalid_arg "Server.run_sharded: domains must be positive";
-  let nshards =
-    match shards with
-    | Some s ->
-        if s <= 0 then invalid_arg "Server.run_sharded: shards must be positive";
-        min s cfg.tenants
-    | None -> default_shards ~tenants:cfg.tenants
+  let shards =
+    Shard.run ?shards ~seed:cfg.seed ~domains ~procs:cfg.tenants
+      (run_slice ~platform cfg)
   in
-  let plan = Fleet.shard_plan ~procs:cfg.tenants ~shards:nshards in
-  let tasks =
-    List.mapi
-      (fun s (first, count) ->
-        fun () ->
-          let shard_metrics = Sentry_obs.Metrics.create () in
-          let shard_stats =
-            run_slice ~platform ~seed:(seed_for ~seed:cfg.seed s) ~pid_base:(first + 1) ~first
-              ~count ~metrics:shard_metrics cfg
-          in
-          {
-            shard_index = s;
-            first_tenant = first;
-            tenants = count;
-            pid_base = first + 1;
-            shard_seed = seed_for ~seed:cfg.seed s;
-            shard_stats;
-            shard_metrics;
-          })
-      plan
-  in
-  let t0 = Unix.gettimeofday () in
-  let results = Dpool.run ~domains tasks in
-  let wall_s = Unix.gettimeofday () -. t0 in
-  let merged = merge_stats cfg results in
-  let merged_metrics =
-    List.fold_left
-      (fun acc sh -> Sentry_obs.Metrics.merge acc sh.shard_metrics)
-      (Sentry_obs.Metrics.create ()) results
-  in
-  set_shed_rate merged_metrics ~ts:merged.sim_elapsed_ns merged.shed_rate;
-  { domains; shard_count = List.length results; wall_s; shards = results; merged; merged_metrics }
+  let merged = merge_stats cfg shards.Shard.results in
+  set_shed_rate shards.Shard.merged_metrics ~ts:merged.sim_elapsed_ns merged.shed_rate;
+  { merged; shards }
 
-let run ?(platform = `Tegra3) ?metrics ?domains (cfg : config) =
-  validate cfg;
-  match domains with
-  | Some d ->
-      (* sharded semantics regardless of D, so a ~domains:1 run is
-         bit-comparable to a ~domains:4 one *)
-      let sh = run_sharded ~platform ~domains:d cfg in
-      Option.iter
-        (fun m ->
-          record_into m sh.merged;
-          set_shed_rate m ~ts:sh.merged.sim_elapsed_ns sh.merged.shed_rate)
-        metrics;
-      sh.merged
-  | None ->
-      (* serial path: one slice owning the whole pool (pid_base 1
-         mirrors the fleet's fresh-boot numbering) *)
-      let s = run_slice ~platform ~seed:cfg.seed ~pid_base:1 ~first:0 ~count:cfg.tenants ?metrics cfg in
-      Option.iter (fun m -> set_shed_rate m ~ts:s.sim_elapsed_ns s.shed_rate) metrics;
-      s
+let run ?platform ?metrics (cfg : config) =
+  let s = (run_sharded ?platform ~shards:1 ~domains:1 cfg).merged in
+  Option.iter
+    (fun m ->
+      record_into m s;
+      set_shed_rate m ~ts:s.sim_elapsed_ns s.shed_rate)
+    metrics;
+  s
 
 (* Machine-readable stats: only simulated / deterministic fields, so
    the document is bit-identical across domain counts (the D=1 vs D=4
    differential test compares the serialized strings).  Host wall time
-   lives in [sharded.wall_s] and the human-readable output only. *)
+   lives in the shard run's [wall_s] and the human-readable output
+   only. *)
 let json (s : stats) =
   let open Sentry_obs in
   let dist_json (cls, (d : dist)) =
@@ -558,16 +479,7 @@ let pp ppf (s : stats) =
     s.energy_j
 
 let pp_sharded ppf (s : sharded) =
-  Fmt.pf ppf "serve (sharded): %d shards on %d domain%s, %.1f ms wall@\n" s.shard_count s.domains
-    (if s.domains = 1 then "" else "s")
-    (s.wall_s *. 1e3);
-  List.iter
-    (fun sh ->
-      Fmt.pf ppf "  shard %d: tenants %d..%d  pids %d..%d  seed %d  %d served  %d shed@\n"
-        sh.shard_index sh.first_tenant
-        (sh.first_tenant + sh.tenants - 1)
-        sh.pid_base
-        (sh.pid_base + sh.tenants - 1)
-        sh.shard_seed sh.shard_stats.served sh.shard_stats.shed)
+  Fmt.pf ppf "serve (sharded): %a"
+    (Shard.pp (fun ppf (st : stats) -> Fmt.pf ppf "%d served  %d shed" st.served st.shed))
     s.shards;
   pp ppf s.merged

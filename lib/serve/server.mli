@@ -27,7 +27,8 @@ type config = {
     2 simulated seconds, queue depth 64, batches of 8, no soak. *)
 val default : config
 
-type dist = {
+(** Per-class latency summary: the fleet's, field for field. *)
+type dist = Sentry_workloads.Fleet.latency = {
   count : int;
   mean_ns : float;
   p50_ns : float;
@@ -74,44 +75,27 @@ val record_into : Sentry_obs.Metrics.t -> stats -> unit
     once per merged registry, never per shard. *)
 val set_shed_rate : Sentry_obs.Metrics.t -> ts:float -> float -> unit
 
-type shard = {
-  shard_index : int;
-  first_tenant : int;
-  tenants : int;
-  pid_base : int;  (** first_tenant + 1 — sharded pids equal serial pids *)
-  shard_seed : int;
-  shard_stats : stats;
-  shard_metrics : Sentry_obs.Metrics.t;
-}
-
 type sharded = {
-  domains : int;
-  shard_count : int;
-  wall_s : float;  (** host time over the whole parallel section *)
-  shards : shard list;  (** in shard-index order *)
-  merged : stats;
-  merged_metrics : Sentry_obs.Metrics.t;
+  merged : stats;  (** deterministic fold over shard stats, in shard order *)
+  shards : stats Sentry_workloads.Shard.t;
+      (** per-shard stats, wall time, merged registry (with the
+          shed-rate gauge set over merged counts) and recorder *)
 }
 
-(** Default shard count for a pool: [min tenants 16]. *)
-val default_shards : tenants:int -> int
-
-(** [run_sharded ~domains cfg] — partition the tenant pool with
-    {!Sentry_workloads.Fleet.shard_plan}, serve every shard's filtered
-    sub-stream of the (identically regenerated) global schedule on a
-    [domains]-wide [Dpool], and fold results in shard-index order.
-    Merged outputs are invariant in [domains]; only [wall_s] changes.
+(** [run_sharded ~domains cfg] — serve every shard's filtered
+    sub-stream of the (identically regenerated) global schedule
+    through {!Sentry_workloads.Shard.run} and fold results in shard
+    order.  Merged outputs are invariant in [domains]; only the wall
+    time changes.
     @raise Invalid_argument on an invalid config or non-positive
     [domains]/[shards]. *)
 val run_sharded : ?platform:Config.platform -> ?shards:int -> domains:int -> config -> sharded
 
-(** [run cfg] — serve the whole schedule serially; with [~domains:d],
-    delegate to {!run_sharded} (sharded semantics even at [d = 1])
-    and return the merged stats.  With [?metrics], samples, counters
-    and the shed-rate gauge land in the registry.
+(** [run cfg] — the one-shard plan: [(run_sharded ~shards:1 ~domains:1
+    cfg).merged], run in the calling domain.  With [?metrics], samples,
+    counters and the shed-rate gauge land in the registry.
     @raise Invalid_argument on an invalid config. *)
-val run :
-  ?platform:Config.platform -> ?metrics:Sentry_obs.Metrics.t -> ?domains:int -> config -> stats
+val run : ?platform:Config.platform -> ?metrics:Sentry_obs.Metrics.t -> config -> stats
 
 (** Machine-readable stats: simulated / deterministic fields only (no
     host wall time), so serialized documents are bit-identical across

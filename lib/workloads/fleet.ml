@@ -21,15 +21,13 @@
     distribution captures queueing behind earlier tenants' faults,
     which is exactly what the per-class p99/p999 SLOs watch.
 
-    {b Sharding.}  [run_sharded] partitions the tenants into
-    contiguous shards, each owning a private [System] (machine, clock,
-    energy meter), trace recorder, metrics registry, fault-injector
-    session, PRNG seed and pid range, and executes them on a
-    [Dpool] of OCaml 5 domains.  The partition depends only on
-    [(procs, shards)] — never on how many domains execute it — and
-    every per-shard input is derived deterministically from the shard
-    index, so the merged outputs are bit-identical across domain
-    counts.  See DESIGN.md §13. *)
+    {b Sharding.}  [run_sharded] runs the tenants through the {!Shard}
+    executor: contiguous shards, each owning a private [System]
+    (machine, clock, energy meter), trace recorder, metrics registry,
+    fault-injector session, PRNG seed and pid range.  The partition
+    depends only on [(procs, shards)] — never on how many domains
+    execute it — so the merged outputs are bit-identical across domain
+    counts.  [run] is the one-shard plan.  See DESIGN.md §13. *)
 
 open Sentry_util
 open Sentry_soc
@@ -62,8 +60,8 @@ let backend_label = Backend.kind_name
 (* Tenant-class assignment by spawn index.  Every 4th process is large
    (and carries the DMA region); every 4k+3rd small; the rest medium.
    Indices are always global (fleet-wide), so a shard spawning tenants
-   [first .. first+count-1] builds exactly the same tenants the serial
-   run would. *)
+   [first .. first+count-1] builds exactly the same tenants a
+   one-shard run would. *)
 let tenant_class ~index =
   match index mod 4 with 0 -> "large" | 3 -> "small" | _ -> "medium"
 
@@ -153,7 +151,7 @@ let fingerprint_tenant page_crypt ~index (proc, _region, cls) =
 
 (* Spawn tenants [first .. first+count-1] (global indices: names,
    classes and region sizes all come from the global index, so a
-   shard's tenants are identical to the serial run's). *)
+   shard's tenants are identical to a one-shard run's). *)
 let spawn_slice system sentry (cfg : config) ~first ~count =
   List.init count (fun j ->
       let i = first + j in
@@ -235,13 +233,13 @@ let validate (cfg : config) =
   if cfg.procs <= 0 || cfg.pages_per_proc <= 0 || cfg.cycles <= 0 then
     invalid_arg "Fleet.run: procs, pages_per_proc and cycles must be positive"
 
-(* One shard's (or the whole serial fleet's) worth of work: boot a
-   private system owning pids [pid_base ..], spawn tenants
-   [first .. first+count-1], drive the cycles, and digest every
-   tenant's crypto state.  Everything this touches — machine, clock,
-   energy meter, PRNG, frames — belongs to the private [System], so
-   concurrent slices share no simulated state whatsoever. *)
-let run_slice ~platform ~seed ~pid_base ~first ~count ?metrics (cfg : config) =
+(* One shard's worth of work: boot a private system owning pids
+   [pid_base ..], spawn tenants [first .. first+count-1], drive the
+   cycles, and digest every tenant's crypto state.  Everything this
+   touches — machine, clock, energy meter, PRNG, frames — belongs to
+   the private [System], so concurrent slices share no simulated state
+   whatsoever. *)
+let run_slice ~platform (cfg : config) ~seed ~pid_base ~first ~count ~metrics =
   let system = System.boot ~seed ~pid_base platform in
   let machine = System.machine system in
   let sentry = Sentry.install system (Config.default platform) in
@@ -338,7 +336,7 @@ let run_slice ~platform ~seed ~pid_base ~first ~count ?metrics (cfg : config) =
       0 fleet
   in
   let samples = List.rev !samples in
-  Option.iter (fun m -> record_latencies m ~backend:cfg.backend samples) metrics;
+  record_latencies metrics ~backend:cfg.backend samples;
   let fingerprints =
     List.mapi (fun j t -> fingerprint_tenant (Sentry.page_crypt sentry) ~index:(first + j) t) fleet
   in
@@ -367,134 +365,25 @@ let run_slice ~platform ~seed ~pid_base ~first ~count ?metrics (cfg : config) =
 
 (* ------------------------------ sharding --------------------------- *)
 
-type shard = {
-  shard_index : int;
-  first_tenant : int;  (** global index of the shard's first tenant *)
-  tenants : int;
-  pid_base : int;  (** first_tenant + 1 — sharded pids equal serial pids *)
-  shard_seed : int;
-  shard_stats : stats;
-  shard_fingerprints : fingerprint list;
-  shard_metrics : Sentry_obs.Metrics.t;
-  shard_recorder : Sentry_obs.Trace.Recorder.t option;
-  shard_faults_fired : int;
-}
-
 type sharded = {
-  domains : int;
-  shard_count : int;
-  wall_s : float;  (** host time over the whole parallel section *)
-  shards : shard list;  (** in shard-index order *)
   merged : stats;
-  merged_metrics : Sentry_obs.Metrics.t;
-  merged_recorder : Sentry_obs.Trace.Recorder.t option;
   fingerprints : fingerprint list;  (** concatenated in tenant order *)
-  faults_fired : int;
+  shards : (stats * fingerprint list) Shard.t;
 }
 
-let default_shards ~procs = max 1 (min procs 16)
+let default_shards = Shard.default_shards
+let shard_plan = Shard.plan
 
-(* Contiguous blocks of ceil(procs/shards) tenants.  The partition is
-   a pure function of (procs, shards) — the domain count never enters,
-   which is what makes D=1 and D=4 runs merge to identical outputs. *)
-let shard_plan ~procs ~shards =
-  let shards = max 1 (min shards procs) in
-  let block = (procs + shards - 1) / shards in
-  let rec go s acc =
-    let first = s * block in
-    if first >= procs then List.rev acc
-    else go (s + 1) ((first, min block (procs - first)) :: acc)
-  in
-  go 0 []
-
-(* Per-shard seed: any injective map of the shard index works; the
-   spread keeps neighbouring shards' PRNG streams unrelated. *)
-let seed_for ~seed shard_index = seed + (shard_index * 7919)
-
-let run_sharded ?(platform = `Tegra3) ?(seed = 7) ?shards ?faults ~domains (cfg : config) =
-  validate cfg;
-  if domains <= 0 then invalid_arg "Fleet.run_sharded: domains must be positive";
-  let nshards =
-    match shards with
-    | Some s ->
-        if s <= 0 then invalid_arg "Fleet.run_sharded: shards must be positive";
-        min s cfg.procs
-    | None -> default_shards ~procs:cfg.procs
-  in
-  let plan = shard_plan ~procs:cfg.procs ~shards:nshards in
-  (* Shards trace iff the caller's domain traces, into recorders of
-     the same capacity.  Capture the decision here: the pool workers
-     are fresh domains whose ambient slots start empty. *)
-  let trace_capacity =
-    Option.map
-      (fun r -> (Sentry_obs.Trace.Recorder.stats r).Sentry_obs.Trace.capacity)
-      (Sentry_obs.Trace.installed ())
-  in
-  let tasks =
-    List.mapi
-      (fun s (first, count) ->
-        fun () ->
-          (* Per-domain ambient setup: the shard's recorder and fault
-             session live in this worker's domain-local slots for the
-             duration of the slice, and are torn down even on raise so
-             a pooled worker never leaks them into its next job. *)
-          let recorder =
-            Option.map
-              (fun capacity ->
-                let r = Sentry_obs.Trace.Recorder.create ~capacity () in
-                Sentry_obs.Trace.install r;
-                r)
-              trace_capacity
-          in
-          let session =
-            Option.map
-              (fun (p : Sentry_faults.Plan.t) ->
-                let sess =
-                  Sentry_faults.Injector.create { p with Sentry_faults.Plan.seed = p.seed + s }
-                in
-                Sentry_faults.Injector.activate sess;
-                sess)
-              faults
-          in
-          Fun.protect
-            ~finally:(fun () ->
-              Sentry_faults.Injector.deactivate ();
-              Sentry_obs.Trace.uninstall ())
-            (fun () ->
-              let shard_metrics = Sentry_obs.Metrics.create () in
-              let shard_stats, shard_fingerprints =
-                run_slice ~platform ~seed:(seed_for ~seed s) ~pid_base:(first + 1) ~first ~count
-                  ~metrics:shard_metrics cfg
-              in
-              {
-                shard_index = s;
-                first_tenant = first;
-                tenants = count;
-                pid_base = first + 1;
-                shard_seed = seed_for ~seed s;
-                shard_stats;
-                shard_fingerprints;
-                shard_metrics;
-                shard_recorder = recorder;
-                shard_faults_fired =
-                  (match session with
-                  | Some sess -> List.length (Sentry_faults.Injector.fired_of sess)
-                  | None -> 0);
-              }))
-      plan
-  in
-  let t0 = Unix.gettimeofday () in
-  let results = Dpool.run ~domains tasks in
-  let wall_s = Unix.gettimeofday () -. t0 in
-  (* Deterministic merges, always folded in shard-index order
-     ([Dpool.run] returns results in submission order regardless of
-     which worker ran what). *)
-  let samples = List.concat_map (fun sh -> sh.shard_stats.first_touch_samples) results in
-  let stats_list = List.map (fun sh -> sh.shard_stats) results in
-  let sum f = List.fold_left (fun a s -> a + f s) 0 stats_list in
-  let sumf f = List.fold_left (fun a s -> a +. f s) 0.0 stats_list in
-  let pages_locked = sum (fun s -> s.pages_locked) in
-  let merged =
+(* Deterministic merge, folded in shard order.  A single shard's stats
+   already are the merge (its config is [cfg] and its summaries are
+   over the same samples), so the one-shard plan skips the refold. *)
+let merge (cfg : config) = function
+  | [ s ] -> { s with config = cfg }
+  | stats_list ->
+    let samples = List.concat_map (fun s -> s.first_touch_samples) stats_list in
+    let sum f = List.fold_left (fun a s -> a + f s) 0 stats_list in
+    let sumf f = List.fold_left (fun a s -> a +. f s) 0.0 stats_list in
+    let pages_locked = sum (fun s -> s.pages_locked) and lock_wall = sumf (fun s -> s.lock_wall_s) in
     {
       config = cfg;
       fleet_pages = sum (fun s -> s.fleet_pages);
@@ -503,17 +392,14 @@ let run_sharded ?(platform = `Tegra3) ?(seed = 7) ?shards ?faults ~domains (cfg 
       pages_faulted = sum (fun s -> s.pages_faulted);
       service_wakes_run = sum (fun s -> s.service_wakes_run);
       io_sectors_done = sum (fun s -> s.io_sectors_done);
-      (* Merged walls report fleet-level throughput: the lock wall is
-         the whole parallel section (so lock_pages_per_s is what D
-         domains actually delivered), the unlock wall the summed
-         per-shard pass time. *)
-      lock_wall_s = wall_s;
+      (* Walls are summed per-shard pass time, so lock_pages_per_s is the
+         lock walk's own rate: boot, spawn, unlock and pool overhead stay
+         out of it whatever the domain count. *)
+      lock_wall_s = lock_wall;
       unlock_wall_s = sumf (fun s -> s.unlock_wall_s);
-      lock_pages_per_s = (if wall_s > 0.0 then float_of_int pages_locked /. wall_s else 0.0);
+      lock_pages_per_s = (if lock_wall > 0.0 then float_of_int pages_locked /. lock_wall else 0.0);
       unlock_to_first_touch_ns =
-        (match samples with
-        | [] -> 0.0
-        | _ -> Stats.mean (Array.of_list (List.map snd samples)));
+        (match samples with [] -> 0.0 | _ -> Stats.mean (Array.of_list (List.map snd samples)));
       first_touch_samples = samples;
       latency_by_class = summarize_by_class samples;
       (* Shards run concurrently in simulated time too — the fleet's
@@ -521,58 +407,23 @@ let run_sharded ?(platform = `Tegra3) ?(seed = 7) ?shards ?faults ~domains (cfg 
       sim_elapsed_ns = List.fold_left (fun a s -> Float.max a s.sim_elapsed_ns) 0.0 stats_list;
       energy_j = sumf (fun s -> s.energy_j);
     }
-  in
-  let merged_metrics =
-    List.fold_left
-      (fun acc sh -> Sentry_obs.Metrics.merge acc sh.shard_metrics)
-      (Sentry_obs.Metrics.create ()) results
-  in
-  let merged_recorder =
-    match List.filter_map (fun sh -> sh.shard_recorder) results with
-    | [] -> None
-    | recorders ->
-        Some
-          (List.fold_left Sentry_obs.Trace.Recorder.merge
-             (Sentry_obs.Trace.Recorder.create ~capacity:1 ())
-             recorders)
+
+let run_sharded ?(platform = `Tegra3) ?(seed = 7) ?shards ?faults ~domains (cfg : config) =
+  validate cfg;
+  let shards =
+    Shard.run ?shards ?faults ~seed ~domains ~procs:cfg.procs
+      (run_slice ~platform cfg)
   in
   {
-    domains;
-    shard_count = List.length results;
-    wall_s;
-    shards = results;
-    merged;
-    merged_metrics;
-    merged_recorder;
-    fingerprints = List.concat_map (fun sh -> sh.shard_fingerprints) results;
-    faults_fired = List.fold_left (fun a sh -> a + sh.shard_faults_fired) 0 results;
+    merged = merge cfg (List.map fst shards.Shard.results);
+    fingerprints = List.concat_map snd shards.Shard.results;
+    shards;
   }
 
-let run ?(platform = `Tegra3) ?(seed = 7) ?metrics ?domains (cfg : config) =
-  validate cfg;
-  match domains with
-  | Some d ->
-      (* Sharded semantics regardless of D — [~domains:1] partitions
-         and merges exactly like [~domains:4], so the two are
-         bit-comparable (the differential test's whole point). *)
-      let sh = run_sharded ~platform ~seed ~domains:d cfg in
-      Option.iter
-        (fun m -> record_latencies m ~backend:cfg.backend sh.merged.first_touch_samples)
-        metrics;
-      sh.merged
-  | None ->
-      (* Serial legacy path, bit-identical to the pre-sharding
-         workload: pids feed the per-page ESSIV IVs, so runs are only
-         reproducible (and comparable across pipelines) when each
-         starts from pid 1.  The slice owns its pid space
-         ([pid_base = 1] mirrors the historical reset-then-allocate
-         numbering exactly), and resetting the global allocator keeps
-         the legacy fresh-boot contract for whatever runs next. *)
-      Process.reset_pids ();
-      let stats, _ =
-        run_slice ~platform ~seed ~pid_base:1 ~first:0 ~count:cfg.procs ?metrics cfg
-      in
-      stats
+let run ?platform ?seed ?metrics (cfg : config) =
+  let s = (run_sharded ?platform ?seed ~shards:1 ~domains:1 cfg).merged in
+  Option.iter (fun m -> record_latencies m ~backend:cfg.backend s.first_touch_samples) metrics;
+  s
 
 let pp ppf (s : stats) =
   Fmt.pf ppf
@@ -598,18 +449,7 @@ let pp ppf (s : stats) =
     s.energy_j
 
 let pp_sharded ppf (s : sharded) =
-  Fmt.pf ppf "fleet (sharded): %d shards on %d domain%s, %.1f ms wall@\n"
-    s.shard_count s.domains
-    (if s.domains = 1 then "" else "s")
-    (s.wall_s *. 1e3);
-  List.iter
-    (fun sh ->
-      Fmt.pf ppf
-        "  shard %d: tenants %d..%d  pids %d..%d  seed %d  %d pages locked  %d faults fired@\n"
-        sh.shard_index sh.first_tenant
-        (sh.first_tenant + sh.tenants - 1)
-        sh.pid_base
-        (sh.pid_base + sh.tenants - 1)
-        sh.shard_seed sh.shard_stats.pages_locked sh.shard_faults_fired)
+  Fmt.pf ppf "fleet (sharded): %a"
+    (Shard.pp (fun ppf ((st : stats), _) -> Fmt.pf ppf "%d pages locked" st.pages_locked))
     s.shards;
   pp ppf s.merged

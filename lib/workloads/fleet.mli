@@ -5,13 +5,13 @@
     per-tenant-class unlock-to-first-touch latency distributions the
     SLO gate watches.
 
-    [run_sharded] splits the tenants into contiguous shards, each
-    owning a private [System], trace recorder, metrics registry,
-    fault-injector session, PRNG seed and pid range, and runs them on
-    a {!Sentry_util.Dpool} of OCaml 5 domains.  The partition and all
-    per-shard inputs depend only on [(procs, shards)] — never on the
-    domain count — so merged outputs are bit-identical across [D].
-    See DESIGN.md §13. *)
+    [run_sharded] runs contiguous tenant shards through the {!Shard}
+    executor, each owning a private [System], trace recorder, metrics
+    registry, fault-injector session, PRNG seed and pid range.  The
+    partition and all per-shard inputs depend only on [(procs,
+    shards)] — never on the domain count — so merged outputs are
+    bit-identical across [D].  [run] is the one-shard plan.  See
+    DESIGN.md §13. *)
 
 open Sentry_core
 
@@ -65,13 +65,9 @@ type stats = {
   pages_faulted : int;  (** lazy decrypt faults served *)
   service_wakes_run : int;
   io_sectors_done : int;  (** dm-crypt sectors written + read *)
-  lock_wall_s : float;
-      (** host time inside the lock passes; in a {!sharded} merge,
-          host time over the whole parallel section *)
-  unlock_wall_s : float;  (** host time inside the unlock passes (summed) *)
-  lock_pages_per_s : float;
-      (** pages_locked / lock_wall_s (host) — in a merge this is the
-          fleet-level wall-clock throughput [D] domains delivered *)
+  lock_wall_s : float;  (** host time inside the lock passes, summed over shards *)
+  unlock_wall_s : float;  (** host time inside the unlock passes, summed over shards *)
+  lock_pages_per_s : float;  (** pages_locked / lock_wall_s: the lock walk's host rate *)
   unlock_to_first_touch_ns : float;
       (** simulated ns from unlock start to a tenant's first page
           being readable, averaged over every tenant and cycle *)
@@ -106,56 +102,28 @@ type fingerprint = {
 val record_latencies :
   Sentry_obs.Metrics.t -> backend:Sentry.backend -> (string * float) list -> unit
 
-(** One shard's results: the slice stats plus everything the shard
-    owned privately (registry, recorder, fault tally, identifying
-    inputs). *)
-type shard = {
-  shard_index : int;
-  first_tenant : int;  (** global index of the shard's first tenant *)
-  tenants : int;
-  pid_base : int;  (** [first_tenant + 1] — sharded pids equal serial pids *)
-  shard_seed : int;
-  shard_stats : stats;
-  shard_fingerprints : fingerprint list;
-  shard_metrics : Sentry_obs.Metrics.t;
-  shard_recorder : Sentry_obs.Trace.Recorder.t option;
-      (** present iff the calling domain had a recorder installed *)
-  shard_faults_fired : int;
-}
+(** Per-class latency summary of [(tenant_class, ns)] samples, sorted
+    by class name. *)
+val summarize_by_class : (string * float) list -> (string * latency) list
 
 type sharded = {
-  domains : int;  (** pool size the run executed on *)
-  shard_count : int;
-  wall_s : float;  (** host time over the whole parallel section *)
-  shards : shard list;  (** in shard-index order *)
-  merged : stats;  (** deterministic fold over shard stats *)
-  merged_metrics : Sentry_obs.Metrics.t;  (** [Metrics.merge] fold, shard order *)
-  merged_recorder : Sentry_obs.Trace.Recorder.t option;
-      (** [Trace.Recorder.merge] fold, shard order; [None] unless the
-          calling domain had a recorder installed at launch *)
+  merged : stats;  (** deterministic fold over shard stats, in shard order *)
   fingerprints : fingerprint list;  (** concatenated in tenant order *)
-  faults_fired : int;  (** summed over shards *)
+  shards : (stats * fingerprint list) Shard.t;
+      (** per-shard results, wall time, merged registry and recorder *)
 }
 
-(** Default shard count for [procs] tenants: [min procs 16]. *)
+(** {!Shard.default_shards}. *)
 val default_shards : procs:int -> int
 
-(** [(first_tenant, tenants)] per shard: contiguous blocks of
-    ⌈procs/shards⌉.  Pure in [(procs, shards)]; [shards] is clamped to
-    [procs].  The executing domain count never enters. *)
+(** {!Shard.plan}. *)
 val shard_plan : procs:int -> shards:int -> (int * int) list
 
-(** [run_sharded ~domains cfg] partitions the fleet with
-    {!shard_plan}, runs every shard as an independent slice on a
-    [domains]-wide {!Sentry_util.Dpool} (each worker installs its
-    shard's recorder and fault session in its own domain-local ambient
-    slots), and folds the per-shard results through the deterministic
-    merges in shard-index order.  [?faults] arms a per-shard copy of
-    the plan (seed offset by shard index) in each worker; interrupting
-    fault kinds propagate out of [run_sharded] like they would out of
-    [run].  With [?shards] the shard count overrides
-    {!default_shards}.  Merged outputs are invariant in [domains];
-    only [wall_s] (and the merged wall-clock throughput) changes.
+(** [run_sharded ~domains cfg] runs the fleet through {!Shard.run}
+    (one slice per shard, recorder iff the caller traces, a per-shard
+    copy of [?faults]) and folds the shard stats in shard order.
+    Interrupting fault kinds propagate out.  Merged outputs are
+    invariant in [domains]; only the host walls change.
     @raise Invalid_argument on invalid [cfg], [domains <= 0] or
     [shards <= 0]. *)
 val run_sharded :
@@ -172,22 +140,19 @@ val run_sharded :
     [cfg.cycles] rounds of suspend → service wakes (dm-crypt I/O) →
     unlock → per-tenant first-touch sampling → touch churn.  Simulated
     outputs are backend-independent across the crypto backends; host
-    wall-clock is what [cfg.backend] changes.  With [?metrics], first-touch samples are
-    recorded via {!record_latencies}; with a trace recorder installed,
-    each cycle is wrapped in a ["fleet-cycle"] span.
+    wall-clock is what [cfg.backend] changes.  With [?metrics],
+    first-touch samples are recorded via {!record_latencies}.
 
-    Without [?domains] this is the serial legacy path, bit-identical
-    to the pre-sharding workload.  With [~domains:d] it delegates to
-    {!run_sharded} and returns the merged stats — sharded semantics
-    even at [d = 1], so a [~domains:1] run is bit-comparable to a
-    [~domains:4] one.
+    This is the one-shard plan: [(run_sharded ~shards:1 ~domains:1
+    cfg).merged], run in the calling domain.  When the caller traces,
+    each cycle is wrapped in a ["fleet-cycle"] span in the shard's own
+    recorder, which only {!run_sharded} returns.
     @raise Invalid_argument on non-positive [procs], [pages_per_proc]
     or [cycles]. *)
 val run :
   ?platform:Config.platform ->
   ?seed:int ->
   ?metrics:Sentry_obs.Metrics.t ->
-  ?domains:int ->
   config ->
   stats
 

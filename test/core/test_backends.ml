@@ -33,8 +33,7 @@ let secret = "FLEET-SECRET-4242424242424242!!"
    carry a DMA region, small ones half-size regions). *)
 let build ?(config = { (Config.default `Tegra3) with Config.track_taint = true })
     ?(layout = `Fig2) ~backend () =
-  Process.reset_pids ();
-  let system = System.boot ~seed:11 `Tegra3 in
+  let system = System.boot ~seed:11 ~pid_base:1 `Tegra3 in
   let sentry = Sentry.install system config in
   Sentry.set_backend sentry backend;
   let machine = System.machine system in
@@ -185,14 +184,15 @@ let test_offload_crash_roll_forward () =
   let module Fault = Sentry_faults.Fault in
   let config = { (Config.default `Tegra3) with Config.track_taint = true; journal = true } in
   let sys, sentry, _ = build ~config ~backend:Sentry.Offload () in
-  Injector.arm
-    (Plan.make ~name:"mid-offload-lock"
-       [
-         Plan.trigger ~point:Injector.Points.page_encrypted ~kind:Fault.Power_loss
-           ~at:(Plan.Nth 5);
-       ]);
+  Injector.activate
+    (Injector.create
+       (Plan.make ~name:"mid-offload-lock"
+          [
+            Plan.trigger ~point:Injector.Points.page_encrypted ~kind:Fault.Power_loss
+              ~at:(Plan.Nth 5);
+          ]));
   (try ignore (Sentry.lock sentry) with Injector.Injected _ -> ());
-  Injector.disarm ();
+  Injector.deactivate ();
   (match Sentry.recover sentry with
   | Some r ->
       checkb "rolled forward to Locked" true (r.Sentry.resumed = Sentry.Resumed_lock);

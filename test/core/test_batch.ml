@@ -36,12 +36,10 @@ let secret = "FLEET-SECRET-4242424242424242!!"
    sequential layout has. *)
 let build ?(config = { (Config.default `Tegra3) with Config.track_taint = true })
     ?(shuffle = false) ~pipeline () =
-  (* pids are global to the OS process and feed the per-page ESSIV
-     IVs; twins must allocate identical pid sequences *)
-  Process.reset_pids ();
-  let system = System.boot ~seed:11 `Tegra3 in
+  (* pids feed the per-page ESSIV IVs; twins own identical pid spaces *)
+  let system = System.boot ~seed:11 ~pid_base:1 `Tegra3 in
   let sentry = Sentry.install system config in
-  Sentry.set_pipeline sentry pipeline;
+  Sentry.set_backend sentry pipeline;
   let machine = System.machine system in
   let spawn_filled ?dma_pages name pages =
     let proc = System.spawn system ~name ~bytes:(pages * Page.size) in
@@ -239,14 +237,15 @@ let test_journal_coalesced_roll_forward () =
   let config = { (Config.default `Tegra3) with Config.journal = true } in
   let _sys, sentry, _procs = build ~config ~pipeline:Sentry.Batched () in
   checkb "journal active" true (Sentry.journal_enabled sentry);
-  Injector.arm
-    (Plan.make ~name:"mid-lock"
-       [
-         Plan.trigger ~point:Injector.Points.page_encrypted ~kind:Fault.Power_loss
-           ~at:(Plan.Nth 5);
-       ]);
+  Injector.activate
+    (Injector.create
+       (Plan.make ~name:"mid-lock"
+          [
+            Plan.trigger ~point:Injector.Points.page_encrypted ~kind:Fault.Power_loss
+              ~at:(Plan.Nth 5);
+          ]));
   (try ignore (Sentry.lock sentry) with Injector.Injected _ -> ());
-  Injector.disarm ();
+  Injector.deactivate ();
   (match Sentry.recover sentry with
   | Some r ->
       checkb "rolled forward to Locked" true (r.Sentry.resumed = Sentry.Resumed_lock);
@@ -282,17 +281,18 @@ let test_fault_handler_fail_secure () =
   (match Sentry.unlock sentry ~pin:"1234" with
   | Ok _ -> ()
   | Error _ -> Alcotest.fail "unlock failed");
-  Injector.arm
-    (Plan.make ~name:"mid-handler"
-       [
-         Plan.trigger ~point:Injector.Points.page_decrypted ~kind:Fault.Reset ~at:(Plan.Nth 1);
-       ]);
+  Injector.activate
+    (Injector.create
+       (Plan.make ~name:"mid-handler"
+          [
+            Plan.trigger ~point:Injector.Points.page_decrypted ~kind:Fault.Reset ~at:(Plan.Nth 1);
+          ]));
   let proc = List.hd procs in
   let region = List.hd (Address_space.regions proc.Process.aspace) in
   (match Vm.touch sys.System.vm proc ~vaddr:region.Address_space.vstart with
   | () -> Alcotest.fail "fault handler was not interrupted"
   | exception Injector.Injected _ -> ());
-  Injector.disarm ();
+  Injector.deactivate ();
   (* the interrupted page: cleartext in memory, PTE must say so *)
   let _, pte = List.hd (Address_space.region_ptes proc.Process.aspace region) in
   checkb "interrupted page not marked encrypted" false pte.Page_table.encrypted;

@@ -478,7 +478,7 @@ let test_sentry_journal_flag () =
   checkb "idle system: recover is a no-op" true (Sentry.recover sentry2 = None);
   checkb "no stats recorded" true (Sentry.last_recovery_stats sentry2 = None)
 
-(* Regression: [set_pipeline] (now [set_backend]) used to accept a
+(* Regression: [set_backend] used to accept a
    switch in any state — swapping the walk driver and journal
    granularity out from under a Locked system, so a later unlock (or a
    recovery replaying an interrupted walk) ran under the wrong engine.
@@ -492,15 +492,15 @@ let test_sentry_backend_switch_guarded () =
   ignore (Sentry.lock sentry);
   Alcotest.check_raises "switch rejected while locked"
     (Invalid_argument "Sentry.set_backend: cannot switch to per-page while locked")
-    (fun () -> Sentry.set_pipeline sentry Sentry.Per_page);
-  checkb "backend unchanged" true (Sentry.pipeline sentry = Sentry.Batched);
-  Sentry.set_pipeline sentry Sentry.Batched;
+    (fun () -> Sentry.set_backend sentry Sentry.Per_page);
+  checkb "backend unchanged" true (Sentry.backend sentry = Sentry.Batched);
+  Sentry.set_backend sentry Sentry.Batched;
   checkb "no-op re-select kept the lock" true (Sentry.is_locked sentry);
   (match Sentry.unlock sentry ~pin:"1234" with
   | Ok _ -> ()
   | Error _ -> Alcotest.fail "unlock");
-  Sentry.set_pipeline sentry Sentry.Per_page;
-  checkb "switch allowed while unlocked" true (Sentry.pipeline sentry = Sentry.Per_page)
+  Sentry.set_backend sentry Sentry.Per_page;
+  checkb "switch allowed while unlocked" true (Sentry.backend sentry = Sentry.Per_page)
 
 (* ---------------------------- Background -------------------------- *)
 
@@ -732,7 +732,6 @@ let qcheck_tests =
    ranges); systems booted without it keep drawing from the global
    allocator, unperturbed by private-space spawns. *)
 let test_system_pid_base_private_space () =
-  Process.reset_pids ();
   let global_sys = System.boot `Tegra3 ~seed:1 in
   let g0 = System.spawn global_sys ~name:"g0" ~bytes:Page.size in
   let owned = System.boot `Tegra3 ~seed:2 ~pid_base:100 in

@@ -24,17 +24,23 @@ let checki = Alcotest.(check int)
 
 let one ~point ~kind ~at = Plan.make ~name:"test" [ Plan.trigger ~point ~kind ~at ]
 
+(* Create and activate a session over [plan]; firings and occurrence
+   counts read back off the returned handle. *)
+let arm plan =
+  let session = Injector.create plan in
+  Injector.activate session;
+  session
+
 (* ------------------------------ injector -------------------------- *)
 
 let test_disarmed_is_noop () =
-  Injector.disarm ();
+  Injector.deactivate ();
   Injector.fire "anywhere";
   checkb "no poll result" true (Injector.poll "anywhere" = None);
-  checkb "nothing fired" true (Injector.fired () = []);
-  checkb "not armed" false (Injector.armed ())
+  checkb "no active session" true (Injector.current () = None)
 
 let test_nth_occurrence () =
-  Injector.arm (one ~point:"p" ~kind:Fault.Power_loss ~at:(Plan.Nth 3));
+  let session = arm (one ~point:"p" ~kind:Fault.Power_loss ~at:(Plan.Nth 3)) in
   Injector.fire "p";
   Injector.fire "q" (* different point: does not count toward "p" *);
   Injector.fire "p";
@@ -43,27 +49,27 @@ let test_nth_occurrence () =
   | exception Injector.Injected r ->
       checki "occurrence" 3 r.Injector.occurrence;
       checkb "kind" true (r.Injector.kind = Fault.Power_loss));
-  checki "one firing recorded" 1 (List.length (Injector.fired ()));
-  checki "arrivals counted" 3 (Injector.occurrences "p");
-  Injector.disarm ()
+  checki "one firing recorded" 1 (List.length (Injector.fired_of session));
+  checki "arrivals counted" 3 (Injector.occurrences_of session "p");
+  Injector.deactivate ()
 
 let test_every_occurrence () =
-  Injector.arm (one ~point:"d" ~kind:Fault.Dma_error ~at:(Plan.Every 2));
+  let session = arm (one ~point:"d" ~kind:Fault.Dma_error ~at:(Plan.Every 2)) in
   checkb "1st clean" true (Injector.poll "d" = None);
   checkb "2nd faults" true (Injector.poll "d" <> None);
   checkb "3rd clean" true (Injector.poll "d" = None);
   checkb "4th faults" true (Injector.poll "d" <> None);
-  checki "two firings" 2 (List.length (Injector.fired ()));
-  Injector.disarm ()
+  checki "two firings" 2 (List.length (Injector.fired_of session));
+  Injector.deactivate ()
 
 let test_prob_deterministic () =
   let plan = Plan.make ~name:"coin" ~seed:7
       [ Plan.trigger ~point:"c" ~kind:Fault.Dma_error ~at:(Plan.Prob 0.5) ]
   in
   let pattern () =
-    Injector.arm plan;
+    ignore (arm plan);
     let hits = List.init 64 (fun _ -> Injector.poll "c" <> None) in
-    Injector.disarm ();
+    Injector.deactivate ();
     hits
   in
   let a = pattern () and b = pattern () in
@@ -72,20 +78,17 @@ let test_prob_deterministic () =
   checkb "some did not" true (List.mem false a)
 
 let test_bit_flip_invokes_handler_and_continues () =
-  Injector.arm (one ~point:"w" ~kind:(Fault.Bit_flip 4) ~at:(Plan.Every 1));
+  let session = arm (one ~point:"w" ~kind:(Fault.Bit_flip 4) ~at:(Plan.Every 1)) in
   let calls = ref 0 and bits_seen = ref 0 in
-  Injector.set_bit_flip_handler (fun ~point:_ ~bits ->
+  Injector.set_bit_flip_handler_of session (fun ~point:_ ~bits ->
       incr calls;
       bits_seen := bits);
   Injector.fire "w";
   Injector.fire "w";
   checki "handler per firing" 2 !calls;
   checki "bit count through" 4 !bits_seen;
-  checki "firings recorded" 2 (List.length (Injector.fired ()));
-  Injector.disarm ();
-  Alcotest.check_raises "handler needs an armed injector"
-    (Invalid_argument "Injector.set_bit_flip_handler: not armed") (fun () ->
-      Injector.set_bit_flip_handler (fun ~point:_ ~bits:_ -> ()))
+  checki "firings recorded" 2 (List.length (Injector.fired_of session));
+  Injector.deactivate ()
 
 (** The explicit-handle surface: firings and occurrence counts stay
     readable off the session after deactivation, and two sessions over
@@ -95,11 +98,11 @@ let test_session_handle_api () =
   let s1 = Injector.create plan in
   checkb "plan threads through" true (Injector.plan_of s1 == plan);
   Injector.activate s1;
-  checkb "activation shows in compat armed" true (Injector.armed ());
+  checkb "activation shows as current" true (Injector.current () <> None);
   checkb "1st clean" true (Injector.poll "s" = None);
   checkb "2nd faults" true (Injector.poll "s" <> None);
   Injector.deactivate ();
-  checkb "deactivated" false (Injector.armed ());
+  checkb "deactivated" true (Injector.current () = None);
   (* the session outlives deactivation: results read off the handle *)
   checki "firings on handle" 1 (List.length (Injector.fired_of s1));
   checki "arrivals on handle" 2 (Injector.occurrences_of s1 "s");
@@ -122,7 +125,7 @@ let test_session_domain_local () =
   Fun.protect ~finally:Injector.deactivate (fun () ->
       let worker =
         Domain.spawn (fun () ->
-            let inherited = Injector.armed () in
+            let inherited = Injector.current () <> None in
             let mine = Injector.create (one ~point:"w" ~kind:Fault.Dma_error ~at:(Plan.Nth 1)) in
             Injector.activate mine;
             let fired_here = Injector.poll "w" <> None in
@@ -142,11 +145,11 @@ let test_session_domain_local () =
 let test_dma_transfer_fault () =
   let machine = Machine.create (Machine.nexus4 ()) in
   let addr = (Dram.region (Machine.dram machine)).Memmap.base in
-  Injector.arm (one ~point:Injector.Points.dma_read ~kind:Fault.Dma_error ~at:(Plan.Every 1));
+  ignore (arm (one ~point:Injector.Points.dma_read ~kind:Fault.Dma_error ~at:(Plan.Every 1)));
   (match Dma.read (Machine.dma machine) ~addr ~len:16 with
   | Error Dma.Faulted -> ()
   | Ok _ | Error _ -> Alcotest.fail "expected Faulted");
-  Injector.disarm ();
+  Injector.deactivate ();
   (* disarmed: same transfer goes through *)
   match Dma.read (Machine.dma machine) ~addr ~len:16 with
   | Ok _ -> ()
@@ -155,11 +158,11 @@ let test_dma_transfer_fault () =
 let test_dma_write_fault () =
   let machine = Machine.create (Machine.nexus4 ()) in
   let addr = (Dram.region (Machine.dram machine)).Memmap.base in
-  Injector.arm (one ~point:Injector.Points.dma_write ~kind:Fault.Dma_error ~at:(Plan.Nth 1));
+  ignore (arm (one ~point:Injector.Points.dma_write ~kind:Fault.Dma_error ~at:(Plan.Nth 1)));
   (match Dma.write (Machine.dma machine) ~addr (Bytes.make 16 'x') with
   | Error Dma.Faulted -> ()
   | Ok _ | Error _ -> Alcotest.fail "expected Faulted");
-  Injector.disarm ()
+  Injector.deactivate ()
 
 let test_reset_mid_dmcrypt_leaves_target_untouched () =
   let machine = Machine.create (Machine.tegra3 ~dram_size:(4 * Units.mib) ()) in
@@ -177,11 +180,11 @@ let test_reset_mid_dmcrypt_leaves_target_untouched () =
   let dev = Block_dev.create machine ~kind:Block_dev.Ramdisk ~size:(64 * Units.kib) in
   let dm = Dm_crypt.create ~api ~key:(Bytes.make 16 'k') (Block_dev.target dev) in
   let before = Bytes.copy (Block_dev.raw dev) in
-  Injector.arm (one ~point:Injector.Points.dm_crypt_sector ~kind:Fault.Reset ~at:(Plan.Nth 1));
+  ignore (arm (one ~point:Injector.Points.dm_crypt_sector ~kind:Fault.Reset ~at:(Plan.Nth 1)));
   (match Blockio.write (Dm_crypt.target dm) ~off:0 (Bytes.make 512 'S') with
   | () -> Alcotest.fail "sector write must be interrupted"
   | exception Injector.Injected _ -> ());
-  Injector.disarm ();
+  Injector.deactivate ();
   (* sector ops are atomic at the lower target: the interrupted write
      must not have reached the device at all *)
   checkb "medium untouched" true (Bytes.equal before (Block_dev.raw dev))
@@ -189,13 +192,15 @@ let test_reset_mid_dmcrypt_leaves_target_untouched () =
 let test_bit_flips_corrupt_dram () =
   let machine = Machine.create (Machine.nexus4 ()) in
   let base = (Dram.region (Machine.dram machine)).Memmap.base in
-  Injector.arm (one ~point:Injector.Points.machine_write ~kind:(Fault.Bit_flip 8) ~at:(Plan.Every 1));
-  Injector.set_bit_flip_handler (Fault_scenario.bit_flip_handler machine);
+  let session =
+    arm (one ~point:Injector.Points.machine_write ~kind:(Fault.Bit_flip 8) ~at:(Plan.Every 1))
+  in
+  Injector.set_bit_flip_handler_of session (Fault_scenario.bit_flip_handler machine);
   for i = 0 to 15 do
     Machine.write machine (base + (i * 64)) (Bytes.make 64 '\x00')
   done;
-  let firings = List.length (Injector.fired ()) in
-  Injector.disarm ();
+  let firings = List.length (Injector.fired_of session) in
+  Injector.deactivate ();
   checkb "flips fired" true (firings >= 16);
   (* 8 random flips per store over a small DRAM: some corruption must
      be visible somewhere *)
@@ -207,8 +212,7 @@ let test_bit_flips_corrupt_dram () =
 (* ----------------------- crash-consistent pipeline ----------------- *)
 
 let fresh_sentry () =
-  Process.reset_pids ();
-  let system = System.boot `Nexus4 ~seed:42 in
+  let system = System.boot `Nexus4 ~seed:42 ~pid_base:1 in
   let config = { (Config.default `Nexus4) with Config.track_taint = true; journal = true } in
   let sentry = Sentry.install system config in
   let app = Fault_scenario.spawn_workload system sentry in
@@ -252,13 +256,13 @@ let test_power_loss_every_page_boundary () =
       for k = 1 to total do
         let system, sentry, app = fresh_sentry () in
         let machine = System.machine system in
-        Injector.arm
-          (one ~point:Injector.Points.page_encrypted ~kind:Fault.Power_loss ~at:(Plan.Nth k));
+        ignore
+          (arm (one ~point:Injector.Points.page_encrypted ~kind:Fault.Power_loss ~at:(Plan.Nth k)));
         (match Sentry.lock sentry with
         | (_ : Encrypt_on_lock.stats) ->
             Alcotest.failf "lock survived injected power loss at page %d" k
         | exception Injector.Injected _ -> ());
-        Injector.disarm ();
+        Injector.deactivate ();
         Machine.reboot machine (Machine.Hard_reset 2.0);
         (match Sentry.recover sentry with
         | None -> Alcotest.fail "recover must see the interrupted lock"
@@ -288,12 +292,11 @@ let test_warm_reset_every_page_boundary () =
   for k = 1 to total do
     let system, sentry, app = fresh_sentry () in
     let machine = System.machine system in
-    Injector.arm
-      (one ~point:Injector.Points.page_encrypted ~kind:Fault.Reset ~at:(Plan.Nth k));
+    ignore (arm (one ~point:Injector.Points.page_encrypted ~kind:Fault.Reset ~at:(Plan.Nth k)));
     (match Sentry.lock sentry with
     | (_ : Encrypt_on_lock.stats) -> Alcotest.failf "lock survived injected reset at page %d" k
     | exception Injector.Injected _ -> ());
-    Injector.disarm ();
+    Injector.deactivate ();
     Machine.reboot machine Machine.Warm;
     (match Sentry.recover sentry with
     | None -> Alcotest.fail "recover must see the interrupted lock"
@@ -382,11 +385,11 @@ let test_mid_batch_tail_idempotent () =
     (fun k ->
       let system, sentry, app = fresh_sentry () in
       let machine = System.machine system in
-      Injector.arm (one ~point:Injector.Points.page_encrypted ~kind:Fault.Reset ~at:(Plan.Nth k));
+      ignore (arm (one ~point:Injector.Points.page_encrypted ~kind:Fault.Reset ~at:(Plan.Nth k)));
       (match Sentry.lock sentry with
       | (_ : Encrypt_on_lock.stats) -> Alcotest.failf "lock survived injected reset at page %d" k
       | exception Injector.Injected _ -> ());
-      Injector.disarm ();
+      Injector.deactivate ();
       (match Sentry.recover sentry with
       | None -> Alcotest.fail "recover must see the interrupted lock"
       | Some r ->
@@ -422,12 +425,11 @@ let test_reset_mid_frame_transform () =
   let _, ref_ptes, ref_state = reference () in
   let system, sentry, app = fresh_sentry () in
   let machine = System.machine system in
-  Injector.arm
-    (one ~point:Injector.Points.frame_transform ~kind:Fault.Reset ~at:(Plan.Nth 5));
+  ignore (arm (one ~point:Injector.Points.frame_transform ~kind:Fault.Reset ~at:(Plan.Nth 5)));
   (match Sentry.lock sentry with
   | (_ : Encrypt_on_lock.stats) -> Alcotest.fail "lock survived mid-transform reset"
   | exception Injector.Injected _ -> ());
-  Injector.disarm ();
+  Injector.deactivate ();
   Machine.reboot machine Machine.Warm;
   (match Sentry.recover sentry with
   | None -> Alcotest.fail "recover must run"
@@ -450,12 +452,11 @@ let test_unlock_rollback () =
   let system, sentry, app = fresh_sentry () in
   let machine = System.machine system in
   ignore (Sentry.lock sentry);
-  Injector.arm
-    (one ~point:Injector.Points.page_decrypted ~kind:Fault.Reset ~at:(Plan.Nth 2));
+  ignore (arm (one ~point:Injector.Points.page_decrypted ~kind:Fault.Reset ~at:(Plan.Nth 2)));
   (match Sentry.unlock sentry ~pin:(Sentry.config sentry).Config.pin with
   | Ok _ | Error _ -> Alcotest.fail "unlock survived injected reset"
   | exception Injector.Injected _ -> ());
-  Injector.disarm ();
+  Injector.deactivate ();
   Machine.reboot machine Machine.Warm;
   (match Sentry.recover sentry with
   | None -> Alcotest.fail "recover must see the interrupted unlock"
@@ -479,19 +480,17 @@ let test_unlock_rollback () =
     Lock_state-keyed sweep, which must converge by itself. *)
 let test_recovery_without_journal () =
   let _, ref_ptes, ref_state = reference () in
-  Process.reset_pids ();
-  let system = System.boot `Nexus4 ~seed:42 in
+  let system = System.boot `Nexus4 ~seed:42 ~pid_base:1 in
   let config = { (Config.default `Nexus4) with Config.track_taint = true; journal = false } in
   let sentry = Sentry.install system config in
   let app = Fault_scenario.spawn_workload system sentry in
   checkb "journal off" false (Sentry.journal_enabled sentry);
   let machine = System.machine system in
-  Injector.arm
-    (one ~point:Injector.Points.page_encrypted ~kind:Fault.Power_loss ~at:(Plan.Nth 6));
+  ignore (arm (one ~point:Injector.Points.page_encrypted ~kind:Fault.Power_loss ~at:(Plan.Nth 6)));
   (match Sentry.lock sentry with
   | (_ : Encrypt_on_lock.stats) -> Alcotest.fail "lock survived"
   | exception Injector.Injected _ -> ());
-  Injector.disarm ();
+  Injector.deactivate ();
   Machine.reboot machine (Machine.Hard_reset 2.0);
   (match Sentry.recover sentry with
   | None -> Alcotest.fail "recover must run without a journal"
@@ -525,7 +524,6 @@ let test_recover_noop_when_consistent () =
 let test_canned_plans_survive () =
   List.iter
     (fun (name, plan) ->
-      Process.reset_pids ();
       let o = Fault_scenario.run plan in
       checkb (name ^ ": ends locked, consistent, nothing recoverable") true
         (Fault_scenario.survived o))

@@ -2,12 +2,12 @@
    closures handed to Domain.spawn / Dpool.submit / Dpool.run.
    Per-domain setup (install/activate) and handle-threading calls
    through Trace.Recorder must NOT be flagged.  Expected findings:
-   Trace.emit, Injector.arm, Trace.enter_span, Trace.exit_span. *)
+   Trace.emit, Injector.fire, Trace.enter_span, Trace.exit_span. *)
 
 let bad_direct () =
   Domain.spawn (fun () ->
       Trace.emit ~cat:Lock ~subsystem:"fixture" "boom";
-      Injector.arm plan)
+      Injector.fire point)
 
 let bad_pool pool =
   Dpool.submit pool (fun () ->

@@ -65,7 +65,7 @@ let test_r5_spawned_closures () =
   triple_list "exact R5 set"
     [
       ("R5", "Trace.emit", 9);
-      ("R5", "Injector.arm", 10);
+      ("R5", "Injector.fire", 10);
       ("R5", "Trace.enter_span", 14);
       ("R5", "Trace.exit_span", 17);
     ]
@@ -96,7 +96,7 @@ let expected_corpus =
     ("R4", "Bytes.unsafe_get", 4);
     ("R4", "Obj.magic", 5);
     ("R5", "Trace.emit", 9);
-    ("R5", "Injector.arm", 10);
+    ("R5", "Injector.fire", 10);
     ("R5", "Trace.enter_span", 14);
     ("R5", "Trace.exit_span", 17);
   ]

@@ -163,8 +163,8 @@ module Json = struct
 end
 
 let with_fresh_trace ?capacity f =
-  Trace.start ?capacity ();
-  Fun.protect ~finally:Trace.stop f
+  Trace.install (Trace.Recorder.create ?capacity ());
+  Fun.protect ~finally:Trace.uninstall f
 
 (* ------------------------------ trace ----------------------------- *)
 
@@ -178,7 +178,7 @@ let emit_n n =
   done
 
 let test_trace_off_is_silent () =
-  Trace.stop ();
+  Trace.uninstall ();
   checkb "off" false (Trace.on ());
   Trace.emit ~cat:Event.Bus ~subsystem:"soc.bus" "ignored";
   checki "no events" 0 (List.length (Trace.events ()));
@@ -751,11 +751,11 @@ let test_metrics_jsonl () =
 (* ------------------------- end-to-end runs ------------------------ *)
 
 let run_scenario ?seed name platform =
-  Trace.start ();
+  Trace.install (Trace.Recorder.create ());
   let r = Sentry_core.Trace_scenario.run ?seed name platform in
   let evs = Trace.events () in
   let flat = Sentry_core.Obs_report.flat r.Sentry_core.Trace_scenario.sentry in
-  Trace.stop ();
+  Trace.uninstall ();
   (evs, flat)
 
 let test_scenario_deterministic () =

@@ -130,9 +130,28 @@ let test_sharded_domain_invariance () =
     (Sentry_obs.Json_out.to_string (Server.json a.Server.merged))
     (Sentry_obs.Json_out.to_string (Server.json b.Server.merged));
   let flat m = Sentry_obs.Metrics.flat m in
+  let module Shard = Sentry_workloads.Shard in
   checkb "merged metrics snapshots equal" true
-    (flat a.Server.merged_metrics = flat b.Server.merged_metrics);
-  checki "same shard count" a.Server.shard_count b.Server.shard_count
+    (flat a.Server.shards.Shard.merged_metrics = flat b.Server.shards.Shard.merged_metrics);
+  checki "same shard count"
+    (List.length a.Server.shards.Shard.plan)
+    (List.length b.Server.shards.Shard.plan)
+
+(* Sharded serve traces through per-shard recorders: a tracing caller
+   gets one merged recorder whose category counts do not depend on D. *)
+let test_sharded_traced_domain_invariance () =
+  let module Trace = Sentry_obs.Trace in
+  let traced domains =
+    Trace.install (Trace.Recorder.create ~capacity:65536 ());
+    let sh = Fun.protect ~finally:Trace.uninstall (fun () -> Server.run_sharded ~domains fast) in
+    match sh.Server.shards.Sentry_workloads.Shard.merged_recorder with
+    | Some r -> r
+    | None -> Alcotest.fail "a tracing caller should get a merged recorder"
+  in
+  let a = traced 1 and b = traced 4 in
+  checkb "shards emitted events" true ((Trace.Recorder.stats a).Trace.emitted > 0);
+  checkb "category counts equal" true
+    (Trace.Recorder.category_counts a = Trace.Recorder.category_counts b)
 
 (* Below service capacity the bounded queue never fills: open-loop
    pressure only shows up as sheds once the rate crosses capacity,
@@ -224,6 +243,23 @@ let test_metrics_recorded () =
         (get (Printf.sprintf "serve/queue_wait_ns{tenant_class=%s}/count" cls)))
     s.Server.queue_wait_by_class
 
+(* ----------------------------- golden ----------------------------- *)
+
+(* [Server.json] digests of the default quiet and soak runs, captured
+   before [Server.run] became the one-shard plan; any drift in the
+   simulated outputs changes them. *)
+let json_md5 cfg =
+  Digest.to_hex (Digest.string (Sentry_obs.Json_out.to_string (Server.json (Server.run cfg))))
+
+let test_golden_quiet () =
+  Alcotest.(check string)
+    "default quiet json md5" "a4e1c6913b7cafc58da979b97ca3b305" (json_md5 Server.default)
+
+let test_golden_soak () =
+  Alcotest.(check string)
+    "default soak json md5" "2f33462044812a0e966ead9aa84c0e0b"
+    (json_md5 { Server.default with Server.soak = true })
+
 let () =
   Alcotest.run "serve"
     [
@@ -244,11 +280,18 @@ let () =
       ( "server",
         [
           Alcotest.test_case "D=1 vs D=4 invariance" `Quick test_sharded_domain_invariance;
+          Alcotest.test_case "traced D=1 vs D=4 categories" `Quick
+            test_sharded_traced_domain_invariance;
           Alcotest.test_case "shed rate monotone" `Quick test_shed_rate_monotone;
           Alcotest.test_case "no permanent starvation" `Quick
             test_server_no_permanent_starvation;
           Alcotest.test_case "soak recovers under traffic" `Quick test_soak_recovers_under_traffic;
           Alcotest.test_case "soak preserves service" `Quick test_soak_preserves_service;
           Alcotest.test_case "metrics recorded" `Quick test_metrics_recorded;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "default quiet json" `Quick test_golden_quiet;
+          Alcotest.test_case "default soak json" `Quick test_golden_soak;
         ] );
     ]

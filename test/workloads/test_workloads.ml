@@ -249,6 +249,33 @@ let test_fleet_sharded_metrics_merge_exactly () =
   let merged' = Metrics.merge shards.(2) (Metrics.merge shards.(1) shards.(0)) in
   checkb "merge order invisible" true (Metrics.flat merged' = Metrics.flat global)
 
+(* Digest of [Fleet.run Fleet.default]'s simulated outputs (samples,
+   counts, simulated time, energy), captured before [Fleet.run] became
+   the one-shard plan. *)
+let test_fleet_golden () =
+  let s = Fleet.run Fleet.default in
+  let text =
+    String.concat "|"
+      [
+        String.concat ";"
+          (List.map (fun (c, v) -> Printf.sprintf "%s=%h" c v) s.Fleet.first_touch_samples);
+        String.concat ","
+          (List.map string_of_int
+             [
+               s.Fleet.fleet_pages;
+               s.Fleet.pages_locked;
+               s.Fleet.pages_unlocked_eager;
+               s.Fleet.pages_faulted;
+               s.Fleet.service_wakes_run;
+               s.Fleet.io_sectors_done;
+             ]);
+        Printf.sprintf "%h,%h" s.Fleet.sim_elapsed_ns s.Fleet.energy_j;
+      ]
+  in
+  Alcotest.(check string)
+    "default fleet digest" "6941d46add4b70fe0e167d6838c03599"
+    (Digest.to_hex (Digest.string text))
+
 (* ---------------------- Fleet sharded (domains) -------------------- *)
 
 let diff_cfg = { Fleet.default with Fleet.procs = 10; Fleet.pages_per_proc = 8; Fleet.cycles = 2 }
@@ -285,8 +312,9 @@ let test_fleet_domains_differential () =
   let a = run_sharded_traced ~domains:1 diff_cfg in
   let b = run_sharded_traced ~domains:4 diff_cfg in
   checkb "merged flat metrics identical" true
-    (Metrics.flat a.Fleet.merged_metrics = Metrics.flat b.Fleet.merged_metrics);
-  (match (a.Fleet.merged_recorder, b.Fleet.merged_recorder) with
+    (Metrics.flat a.Fleet.shards.Shard.merged_metrics
+    = Metrics.flat b.Fleet.shards.Shard.merged_metrics);
+  (match (a.Fleet.shards.Shard.merged_recorder, b.Fleet.shards.Shard.merged_recorder) with
   | Some ra, Some rb ->
       checkb "summed trace category counts identical" true
         (Trace.Recorder.category_counts ra = Trace.Recorder.category_counts rb);
@@ -325,17 +353,66 @@ let test_fleet_sharded_faults_invariant () =
   in
   let a = Fleet.run_sharded ~faults:plan ~domains:1 diff_cfg in
   let b = Fleet.run_sharded ~faults:plan ~domains:4 diff_cfg in
-  checkb "faults fired" true (a.Fleet.faults_fired > 0);
-  checki "fault occurrence totals D-invariant" a.Fleet.faults_fired b.Fleet.faults_fired;
+  let fired (sh : Fleet.sharded) = List.fold_left ( + ) 0 sh.Fleet.shards.Shard.faults_fired in
+  checkb "faults fired" true (fired a > 0);
+  checki "fault occurrence totals D-invariant" (fired a) (fired b);
   checkb "fingerprints identical under faults" true (a.Fleet.fingerprints = b.Fleet.fingerprints)
 
-let test_fleet_run_domains_delegates () =
-  (* Fleet.run ~domains uses sharded semantics at every D, so its
-     simulated outputs match run_sharded's merge, not the serial path *)
-  let s = Fleet.run ~domains:1 diff_cfg in
-  let sh = Fleet.run_sharded ~domains:1 diff_cfg in
-  checkb "run ~domains matches the sharded merge" true
-    (strip_walls s = strip_walls sh.Fleet.merged)
+(* [Fleet.run] is the one-shard plan: the same merge whether the one
+   shard runs in the caller or on a pool worker. *)
+let test_fleet_run_is_one_shard_plan () =
+  let s = Fleet.run diff_cfg in
+  let in_caller = Fleet.run_sharded ~shards:1 ~domains:1 diff_cfg in
+  let on_pool = Fleet.run_sharded ~shards:1 ~domains:2 diff_cfg in
+  checki "one shard" 1 (List.length in_caller.Fleet.shards.Shard.plan);
+  checkb "run matches the one-shard merge" true
+    (strip_walls s = strip_walls in_caller.Fleet.merged);
+  checkb "caller and pool execution agree" true
+    (strip_walls in_caller.Fleet.merged = strip_walls on_pool.Fleet.merged
+    && in_caller.Fleet.fingerprints = on_pool.Fleet.fingerprints)
+
+(* At D=1 the shards run in the calling domain.  The caller's own
+   recorder and injector session must survive the run (physically the
+   same handles), and the shard must see neither: the caller's plan
+   never fires, the caller's recorder stays empty, and the shard's
+   events land only in the merged recorder. *)
+let test_shard_in_caller_isolation () =
+  let module Trace = Sentry_obs.Trace in
+  let module Injector = Sentry_faults.Injector in
+  let module Plan = Sentry_faults.Plan in
+  let recorder = Trace.Recorder.create ~capacity:8192 () in
+  let session =
+    Injector.create
+      (Plan.make ~name:"caller"
+         [
+           Plan.trigger ~point:Injector.Points.dm_crypt_sector
+             ~kind:(Sentry_faults.Fault.Bit_flip 1) ~at:(Plan.Every 1);
+         ])
+  in
+  Trace.install recorder;
+  Injector.activate session;
+  let sh =
+    Fun.protect
+      ~finally:(fun () ->
+        Injector.deactivate ();
+        Trace.uninstall ())
+      (fun () ->
+        let sh = Fleet.run_sharded ~domains:1 diff_cfg in
+        checkb "caller recorder still installed" true
+          (match Trace.installed () with Some r -> r == recorder | None -> false);
+        checkb "caller session still active" true
+          (match Injector.current () with Some x -> x == session | None -> false);
+        sh)
+  in
+  checki "caller plan never fired" 0 (List.length (Injector.fired_of session));
+  checki "caller plan saw no arrivals" 0
+    (Injector.occurrences_of session Injector.Points.dm_crypt_sector);
+  checki "caller recorder untouched" 0 (Trace.Recorder.stats recorder).Trace.emitted;
+  match sh.Fleet.shards.Shard.merged_recorder with
+  | Some r ->
+      checkb "shard events in the merged recorder" true
+        ((Trace.Recorder.stats r).Trace.emitted > 0)
+  | None -> Alcotest.fail "a tracing caller should get a merged recorder"
 
 (* ----------------------------- Daily_use -------------------------- *)
 
@@ -399,6 +476,7 @@ let () =
             test_fleet_samples_pipeline_independent;
           Alcotest.test_case "sharded metrics merge" `Quick
             test_fleet_sharded_metrics_merge_exactly;
+          Alcotest.test_case "golden default digest" `Quick test_fleet_golden;
         ] );
       ( "fleet_sharded",
         [
@@ -407,7 +485,8 @@ let () =
           Alcotest.test_case "repeatable at same D" `Quick test_fleet_sharded_repeatable;
           Alcotest.test_case "fault totals D-invariant" `Quick
             test_fleet_sharded_faults_invariant;
-          Alcotest.test_case "run ~domains delegates" `Quick test_fleet_run_domains_delegates;
+          Alcotest.test_case "run is the one-shard plan" `Quick test_fleet_run_is_one_shard_plan;
+          Alcotest.test_case "in-caller shard isolation" `Quick test_shard_in_caller_isolation;
         ] );
       ( "daily_use",
         [
