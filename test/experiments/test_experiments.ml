@@ -193,6 +193,49 @@ let test_motivation_battery_cycles () =
   let seconds = 2048.0 /. Calib.aes_nexus_kernel_mb_s in
   checkb "about a minute" true (seconds > 45.0 && seconds < 75.0)
 
+(* ----------------------- rendered-output pins --------------------- *)
+
+(* md5 over the rendered tables of one registered experiment, minus
+   the rows [drop] selects.  Every pinned experiment is deterministic
+   (simulated clocks only), so its output is byte-identical run to
+   run; the digests were captured before any lock-path simplification. *)
+let rendered_md5 ?(drop = fun _ -> false) id =
+  match Sentry_experiments.Experiments.find id with
+  | None -> Alcotest.failf "no experiment %S" id
+  | Some e ->
+      e.Sentry_experiments.Experiments.run ()
+      |> List.map (fun (t : Table.t) ->
+             Table.to_string { t with Table.rows = List.filter (fun r -> not (drop r)) t.Table.rows })
+      |> String.concat "" |> Digest.string |> Digest.to_hex
+
+let pin id want () = Alcotest.(check string) (id ^ " rendered md5") want (rendered_md5 id)
+
+(* [backends] rows lead with the backend label; the pin covers the
+   batched, offload and no-access rows and every sweep row. *)
+let test_backends_rendered () =
+  Alcotest.(check string)
+    "backends rendered md5 (three backends)" "0b06cac19668cb8a2df3fd815790a892"
+    (rendered_md5 ~drop:(function "per-page" :: _ -> true | _ -> false) "backends")
+
+let test_backends_simulated () =
+  let module B = Sentry_experiments.Exp_backends in
+  Alcotest.(check (option int)) "lock crossover pages" (Some 8) (B.lock_crossover_pages ());
+  let exact name want got = Alcotest.(check (float 0.0)) name want got in
+  exact "batched fault ns" 171376.18831168837 (B.fault_elapsed_ns Sentry.Batched);
+  exact "offload fault ns" 551328.08333333326 (B.fault_elapsed_ns Sentry.Offload);
+  exact "no-access fault ns" 55500.0 (B.fault_elapsed_ns Sentry.No_access);
+  List.iter
+    (fun (backend, lock_s, unlock_s) ->
+      let m = Sentry_experiments.Exp_apps.run_app ~backend Apps.mp3 in
+      let name = Backend.kind_name backend in
+      exact (name ^ " mp3 lock_s") lock_s m.Sentry_experiments.Exp_apps.lock_s;
+      exact (name ^ " mp3 unlock_s") unlock_s m.Sentry_experiments.Exp_apps.unlock_s)
+    [
+      (Sentry.Batched, 0.32495904207793308, 0.26144182524676512);
+      (Sentry.Offload, 0.08626670933332467, 0.72678505600001853);
+      (Sentry.No_access, 0.0037399999999999998, 0.071167999999999995);
+    ]
+
 let () =
   Alcotest.run "sentry_golden"
     [
@@ -221,5 +264,16 @@ let () =
           Alcotest.test_case "fig11 on-soc" `Quick test_fig11_onsoc_overhead;
           Alcotest.test_case "fig12 hw energy" `Quick test_fig12_hw_energy_worse;
           Alcotest.test_case "motivation" `Quick test_motivation_battery_cycles;
+        ] );
+      ( "rendered-pins",
+        [
+          Alcotest.test_case "fig1" `Quick (pin "fig1" "5b69b3a641fdabb4fd1ff37f4f0f1c5f");
+          Alcotest.test_case "fig7" `Slow (pin "fig7" "e052ea569f6f972cddfb0c62d2b89568");
+          Alcotest.test_case "table1" `Slow (pin "table1" "97dcce91fcc72ea6fce46b089ad05b4e");
+          Alcotest.test_case "ablations" `Slow (pin "ablations" "784ade672cacd8ab48d02c35d4a7ac07");
+          Alcotest.test_case "pinned" `Slow (pin "pinned" "ba0f4aee60dc30529eadc659c39b4349");
+          Alcotest.test_case "serve" `Slow (pin "serve" "6262c569c1c5903e08061ac8c5419769");
+          Alcotest.test_case "backends three-backend rows" `Slow test_backends_rendered;
+          Alcotest.test_case "backends simulated numbers" `Slow test_backends_simulated;
         ] );
     ]
