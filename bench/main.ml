@@ -117,26 +117,18 @@ let run_json ~path ~trials ~slo_spec ids =
       (fun (k, v) -> (k, Json_out.Float v))
       (Sentry_core.Obs_report.flat ~recorder r.Sentry_core.Trace_scenario.sentry)
   in
-  (* fleet throughput: batched vs per-page at each fleet size; the
-     speedup is a same-run ratio so host noise largely cancels *)
+  (* fleet throughput: the batched lock walk at each fleet size *)
   let fleet =
     List.map
       (fun n ->
-        let b, p = Sentry_experiments.Exp_fleet.measure ~trials:(max 3 trials) n in
-        Printf.printf
-          "  fleet n=%-4d batched %.0f pages/s, per-page %.0f pages/s (%.2fx)\n%!" n
-          b.Sentry_workloads.Fleet.lock_pages_per_s p.Sentry_workloads.Fleet.lock_pages_per_s
-          (b.Sentry_workloads.Fleet.lock_pages_per_s /. p.Sentry_workloads.Fleet.lock_pages_per_s);
+        let b = Sentry_experiments.Exp_fleet.measure ~trials:(max 3 trials) n in
+        Printf.printf "  fleet n=%-4d batched %.0f pages/s\n%!" n
+          b.Sentry_workloads.Fleet.lock_pages_per_s;
         Json_out.Obj
           [
             ("procs", Json_out.Int n);
             ("pages_locked", Json_out.Int b.Sentry_workloads.Fleet.pages_locked);
             ("batched_lock_pages_per_s", Json_out.Float b.Sentry_workloads.Fleet.lock_pages_per_s);
-            ("per_page_lock_pages_per_s", Json_out.Float p.Sentry_workloads.Fleet.lock_pages_per_s);
-            ( "speedup",
-              Json_out.Float
-                (b.Sentry_workloads.Fleet.lock_pages_per_s
-                /. p.Sentry_workloads.Fleet.lock_pages_per_s) );
             ( "unlock_to_first_touch_ns",
               Json_out.Float b.Sentry_workloads.Fleet.unlock_to_first_touch_ns );
           ])

@@ -4,7 +4,10 @@
     These measure the {e implementation} (our AES, cache model, pager)
     on the host CPU; the paper-shaped numbers come from the calibrated
     simulation in [Sentry_experiments].  One [Test.make] per
-    table/figure, named accordingly. *)
+    table/figure, named accordingly, for the primitives the perfbench
+    layer ladder ([Perfbench.Ladder]) does not already time; the
+    ladder's rungs (page CBC, L2 line hit/miss, dm-crypt sector, ...)
+    print after them. *)
 
 open Bechamel
 open Toolkit
@@ -15,17 +18,11 @@ open Sentry_crypto
 let aes_key = Aes.expand (Bytes.make 16 'k')
 let block16 = Bytes.make 16 'p'
 let page4k = Bytes.make 4096 'p'
-let iv = Bytes.make 16 '\000'
 
 (* Table 4 / Fig 11: the cipher itself *)
 let t_aes_block =
   Test.make ~name:"table4/aes128-block-encrypt"
     (Staged.stage (fun () -> Aes.encrypt_block aes_key block16 0 block16 0))
-
-let t_aes_cbc_4k =
-  let c = Mode.of_key aes_key in
-  Test.make ~name:"fig11/aes128-cbc-4k-page"
-    (Staged.stage (fun () -> ignore (Mode.cbc_encrypt c ~iv page4k)))
 
 let t_aes_instrumented =
   let buf = Bytes.make 4096 '\000' in
@@ -48,20 +45,6 @@ let t_xts_sector =
   Test.make ~name:"ablations/xts-aes-512B-sector"
     (Staged.stage (fun () -> ignore (Xts.encrypt_sector k ~sector:42 sector512)))
 
-(* Fig 10: L2 model hit/miss paths *)
-let t_l2_hit, t_l2_miss =
-  let machine = Machine.create (Machine.tegra3 ~dram_size:(8 * Units.mib) ()) in
-  let base = (Machine.dram_region machine).Memmap.base in
-  ignore (Machine.read machine base 64);
-  let miss_counter = ref 0 in
-  ( Test.make ~name:"fig10/l2-hit-read-64B"
-      (Staged.stage (fun () -> ignore (Machine.read machine base 64))),
-    Test.make ~name:"fig10/l2-miss-read-64B"
-      (Staged.stage (fun () ->
-           (* stride over 8 MB so most reads miss *)
-           miss_counter := (!miss_counter + (4096 + 64)) mod (7 * Units.mib);
-           ignore (Machine.read machine (base + !miss_counter) 64))) )
-
 (* Table 2: remanence decay over 64 KB *)
 let t_remanence =
   let machine = Machine.create (Machine.tegra3 ~dram_size:(2 * Units.mib) ()) in
@@ -77,24 +60,6 @@ let t_page_encrypt =
   let frame = Sentry_kernel.Frame_alloc.alloc system.Sentry_core.System.frames in
   Test.make ~name:"fig4/page-encrypt-in-place"
     (Staged.stage (fun () -> Sentry_core.Page_crypt.encrypt_frame pc ~pid:1 ~vpn:7 ~frame))
-
-(* Fig 9: one dm-crypt sector round trip *)
-let t_dmcrypt =
-  let system = Sentry_core.System.boot `Tegra3 ~seed:2 in
-  ignore (Sentry_core.Sentry.install system (Sentry_core.Config.default `Tegra3));
-  let machine = Sentry_core.System.machine system in
-  let dev = Sentry_kernel.Block_dev.create machine ~kind:Sentry_kernel.Block_dev.Ramdisk ~size:Units.mib in
-  let dm =
-    Sentry_kernel.Dm_crypt.create ~api:system.Sentry_core.System.crypto_api
-      ~key:(Bytes.make 16 'k')
-      (Sentry_kernel.Block_dev.target dev)
-  in
-  let t = Sentry_kernel.Dm_crypt.target dm in
-  let sector = Bytes.make 512 's' in
-  Test.make ~name:"fig9/dm-crypt-sector-rw"
-    (Staged.stage (fun () ->
-         Sentry_kernel.Blockio.write t ~off:0 sector;
-         ignore (Sentry_kernel.Blockio.read t ~off:0 ~len:512)))
 
 (* Table 3 / cold boot: key-schedule scan rate *)
 let t_keyscan =
@@ -127,21 +92,21 @@ let t_page_in =
 let tests =
   [
     t_aes_block;
-    t_aes_cbc_4k;
     t_aes_instrumented;
     t_sha256;
     t_aes_ct;
     t_xts_sector;
-    t_l2_hit;
-    t_l2_miss;
     t_remanence;
     t_page_encrypt;
-    t_dmcrypt;
     t_keyscan;
     t_page_in;
   ]
 
-(** Run the suite and print one line per test. *)
+(** Seconds the ladder spends on each of its rungs. *)
+let ladder_budget_s = 0.4
+
+(** Run the suite and print one line per test, then one per ladder
+    rung. *)
 let run () =
   print_endline "### Bechamel microbenchmarks (host-side implementation costs)\n";
   let ols =
@@ -165,4 +130,7 @@ let run () =
       else if t >= 1e3 then Printf.printf "  %-44s %12.2f us/run\n" name (t /. 1e3)
       else Printf.printf "  %-44s %12.1f ns/run\n" name t)
     (List.sort compare !rows);
+  List.iter
+    (fun (name, unit, v) -> Printf.printf "  %-44s %12.2f %s\n" ("ladder/" ^ name) v unit)
+    (Perfbench.Ladder.run Perfbench.Span.Off ~budget_s:ladder_budget_s);
   print_newline ()

@@ -58,7 +58,7 @@ let () =
       (* flush the caches (time passes), then cold-boot the device *)
       Pl310.flush_masked (Machine.l2 machine);
       let keys =
-        Sentry_attacks.Cold_boot.recover_keys machine Sentry_attacks.Cold_boot.Os_reboot
+        Sentry_attacks.Cold_boot.(keys_of_image (image machine Os_reboot))
       in
       let got_key = List.exists (Bytes.equal key) keys in
       Printf.printf "  cold boot + key-schedule scan recovers the volume key: %b\n" got_key;

@@ -23,13 +23,6 @@ type event =
       (** a device-initiated read completed *)
   | On_demand  (** explicit sweep ([Engine.check_now]) *)
 
-let event_name = function
-  | Transition _ -> "transition"
-  | Bus_txn _ -> "bus-txn"
-  | Eviction _ -> "eviction"
-  | Dma_read _ -> "dma-read"
-  | On_demand -> "on-demand"
-
 (** One invariant.  [check] inspects the machine behind [Sentry.t] for
     [event] and returns findings; [is_problematic] selects the ones
     that are violations (a checker may also return informational

@@ -19,8 +19,6 @@ type event =
       (** a device-initiated read completed *)
   | On_demand  (** explicit sweep ([Engine.check_now]) *)
 
-val event_name : event -> string
-
 (** One invariant.  [check] inspects the machine behind [Sentry.t] for
     [event] and returns findings; [is_problematic] selects the ones
     that are violations (a checker may also return informational
@@ -44,7 +42,6 @@ val packed_name : packed -> string
     observed. *)
 type violation = { checker : string; message : string; time_ns : float }
 
-val pp_violation : Format.formatter -> violation -> unit
 val violation_to_string : violation -> string
 
 (** Evaluate one packed checker against [event]; problematic findings

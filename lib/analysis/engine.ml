@@ -90,7 +90,6 @@ let check_now t = dispatch t Checker.On_demand
 (** All recorded violations, oldest first. *)
 let violations t = List.rev t.violations
 
-let violation_count t = List.length t.violations
 let events_seen t = t.events_seen
 let clear t = t.violations <- []
 

@@ -25,16 +25,11 @@ val check_now : t -> unit
 (** All recorded violations, oldest first. *)
 val violations : t -> Checker.violation list
 
-val violation_count : t -> int
-
 (** Events dispatched so far (including sweeps). *)
 val events_seen : t -> int
 
 (** Drop the recorded violations (the engine stays attached). *)
 val clear : t -> unit
-
-(** Violations recorded against a specific rule. *)
-val violations_of : t -> string -> Checker.violation list
 
 (** Human-readable report: per-rule counts, then each violation. *)
 val report : t -> string

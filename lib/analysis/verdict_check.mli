@@ -8,11 +8,6 @@
     that the shadow plumbing models the same flows the attacks
     exploit. *)
 
-(** One cell from provenance: [true] = no secret-cleartext taint is
-    reachable by this attack. *)
-val analyzer_safe :
-  storage:Sentry_attacks.Verdict.storage -> attack:Sentry_attacks.Verdict.attack -> bool
-
 type cell = {
   attack : Sentry_attacks.Verdict.attack;
   storage : Sentry_attacks.Verdict.storage;
@@ -28,8 +23,6 @@ val agreement : unit -> cell list
 (** [true] iff the analyzer agrees with the mounted attacks on every
     cell. *)
 val agrees : unit -> bool
-
-val pp_cell : Format.formatter -> cell -> unit
 
 (** The full matrix rendered for humans, one line per cell plus the
     overall verdict. *)

@@ -27,10 +27,9 @@ type image = { dram : Memdump.t; iram : Memdump.t }
     memories.  Destructive (the machine really reboots), but every
     subsequent question — key scan, secret search — is answered
     against this one image, the way a real attacker works.  The
-    two-dump [mount] and the [recover_keys]/[succeeds] one-shots below
-    are wrappers; calling two of them mounts two attacks on two
-    {e different} machine states (each reset decays DRAM further), a
-    footgun the image API exists to remove. *)
+    [succeeds] one-shot below is a wrapper; calling it twice mounts two
+    attacks on two {e different} machine states (each reset decays
+    DRAM further), a footgun the image API exists to remove. *)
 let image machine variant =
   Machine.reboot machine (reboot_of_variant variant);
   let dram = Machine.dram machine in
@@ -49,15 +48,6 @@ let keys_of_image img = Key_finder.keys img.dram @ Key_finder.keys img.iram
 let secret_in_image img ~secret =
   Memdump.contains_fuzzy img.dram secret ~min_match:0.85
   || Memdump.contains_fuzzy img.iram secret ~min_match:0.85
-
-(** [mount machine variant] — force the reset, then image DRAM and
-    iRAM.  Destructive: the machine really reboots. *)
-let mount machine variant =
-  let img = image machine variant in
-  (img.dram, img.iram)
-
-(** Full attack: image memory and scan for AES key schedules. *)
-let recover_keys machine variant = keys_of_image (image machine variant)
 
 (** [succeeds machine variant ~secret] — can the attacker find
     [secret] anywhere after the reset? *)

@@ -6,7 +6,6 @@ open Sentry_soc
 type variant = Os_reboot | Device_reflash | Two_second_reset
 
 val variant_name : variant -> string
-val reboot_of_variant : variant -> Machine.reboot
 
 type image = { dram : Memdump.t; iram : Memdump.t }
 
@@ -21,14 +20,6 @@ val keys_of_image : image -> Bytes.t list
 (** Is [secret] findable in an already-captured image?  Matching
     tolerates ~15% decayed bytes (error-correcting tooling). *)
 val secret_in_image : image -> secret:Bytes.t -> bool
-
-(** Force the reset and image DRAM and iRAM.  Destructive.
-    Compatibility wrapper over [image]. *)
-val mount : Machine.t -> variant -> Memdump.t * Memdump.t
-
-(** Image memory and scan both dumps for AES key schedules.
-    One-shot wrapper: mounts its own reset. *)
-val recover_keys : Machine.t -> variant -> Bytes.t list
 
 (** Can the attacker find [secret] after the reset?  One-shot wrapper:
     mounts its own reset — capture an [image] instead when asking more

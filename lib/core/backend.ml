@@ -7,10 +7,9 @@
     [Sentry] dispatches every walk through the installed backend and
     guards switching ([Sentry.set_backend]) to the [Unlocked] state.
 
-    Four implementations:
+    Three implementations:
     - [Batched] — the paper's encrypt-on-lock through the PR-5
       gather/sort/batch engine (the default);
-    - [Per_page] — the page-at-a-time reference pipeline;
     - [Offload] — MemShield-inspired: the same batched walks pipelined
       into a deep high-throughput, high-fixed-latency command queue
       ([Offload_engine]) with explicit completion polling;
@@ -19,22 +18,20 @@
       boot/DMA succeed by design — Table 3 flips), lock is nearly
       free, faults are mapping restores. *)
 
-type kind = Batched | Per_page | Offload | No_access
+type kind = Batched | Offload | No_access
 
 let kind_name = function
   | Batched -> "batched"
-  | Per_page -> "per-page"
   | Offload -> "offload"
   | No_access -> "no-access"
 
 let kind_of_string = function
   | "batched" -> Some Batched
-  | "per-page" | "per_page" -> Some Per_page
   | "offload" -> Some Offload
   | "no-access" | "no_access" -> Some No_access
   | _ -> None
 
-let all_kinds = [ Batched; Per_page; Offload; No_access ]
+let all_kinds = [ Batched; Offload; No_access ]
 
 module type S = sig
   val kind : kind
@@ -82,17 +79,6 @@ module Batched_impl : S = struct
   let on_recover _ = ()
 end
 
-module Per_page_impl : S = struct
-  let kind = Per_page
-  let name = kind_name kind
-  let journal_coalesce = 1
-  let lock_walk = Encrypt_on_lock.run_per_page
-  let unlock_walk = Decrypt_on_unlock.run_per_page
-  let unlock_eager = Decrypt_on_unlock.run_eager_per_page
-  let fault_handler = Decrypt_on_unlock.fault_handler
-  let on_recover _ = ()
-end
-
 module Offload_impl : S = struct
   let kind = Offload
   let name = kind_name kind
@@ -120,6 +106,5 @@ end
 
 let of_kind : kind -> (module S) = function
   | Batched -> (module Batched_impl)
-  | Per_page -> (module Per_page_impl)
   | Offload -> (module Offload_impl)
   | No_access -> (module No_access_impl)

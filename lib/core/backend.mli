@@ -6,7 +6,6 @@
 
 type kind =
   | Batched  (** encrypt-on-lock through the gather/sort/batch engine (default) *)
-  | Per_page  (** the page-at-a-time reference pipeline *)
   | Offload
       (** MemShield-inspired deep command queue: high throughput, high
           fixed completion latency, explicit polling *)
@@ -16,8 +15,8 @@ type kind =
 
 val kind_name : kind -> string
 
-(** Accepts both the CLI spelling ("per-page") and the constructor
-    spelling ("per_page"). *)
+(** Accepts both the CLI spelling ("no-access") and the constructor
+    spelling ("no_access"). *)
 val kind_of_string : string -> kind option
 
 val all_kinds : kind list

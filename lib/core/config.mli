@@ -34,17 +34,6 @@ type t = {
           bit-identical observable contracts) *)
 }
 
-(** Tegra 3 defaults: locked-L2 storage, 4-way budget, 256 KB
-    background pool. *)
-val default_tegra3 : t
-
-(** Nexus 4 defaults: iRAM storage only — the retail firmware blocks
-    cache locking, so no background support (§7). *)
-val default_nexus4 : t
-
-(** §10 future platform: pinned storage + locked-cache paging. *)
-val default_future : t
-
 val default : platform -> t
 
 (** Checks platform/storage consistency (e.g. rejects locked-L2

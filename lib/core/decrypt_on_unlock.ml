@@ -253,7 +253,8 @@ let run ?journal pc system ~sensitive =
   run_with ~region_decrypt:decrypt_region_batched ~handler:fault_handler ?journal pc system
     ~sensitive
 
-(** The page-at-a-time reference unlock. *)
+(** The page-at-a-time reference unlock; no backend or flag reaches
+    it (the batched [run] is differentially tested against it). *)
 let run_per_page ?journal pc system ~sensitive =
   run_with ~region_decrypt:decrypt_region ~handler:fault_handler ?journal pc system ~sensitive
 
@@ -290,7 +291,8 @@ let run_eager pc system ~sensitive =
   run_eager_with ~region_decrypt:decrypt_region_batched ~handler:fault_handler pc system
     ~sensitive
 
-(** The page-at-a-time eager ablation. *)
+(** The page-at-a-time eager ablation; a reference for [run_eager]
+    that no backend or flag reaches. *)
 let run_eager_per_page pc system ~sensitive =
   run_eager_with ~region_decrypt:decrypt_region ~handler:fault_handler pc system ~sensitive
 

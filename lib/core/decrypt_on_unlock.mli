@@ -29,19 +29,6 @@ val fault_handler_offload : Page_crypt.t -> Vm.fault_handler
     crypto backend's earlier cycle still decrypt, fail-secure. *)
 val fault_handler_no_access : Page_crypt.t -> Vm.fault_handler
 
-(** Decrypt every still-encrypted page of one region now; returns the
-    page count.  DMA regions end with the pre-DMA coherence sweep
-    (decrypted lines cleaned out to DRAM, contiguous frames coalesced
-    into single maintenance calls). *)
-val decrypt_region :
-  ?journal:Lock_journal.t -> Page_crypt.t -> Process.t -> Address_space.region -> int
-
-(** Batched twin of [decrypt_region]: frame-sorted
-    [Page_crypt.decrypt_batch] with coalesced journal records; same
-    per-page fail-secure ordering and coherence sweep. *)
-val decrypt_region_batched :
-  ?journal:Lock_journal.t -> Page_crypt.t -> Process.t -> Address_space.region -> int
-
 (** The standard (lazy) unlock through the batched pipeline (the
     default): eager DMA decrypt + handler install + re-admission to
     the scheduler.  With [?journal], eager progress is journaled so a
@@ -49,8 +36,9 @@ val decrypt_region_batched :
     and aborts the unlock). *)
 val run : ?journal:Lock_journal.t -> Page_crypt.t -> System.t -> sensitive:Process.t list -> stats
 
-(** The page-at-a-time reference unlock; the batched [run] is
-    differentially tested against it. *)
+(** The page-at-a-time reference unlock.  No backend or flag reaches
+    it: it exists as the reference the batched [run] is differentially
+    tested against. *)
 val run_per_page :
   ?journal:Lock_journal.t -> Page_crypt.t -> System.t -> sensitive:Process.t list -> stats
 
@@ -69,7 +57,8 @@ val run_no_access :
     sensitive process at unlock time; returns total pages. *)
 val run_eager : Page_crypt.t -> System.t -> sensitive:Process.t list -> int
 
-(** The page-at-a-time eager ablation. *)
+(** The page-at-a-time eager ablation; like [run_per_page], a
+    reference for [run_eager] that no backend or flag reaches. *)
 val run_eager_per_page : Page_crypt.t -> System.t -> sensitive:Process.t list -> int
 
 (** The eager-everything ablation through the offload engine. *)

@@ -67,12 +67,11 @@ let finish_lock ?journal (system : System.t) ~sensitive ~background =
   Pl310.flush_masked (Machine.l2 system.System.machine)
 
 (** [run_per_page pc system ~sensitive ~background] executes the full
-    lock sequence over the sensitive process set, one page at a time
-    (the reference pipeline the batched [run] is differentially tested
-    against).  With [?journal], walk progress is journaled per page
-    and the pass committed at the end, making an interrupted lock
-    recoverable ([Sentry.recover]).  The walk itself is idempotent
-    (keyed off PTE [encrypted] bits), so recovery simply re-runs it. *)
+    lock sequence over the sensitive process set, one page at a time.
+    No backend or flag reaches it: it is the reference walk the
+    batched [run] is differentially tested against.  With [?journal],
+    walk progress is journaled per page and the pass committed at the
+    end.  The walk is idempotent (keyed off PTE [encrypted] bits). *)
 let run_per_page ?journal pc (system : System.t) ~sensitive ~background =
   let machine = system.System.machine in
   let clock = Machine.clock machine in

@@ -29,9 +29,9 @@ val run :
   background:(Sentry_kernel.Process.t -> bool) ->
   stats
 
-(** The page-at-a-time reference pipeline (same sequence, per-page
-    journal records); the batched [run] is differentially tested
-    against it. *)
+(** The page-at-a-time reference walk (same sequence, per-page
+    journal records).  No backend or flag reaches it: it exists as the
+    reference the batched [run] is differentially tested against. *)
 val run_per_page :
   ?journal:Lock_journal.t ->
   Page_crypt.t ->

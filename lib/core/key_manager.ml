@@ -65,8 +65,3 @@ let persistent_key t =
 let wipe t =
   Machine.write t.machine t.volatile_addr (Bytes.make key_len '\xff');
   Option.iter (fun a -> Machine.write t.machine a (Bytes.make key_len '\xff')) t.persistent_addr
-
-(** Where the keys are parked, for analysis passes checking root-key
-    confinement. *)
-let volatile_addr t = t.volatile_addr
-let persistent_addr t = t.persistent_addr

@@ -27,9 +27,3 @@ val persistent_key : t -> Bytes.t option
 
 (** Overwrite both keys with 0xFF. *)
 val wipe : t -> unit
-
-(** Physical addresses where the keys are parked, for analysis passes
-    checking root-key confinement. *)
-val volatile_addr : t -> int
-
-val persistent_addr : t -> int option

@@ -32,7 +32,6 @@ type pass = Lock_pass | Unlock_pass
 
 let pass_code = function Lock_pass -> 1 | Unlock_pass -> 2
 let pass_of_code = function 1 -> Some Lock_pass | 2 -> Some Unlock_pass | _ -> None
-let pass_name = function Lock_pass -> "lock" | Unlock_pass -> "unlock"
 
 type entry = { pass : pass; pid : int; pages_done : int }
 

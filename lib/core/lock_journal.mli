@@ -10,8 +10,6 @@ open Sentry_soc
 
 type pass = Lock_pass | Unlock_pass
 
-val pass_name : pass -> string
-
 type entry = { pass : pass; pid : int; pages_done : int }
 
 type t

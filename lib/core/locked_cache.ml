@@ -58,7 +58,6 @@ let create machine ~arena_base ~max_ways =
   }
 
 let locked_ways t = List.length t.locked
-let locked_bytes t = locked_ways t * way_size t
 
 (** Arena region pinned by locked way number [i] (0-based in locking
     order). *)
@@ -183,6 +182,3 @@ let free_page t page =
 
 let free_pages t = List.length t.free_pages
 let used_pages t = Hashtbl.length t.used_pages
-
-(** Capacity in pages under the current budget. *)
-let budget_pages t = t.max_ways * way_size t / 4096

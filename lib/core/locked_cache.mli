@@ -26,13 +26,9 @@ val arena_bytes : machine:Machine.t -> max_ways:int -> int
 val create : Machine.t -> arena_base:int -> max_ways:int -> t
 
 val locked_ways : t -> int
-val locked_bytes : t -> int
 
 (** Does [addr] fall inside a currently locked arena region? *)
 val contains : t -> int -> bool
-
-(** Lock the next way (flush-masked, warm, lock, update flush mask). *)
-val lock_next_way : t -> unit
 
 (** Re-pin every locked way after a controller reset wiped the
     lockdown registers (crash recovery).  Page bookkeeping is kept,
@@ -55,6 +51,3 @@ val free_page : t -> int -> unit
 
 val free_pages : t -> int
 val used_pages : t -> int
-
-(** Capacity in pages under the configured way budget. *)
-val budget_pages : t -> int

@@ -3,9 +3,5 @@
     metrics registry under stable ["subsystem/name"] keys; [Complete]
     spans in the trace ring become duration histograms. *)
 
-val collect : ?recorder:Sentry_obs.Trace.Recorder.t -> Sentry.t -> Sentry_obs.Metrics.t
-(** [recorder] defaults to the ambient recorder (none installed = no
-    trace rows). *)
-
 (** [Metrics.flat] of [collect]: the machine-readable report body. *)
 val flat : ?recorder:Sentry_obs.Trace.Recorder.t -> Sentry.t -> (string * float) list

@@ -21,15 +21,13 @@ type resumed = Resumed_lock | Rolled_back_unlock
 
 (** Which protection backend drives the walks (see [Backend]).
     [Batched] (the default) gathers, frame-sorts and transforms pages
-    through the batch engine with coalesced journal records;
-    [Per_page] is the page-at-a-time reference pipeline; [Offload]
+    through the batch engine with coalesced journal records; [Offload]
     pipelines the batched walks into the MemShield-style command
     queue; [No_access] revokes mappings instead of encrypting
-    (MProtect-style — DRAM keeps cleartext).  [Batched], [Per_page]
-    and [Offload] have bit-identical per-page simulated DRAM/PTE/taint
-    observables and differ in journal granularity and time/energy;
-    [No_access] diverges by design. *)
-type backend = Backend.kind = Batched | Per_page | Offload | No_access
+    (MProtect-style — DRAM keeps cleartext).  [Batched] and [Offload]
+    have bit-identical per-page simulated DRAM/PTE/taint observables
+    and differ in time/energy; [No_access] diverges by design. *)
+type backend = Backend.kind = Batched | Offload | No_access
 
 type recovery_stats = {
   resumed : resumed;

@@ -28,12 +28,11 @@ val is_locked : t -> bool
 
 (** Which protection backend drives lock/unlock walks (see [Backend]):
     [Batched] (default — gather, frame-sort, batch-transform,
-    coalesced journal records), the page-at-a-time [Per_page]
-    reference, the MemShield-style [Offload] command queue, or the
-    MProtect-style [No_access] mapping revocation.  The three crypto
-    backends have bit-identical per-page simulated observables;
-    [No_access] leaves cleartext in DRAM by design. *)
-type backend = Backend.kind = Batched | Per_page | Offload | No_access
+    coalesced journal records), the MemShield-style [Offload] command
+    queue, or the MProtect-style [No_access] mapping revocation.  The
+    two crypto backends have bit-identical per-page simulated
+    observables; [No_access] leaves cleartext in DRAM by design. *)
+type backend = Backend.kind = Batched | Offload | No_access
 
 val backend : t -> backend
 

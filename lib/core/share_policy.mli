@@ -4,9 +4,5 @@
 
 open Sentry_kernel
 
-(** Every process (from [all_procs]) mapping a region of the given
-    sharing group. *)
-val sharers : all_procs:Process.t list -> group:string -> Process.t list
-
 (** Should this region be encrypted at device lock? *)
 val should_encrypt : all_procs:Process.t list -> Address_space.region -> bool

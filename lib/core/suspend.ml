@@ -28,13 +28,10 @@ type t = {
   mutable suspended : bool;
   mutable suspend_count : int;
   mutable wake_counts : (wake_reason * int) list;
-  mutable last_suspend_stats : Encrypt_on_lock.stats option;
 }
 
-let last_suspend_stats t = t.last_suspend_stats
-
 let create sentry =
-  { sentry; suspended = false; suspend_count = 0; wake_counts = []; last_suspend_stats = None }
+  { sentry; suspended = false; suspend_count = 0; wake_counts = [] }
 
 let suspended t = t.suspended
 
@@ -50,7 +47,6 @@ let suspend t =
   let stats = if Sentry.is_locked t.sentry then None else Some (Sentry.lock t.sentry) in
   t.suspended <- true;
   t.suspend_count <- t.suspend_count + 1;
-  (match stats with Some s -> t.last_suspend_stats <- Some s | None -> ());
   stats
 
 let bump_wake t reason =

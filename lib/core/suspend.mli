@@ -19,9 +19,6 @@ exception Not_suspended
     encryption pass actually ran. *)
 val suspend : t -> Encrypt_on_lock.stats option
 
-(** Stats of the most recent suspend that locked, if any. *)
-val last_suspend_stats : t -> Encrypt_on_lock.stats option
-
 (** Resume after [slept_s] seconds; the device stays PIN-locked. *)
 val wake : t -> reason:wake_reason -> slept_s:float -> unit
 

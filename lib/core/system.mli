@@ -20,9 +20,6 @@ type t = {
           come off the process-global allocator. *)
 }
 
-(** Ways' worth of DRAM reserved for the locked-cache arena. *)
-val arena_ways : int
-
 (** [boot ?seed ?dram_size ?pid_base platform] creates a machine,
     carves the DRAM layout (kernel reserve | general frames |
     locked-cache arena) and starts the kernel services.  With

@@ -19,8 +19,6 @@ val describe : name -> string
 
 type result = { system : System.t; sentry : Sentry.t }
 
-val default_seed : int
-
 (** [run ?seed name platform] boots a fresh system (PRNG fixed by
     [seed], default [default_seed]) and drives the scenario with
     [Config.trace] set, so [Sentry.install] ensures a recorder. *)

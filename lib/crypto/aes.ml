@@ -141,8 +141,6 @@ let decrypt_block (k : key) src src_off dst dst_off =
     (get_word src (src_off + 8) lxor Array.unsafe_get rk (nr4 + 2))
     (get_word src (src_off + 12) lxor Array.unsafe_get rk (nr4 + 3))
 
-let block_size = 16
-
 (* ------------------- fused CBC page kernels ---------------------- *)
 
 (* The batched lock/unlock pipeline pushes whole pages through CBC in

@@ -7,8 +7,6 @@ type key = Aes_key.t
 
 val expand : Bytes.t -> key
 
-val block_size : int
-
 (** [encrypt_block k src src_off dst dst_off] transforms one 16-byte
     block; [src] and [dst] may alias. *)
 val encrypt_block : key -> Bytes.t -> int -> Bytes.t -> int -> unit

@@ -112,7 +112,3 @@ let decrypt_block (k : key) src src_off dst dst_off =
   store s dst dst_off
 
 let cipher k = Mode.{ encrypt = encrypt_block k; decrypt = decrypt_block k }
-
-(** Sensitive state of this variant: only the key material — there is
-    no access-protected state to guard (the whole point). *)
-let secret_state_bytes (k : key) = 16 * (k.Aes_key.nr + 1)

@@ -7,16 +7,8 @@ type key = Aes_key.t
 
 val expand : Bytes.t -> key
 
-(** Algebraic S-box (field inverse + affine), no table. *)
-val sub_byte : int -> int
-
-val inv_sub_byte : int -> int
-
 val encrypt_block : key -> Bytes.t -> int -> Bytes.t -> int -> unit
 val decrypt_block : key -> Bytes.t -> int -> Bytes.t -> int -> unit
 
 (** As a [Mode.cipher]. *)
 val cipher : key -> Mode.cipher
-
-(** Sensitive state of this variant: key material only. *)
-val secret_state_bytes : key -> int

@@ -8,7 +8,6 @@ type size = Aes_128 | Aes_192 | Aes_256
 val size_of_bytes : int -> size
 
 val key_bytes : size -> int
-val nk : size -> int
 val rounds : size -> int
 
 type t = {

@@ -22,10 +22,6 @@ val base : t -> int
 
 val context_bytes : t -> int
 
-(** Blocks transformed per interrupts-off bracket on the instrumented
-    path. *)
-val irq_batch_blocks : int
-
 (** Instrumented CBC transform: all cipher state through the on-SoC
     context, in IRQ-bracketed batches. *)
 val encrypt : t -> iv:Bytes.t -> Bytes.t -> Bytes.t

@@ -77,8 +77,3 @@ let by_sensitivity size =
       0 (layout size)
   in
   (sum Secret, sum Public, sum Access_protected)
-
-(** Bytes that must live on-SoC (secret + access-protected). *)
-let onsoc_bytes size =
-  let secret, _, ap = by_sensitivity size in
-  secret + ap

@@ -24,6 +24,3 @@ val context_bytes : Aes_key.size -> int
 
 (** (secret, public, access-protected) byte totals. *)
 val by_sensitivity : Aes_key.size -> int * int * int
-
-(** Bytes that must live on-SoC (secret + access-protected). *)
-val onsoc_bytes : Aes_key.size -> int

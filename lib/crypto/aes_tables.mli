@@ -13,10 +13,6 @@ val rcon : int array
     (2s, s, s, 3s) where s = sbox x. *)
 val te_entry : int -> int * int * int * int
 
-(** Decryption (InvMixColumns) entry for raw byte [x]:
-    (14x, 9x, 13x, 11x). *)
-val td_entry : int -> int * int * int * int
-
 (** Word-packed copies for the fast cipher (byte 0 most significant). *)
 val te_words : int array
 

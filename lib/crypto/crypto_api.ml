@@ -40,7 +40,5 @@ let find t ~algorithm =
             ];
       best
 
-let find_by_name t ~name = List.find (fun i -> i.name = name) t.impls
-
 let list t =
   List.sort (fun a b -> compare (b.priority, b.name) (a.priority, a.name)) t.impls

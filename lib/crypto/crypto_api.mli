@@ -22,7 +22,5 @@ val unregister : t -> name:string -> unit
     @raise Not_found if nothing implements it. *)
 val find : t -> algorithm:string -> impl
 
-val find_by_name : t -> name:string -> impl
-
 (** All implementations, highest priority first. *)
 val list : t -> impl list

@@ -51,12 +51,6 @@ let encrypt_instrumented t ~iv data =
   Aes_block.set_iv b iv;
   Mode.cbc_encrypt (Aes_block.cipher b) ~iv data
 
-let decrypt_instrumented t ~iv data =
-  let b = require_block t in
-  Cpu.load_regs (Machine.cpu t.machine) (b.Aes_block.acc.Accessor.load 0 64);
-  Aes_block.set_iv b iv;
-  Mode.cbc_decrypt (Aes_block.cipher b) ~iv data
-
 (** Bulk path: native transform + modeled cost; registers still carry
     key material (unprotected), and the schedule is still in DRAM. *)
 let bulk t ~(dir : [ `Encrypt | `Decrypt ]) ~iv data =

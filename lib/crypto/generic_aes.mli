@@ -20,8 +20,6 @@ val set_key : t -> Bytes.t -> unit
     state live in unprotected CPU registers. *)
 val encrypt_instrumented : t -> iv:Bytes.t -> Bytes.t -> Bytes.t
 
-val decrypt_instrumented : t -> iv:Bytes.t -> Bytes.t -> Bytes.t
-
 (** Bulk path: native transform + modeled cost; the schedule is still
     in DRAM and the registers still unprotected. *)
 val bulk : t -> dir:[ `Encrypt | `Decrypt ] -> iv:Bytes.t -> Bytes.t -> Bytes.t

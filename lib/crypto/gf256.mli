@@ -1,7 +1,5 @@
 (** Arithmetic in GF(2^8) with the AES reduction polynomial 0x11b. *)
 
-val reduce_poly : int
-
 (** Multiply by x (i.e. by 2) in the field. *)
 val xtime : int -> int
 
@@ -13,9 +11,6 @@ val pow : int -> int -> int
 
 (** Multiplicative inverse; [inv 0 = 0] by AES convention. *)
 val inv : int -> int
-
-(** The AES S-box affine transformation. *)
-val affine : int -> int
 
 (** S-box entry: affine transform of the field inverse. *)
 val sbox_entry : int -> int

@@ -7,9 +7,6 @@ val key_len : int
 (** Fresh random per-boot key (protects memory pages). *)
 val volatile_key : Machine.t -> Bytes.t
 
-(** 4096-round SHA-256 stretch of password ‖ fuse-secret. *)
-val stretch : password:string -> fuse_secret:Bytes.t -> Bytes.t
-
 (** Derive the disk root key: reads the fuse inside the TrustZone
     secure world and stretches it with the boot password. *)
 val persistent_key : Machine.t -> password:string -> Bytes.t

@@ -13,7 +13,6 @@ type variant =
 
 type platform = [ `Nexus4 | `Tegra3 ]
 
-val platform_of_machine : Machine.t -> platform
 val variant_name : variant -> string
 
 (** Modeled throughput on 4 KB pages, MB/s.

@@ -22,8 +22,6 @@ let k =
 let mask = 0xffffffff
 let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
 
-let digest_length = 32
-
 (** [digest msg] is the 32-byte SHA-256 of [msg]. *)
 let digest msg =
   let h = [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a;

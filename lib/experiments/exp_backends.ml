@@ -1,6 +1,6 @@
-(** Backend race ("backends"): the four protection backends —
-    [Batched], [Per_page], the MemShield-style [Offload] command queue
-    and the MProtect-style [No_access] mapping revocation — over the
+(** Backend race ("backends"): the three protection backends —
+    [Batched], the MemShield-style [Offload] command queue and the
+    MProtect-style [No_access] mapping revocation — over the
     Fig-2/Fig-4 app cycle, the fleet churn workload and the open-loop
     server, plus a measured lock-size crossover sweep.
 

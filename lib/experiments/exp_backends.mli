@@ -1,4 +1,4 @@
-(** Backend race ("backends"): the four protection backends over the
+(** Backend race ("backends"): the three protection backends over the
     Fig-2/Fig-4 app cycle, the fleet churn workload and the open-loop
     server, plus the measured lock-size crossover between the batched
     CPU path and the MemShield-style offload queue. *)
@@ -22,13 +22,5 @@ val lock_crossover_pages : unit -> int option
 
 (** The app cycle (MP3 profile) under each backend. *)
 val app_race : unit -> (Sentry_core.Sentry.backend * Exp_apps.metrics) list
-
-(** The small fleet-churn config under each backend. *)
-val fleet_race :
-  unit -> (Sentry_core.Sentry.backend * Sentry_workloads.Fleet.stats) list
-
-(** The small open-loop serve config under each backend. *)
-val serve_race :
-  unit -> (Sentry_core.Sentry.backend * Sentry_serve.Server.stats) list
 
 val run : unit -> Sentry_util.Table.t list

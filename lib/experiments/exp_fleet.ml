@@ -1,11 +1,9 @@
-(** Fleet throughput: batched vs per-page lock/unlock pipeline over a
-    multi-tenant fleet at N ∈ {4, 32, 128} processes.
+(** Fleet throughput: the batched lock/unlock walk over a multi-tenant
+    fleet at N ∈ {4, 32, 128} processes.
 
-    The simulated columns (unlock-to-first-touch, AES energy) are
-    pipeline-independent by construction; the host-side
-    [lock_pages_per_s] column is what the batch engine buys.  Wall
-    clock is environment sensitive, so the table reports a same-run
-    ratio rather than absolute promises. *)
+    The host-side [lock_pages_per_s] column is environment sensitive;
+    the simulated columns (unlock-to-first-touch, AES energy) are
+    deterministic. *)
 
 open Sentry_util
 open Sentry_workloads
@@ -26,7 +24,7 @@ let best_of ~trials cfg =
   Option.get !best
 
 let measure ?(trials = 3) n =
-  let cfg =
+  best_of ~trials
     {
       Fleet.default with
       Fleet.procs = n;
@@ -35,43 +33,25 @@ let measure ?(trials = 3) n =
       service_wakes = 1;
       io_sectors = 8;
     }
-  in
-  let batched = best_of ~trials { cfg with Fleet.backend = Sentry_core.Sentry.Batched } in
-  let per_page = best_of ~trials { cfg with Fleet.backend = Sentry_core.Sentry.Per_page } in
-  (batched, per_page)
 
 let run () =
-  let results = List.map (fun n -> (n, measure n)) fleet_sizes in
   let rows =
     List.map
-      (fun (n, (b, p)) ->
+      (fun n ->
+        let b = measure n in
         [
           string_of_int n;
           string_of_int b.Fleet.pages_locked;
           Printf.sprintf "%.0f" b.Fleet.lock_pages_per_s;
-          Printf.sprintf "%.0f" p.Fleet.lock_pages_per_s;
-          Printf.sprintf "%.2fx" (b.Fleet.lock_pages_per_s /. p.Fleet.lock_pages_per_s);
           Printf.sprintf "%.1f us" (b.Fleet.unlock_to_first_touch_ns /. 1e3);
           Printf.sprintf "%.3f J" b.Fleet.energy_j;
         ])
-      results
+      fleet_sizes
   in
   [
-    Table.make ~title:"Fleet: batched vs per-page lock/unlock throughput"
+    Table.make ~title:"Fleet: batched lock/unlock throughput"
       ~header:
-        [
-          "Procs";
-          "Pages locked";
-          "Batched pages/s";
-          "Per-page pages/s";
-          "Speedup";
-          "Unlock->touch (sim)";
-          "AES energy (sim)";
-        ]
-      ~notes:
-        [
-          "Host wall-clock throughput; simulated columns are identical across pipelines.";
-          "Speedup is a same-run ratio, so scheduler noise largely cancels.";
-        ]
+        [ "Procs"; "Pages locked"; "Batched pages/s"; "Unlock->touch (sim)"; "AES energy (sim)" ]
+      ~notes:[ "Host wall-clock throughput, best of 3 runs; simulated columns are deterministic." ]
       rows;
   ]

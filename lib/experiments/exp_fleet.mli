@@ -1,14 +1,11 @@
-(** Fleet throughput: batched vs per-page lock/unlock pipeline at
-    N ∈ {4, 32, 128} processes.
-
-    See the implementation for methodology notes. *)
+(** Fleet throughput: the batched lock/unlock walk at
+    N ∈ {4, 32, 128} processes. *)
 
 val fleet_sizes : int list
 
-(** [(batched, per_page)] fleet stats at [n] processes, best host
-    throughput of [trials] runs each (simulated outputs are
-    deterministic and identical across runs). *)
-val measure :
-  ?trials:int -> int -> Sentry_workloads.Fleet.stats * Sentry_workloads.Fleet.stats
+(** Fleet stats at [n] processes, best host throughput of [trials]
+    runs (simulated outputs are deterministic and identical across
+    runs). *)
+val measure : ?trials:int -> int -> Sentry_workloads.Fleet.stats
 
 val run : unit -> Sentry_util.Table.t list

@@ -15,9 +15,9 @@ let trial variant ~seed =
   (* the experiment process fills all of DRAM and iRAM *)
   Bytes_util.fill_pattern (Dram.raw (Machine.dram machine)) pattern;
   Bytes_util.fill_pattern (Iram.raw (Machine.iram machine)) pattern;
-  let dram_dump, iram_dump = Cold_boot.mount machine variant in
-  ( Memdump.remanence_ratio iram_dump ~pattern,
-    Memdump.remanence_ratio dram_dump ~pattern )
+  let img = Cold_boot.image machine variant in
+  ( Memdump.remanence_ratio img.Cold_boot.iram ~pattern,
+    Memdump.remanence_ratio img.Cold_boot.dram ~pattern )
 
 let measure variant =
   let trials = 5 in

@@ -28,9 +28,9 @@ let all =
     { id = "motivation"; description = "selective-encryption motivation"; run = Exp_motivation.run };
     { id = "ablations"; description = "design-choice ablations"; run = Exp_ablations.run };
     { id = "pinned"; description = "S10 pin-on-SoC architecture suggestion"; run = Exp_pinned.run };
-    { id = "fleet"; description = "batched vs per-page fleet lock throughput"; run = Exp_fleet.run };
+    { id = "fleet"; description = "batched fleet lock throughput"; run = Exp_fleet.run };
     { id = "serve"; description = "open-loop serve: arrival rate vs backpressure"; run = Exp_serve.run };
-    { id = "backends"; description = "protection backend race: batched/per-page/offload/no-access"; run = Exp_backends.run };
+    { id = "backends"; description = "protection backend race: batched/offload/no-access"; run = Exp_backends.run };
   ]
 
 let find id = List.find_opt (fun e -> e.id = id) all

@@ -17,9 +17,3 @@ let name = function
   | Reset -> "reset"
   | Dma_error -> "dma-error"
   | Bit_flip n -> Printf.sprintf "bit-flip(%d)" n
-
-(** Does this kind abort the interrupted operation (exception /
-    transfer error), as opposed to corrupting state silently? *)
-let interrupts = function
-  | Power_loss | Reset | Dma_error -> true
-  | Bit_flip _ -> false

@@ -7,6 +7,3 @@ type kind =
   | Bit_flip of int  (** [n] random DRAM bits flip silently *)
 
 val name : kind -> string
-
-(** Aborting kinds (raise / transfer error) vs. silent corruption. *)
-val interrupts : kind -> bool

@@ -12,7 +12,5 @@ type t = { name : string; seed : int; triggers : trigger list }
 
 val make : ?seed:int -> name:string -> trigger list -> t
 val trigger : point:string -> kind:Fault.kind -> at:occurrence -> trigger
-val occurrence_to_string : occurrence -> string
-val pp_trigger : Format.formatter -> trigger -> unit
 val pp : Format.formatter -> t -> unit
 val describe : t -> string

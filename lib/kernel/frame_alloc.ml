@@ -11,7 +11,6 @@ open Sentry_soc
 
 type t = {
   machine : Machine.t;
-  region : Memmap.region;
   mutable free : int list; (* clean frames, page-aligned addresses *)
   mutable dirty : int list; (* freed, not yet zeroed *)
   mutable allocated : int;
@@ -20,7 +19,6 @@ type t = {
 
 (** [create machine ~region] manages the page-aligned frames of
     [region] (which must lie in DRAM). *)
-let managed_region t = t.region
 let create machine ~region =
   let first = Page.align_up region.Memmap.base in
   let last = Page.align_down (Memmap.limit region) in
@@ -32,7 +30,6 @@ let create machine ~region =
   done;
   {
     machine;
-    region;
     free = !frames;
     dirty = [];
     allocated = 0;

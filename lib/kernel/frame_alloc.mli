@@ -24,9 +24,6 @@ val free : t -> int -> unit
 (** Frames freed but not yet scrubbed, without claiming them. *)
 val pending_dirty : t -> int list
 
-(** The DRAM range this allocator manages. *)
-val managed_region : t -> Memmap.region
-
 (** Hand the dirty list to the zeroing thread. *)
 val take_dirty : t -> int list
 

@@ -47,4 +47,3 @@ let write t f ~off b =
   Blockio.write t.target ~off:(f.extent + off) b
 
 let files t = Hashtbl.fold (fun _ f acc -> f :: acc) t.files []
-let used_bytes t = t.next_free

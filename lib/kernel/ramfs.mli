@@ -25,4 +25,3 @@ val read : t -> file -> off:int -> len:int -> Bytes.t
 val write : t -> file -> off:int -> Bytes.t -> unit
 
 val files : t -> file list
-val used_bytes : t -> int

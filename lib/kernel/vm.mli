@@ -10,16 +10,9 @@ type fault_handler = Process.t -> vaddr:int -> Page_table.pte -> unit
 
 type t
 
-(** Default handler: stock access-flag emulation (set young, go). *)
-val default_handler : fault_handler
-
 val create : Machine.t -> t
 val set_fault_handler : t -> fault_handler -> unit
 val reset_fault_handler : t -> unit
-
-(** Translate one address, faulting as needed.
-    @raise Segfault on unmapped or unresolvable addresses. *)
-val translate : t -> Process.t -> int -> int
 
 val read : t -> Process.t -> vaddr:int -> len:int -> Bytes.t
 val write : t -> Process.t -> vaddr:int -> Bytes.t -> unit

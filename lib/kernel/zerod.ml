@@ -23,8 +23,6 @@ let create machine ~frames = { machine; frames; pages_zeroed = 0; enabled = true
     exists to close. *)
 let set_enabled t enabled = t.enabled <- enabled
 
-let enabled t = t.enabled
-
 let zero_page t frame =
   (* The store stream's cost is the calibrated rate below; write_raw
      avoids double-charging per-line bus time on top of it. *)

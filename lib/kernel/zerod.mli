@@ -17,6 +17,4 @@ val drain : t -> int
     no-deadline zeroing (freed pages linger). *)
 val set_enabled : t -> bool -> unit
 
-val enabled : t -> bool
-
 val pages_zeroed : t -> int

@@ -1,5 +1,6 @@
-(** The lint driver: walk the source roots, parse every [.ml], run the
-    rules, apply the allowlist, and render text / JSON reports.
+(** The lint driver: walk the source roots, parse every [.ml] and
+    [.mli], run the rules, apply the allowlist, and render text / JSON
+    reports.
 
     The audited fast-path exemption for R4 is a fixed list here rather
     than [lint.allow] entries: those modules (the PR-3/PR-5
@@ -38,35 +39,43 @@ let is_fastpath file =
 
 let skip_dirs = [ "_build"; ".git"; "fixtures" ]
 
-let rec ml_files_under path =
+let rec files_under ~suffix path =
   if Sys.is_directory path then
     if List.mem (Filename.basename path) skip_dirs then []
     else
       Sys.readdir path |> Array.to_list |> List.sort String.compare
-      |> List.concat_map (fun entry -> ml_files_under (Filename.concat path entry))
-  else if Filename.check_suffix path ".ml" then [ normalize_path path ]
+      |> List.concat_map (fun entry -> files_under ~suffix (Filename.concat path entry))
+  else if Filename.check_suffix path suffix then [ normalize_path path ]
   else []
 
-let discover roots =
-  roots |> List.concat_map ml_files_under |> List.sort_uniq String.compare
+let discover ~suffix roots =
+  roots |> List.concat_map (files_under ~suffix) |> List.sort_uniq String.compare
+
+(** Directories whose [.ml] files count as R6 references next to the
+    scan roots, when they exist: an export that only a benchmark, test
+    or example calls is still used, and linting one subtree of [lib]
+    still sees the callers in the rest of it. *)
+let reference_dirs = [ "lib"; "bin"; "bench"; "perfbench"; "test"; "examples" ]
 
 (* ----------------------------- parsing ---------------------------- *)
 
 exception Parse_error of string
 
-let parse_file path =
+let parse_with parse path =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () ->
       let lexbuf = Lexing.from_channel ic in
       Location.init lexbuf path;
-      try Parse.implementation lexbuf
+      try parse lexbuf
       with exn ->
         raise
           (Parse_error
              (Printf.sprintf "%s: %s" path
                 (match exn with Failure m -> m | e -> Printexc.to_string e))))
+
+let parse_file = parse_with Parse.implementation
 
 (* ------------------------------ report ---------------------------- *)
 
@@ -79,19 +88,34 @@ type report = {
 }
 
 let run ?(allow = Allowlist.empty) ~roots () =
-  let files = discover roots in
+  let files = discover ~suffix:".ml" roots in
+  let interfaces = discover ~suffix:".mli" roots in
+  let parsed = List.map (fun file -> (file, parse_file file)) files in
   let scans =
-    List.map (fun file -> Rules.scan_file ~file ~r4_exempt:(is_fastpath file) (parse_file file)) files
+    List.map (fun (file, str) -> Rules.scan_file ~file ~r4_exempt:(is_fastpath file) str) parsed
   in
   let globals = List.concat_map (fun s -> s.Rules.globals) scans in
   let assigns = List.concat_map (fun s -> s.Rules.assigns) scans in
+  let exports =
+    List.concat_map (fun file -> Rules.exports ~file (parse_with Parse.interface file)) interfaces
+  in
+  let refs =
+    let extra =
+      discover ~suffix:".ml" (List.filter Sys.file_exists reference_dirs)
+      |> List.filter (fun f -> not (List.mem_assoc f parsed))
+      |> List.map (fun f -> (f, parse_file f))
+    in
+    List.map (fun (f, str) -> (f, Rules.referenced_names str)) (parsed @ extra)
+  in
   let findings =
-    List.concat_map (fun s -> s.Rules.findings) scans @ Rules.resolve_assigns ~globals assigns
+    List.concat_map (fun s -> s.Rules.findings) scans
+    @ Rules.resolve_assigns ~globals assigns
+    @ Rules.resolve_exports ~refs exports
     |> List.sort Finding.compare
   in
   let allowed, unallowed = List.partition (Allowlist.allows allow) findings in
   {
-    files_scanned = List.length files;
+    files_scanned = List.length files + List.length interfaces;
     findings;
     allowed;
     unallowed;

@@ -1,15 +1,5 @@
-(** The lint driver: walk source roots, parse every [.ml], run the
-    rules, apply the allowlist, render text / JSON reports. *)
-
-val fastpath_modules : string list
-(** PR-3/PR-5 fast-path modules whose [unsafe_*] accessors are part of
-    the audited zero-allocation design (R4-exempt; path suffixes). *)
-
-val is_fastpath : string -> bool
-
-val discover : string list -> string list
-(** All [.ml] files under the roots, sorted; skips [_build], [.git]
-    and [fixtures] directories. *)
+(** The lint driver: walk source roots, parse every [.ml] and [.mli],
+    run the rules, apply the allowlist, render text / JSON reports. *)
 
 exception Parse_error of string
 
@@ -17,7 +7,7 @@ val parse_file : string -> Parsetree.structure
 (** @raise Parse_error on unparseable input. *)
 
 type report = {
-  files_scanned : int;
+  files_scanned : int;  (** [.ml] and [.mli] files under the roots *)
   findings : Finding.t list;  (** every finding, allowed or not, sorted *)
   allowed : Finding.t list;
   unallowed : Finding.t list;
@@ -30,5 +20,4 @@ val clean : report -> bool
 (** No unallowlisted findings. *)
 
 val to_text : report -> string
-val to_json : report -> Sentry_obs.Json_out.t
 val to_json_string : report -> string

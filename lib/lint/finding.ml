@@ -23,6 +23,10 @@ type rule =
           inside a closure handed to [Domain.spawn] / [Dpool.submit] /
           [Dpool.run]: the ambient slots are domain-local and start
           empty in a fresh domain *)
+  | R6_unreferenced_export
+      (** a top-level [val]/[external] in an [.mli] that no [.ml]
+          outside the module's own implementation names: dead API
+          surface *)
 
 type severity = Error | Warning
 
@@ -32,6 +36,7 @@ let rule_id = function
   | R3_toplevel_effect -> "R3"
   | R4_unsafe_escape -> "R4"
   | R5_ambient_in_spawn -> "R5"
+  | R6_unreferenced_export -> "R6"
 
 let rule_name = function
   | R1_global_mutable -> "global-mutable"
@@ -39,6 +44,7 @@ let rule_name = function
   | R3_toplevel_effect -> "toplevel-effect"
   | R4_unsafe_escape -> "unsafe-escape"
   | R5_ambient_in_spawn -> "ambient-in-spawn"
+  | R6_unreferenced_export -> "unreferenced-export"
 
 let rule_of_id = function
   | "R1" -> Some R1_global_mutable
@@ -46,14 +52,16 @@ let rule_of_id = function
   | "R3" -> Some R3_toplevel_effect
   | "R4" -> Some R4_unsafe_escape
   | "R5" -> Some R5_ambient_in_spawn
+  | "R6" -> Some R6_unreferenced_export
   | _ -> None
 
-(* R3 is a warning: module-init effects are a smell (they run before
-   any handle exists to thread through) but not by themselves a
-   data race.  Every rule gates CI regardless of severity. *)
+(* R3 and R6 are warnings: module-init effects and dead exports are
+   smells (the first runs before any handle exists to thread through,
+   the second is API nobody calls) but not by themselves a data race.
+   Every rule gates CI regardless of severity. *)
 let severity = function
   | R1_global_mutable | R2_global_assign | R4_unsafe_escape | R5_ambient_in_spawn -> Error
-  | R3_toplevel_effect -> Warning
+  | R3_toplevel_effect | R6_unreferenced_export -> Warning
 
 let severity_name = function Error -> "error" | Warning -> "warning"
 

@@ -19,11 +19,14 @@ type rule =
           inside a closure handed to [Domain.spawn] / [Dpool.submit] /
           [Dpool.run]: the ambient slots are domain-local and start
           empty in a fresh domain *)
+  | R6_unreferenced_export
+      (** a top-level [val]/[external] in an [.mli] that no [.ml]
+          outside the module's own implementation names *)
 
 type severity = Error | Warning
 
 val rule_id : rule -> string
-(** ["R1"] .. ["R5"] *)
+(** ["R1"] .. ["R6"] *)
 
 val rule_name : rule -> string
 (** e.g. ["global-mutable"] *)
@@ -31,7 +34,7 @@ val rule_name : rule -> string
 val rule_of_id : string -> rule option
 
 val severity : rule -> severity
-(** R3 is a [Warning]; every rule still gates CI. *)
+(** R3 and R6 are [Warning]s; every rule still gates CI. *)
 
 val severity_name : severity -> string
 

@@ -32,7 +32,14 @@
       worker's own state rather than the spawner's.  The blessed
       per-domain setup calls ([Trace.install], [Injector.activate])
       and handle-threading APIs ([Trace.Recorder.*]) are not
-      flagged. *)
+      flagged.
+    - {b R6 unreferenced-export}: a top-level [val] or [external] in
+      an [.mli] whose name no [.ml] outside the module's own
+      implementation mentions as the last component of a value
+      identifier.  Matching the bare name can miss a dead export (any
+      same-named value elsewhere counts as a use) but never flags a
+      used one.  Items inside [module type] and nested [sig … end]
+      are skipped. *)
 
 open Parsetree
 
@@ -51,6 +58,8 @@ type scan = {
   globals : global list;
   assigns : assign list;  (** R2 candidates, resolved against the whole corpus *)
 }
+
+type export = { efile : string; eloc : Location.t; ename : string }
 
 (* ------------------------- shared helpers ------------------------- *)
 
@@ -348,3 +357,55 @@ let resolve_assigns ~globals assigns =
                     a.target_path g.gfile g.gkind))
       | None -> None)
     assigns
+
+(* ------------------- R6: unreferenced exports --------------------- *)
+
+(** The top-level [val]/[external] items of an interface. *)
+let exports ~file (sg : signature) =
+  List.filter_map
+    (fun item ->
+      match item.psig_desc with
+      | Psig_value vd -> Some { efile = file; eloc = vd.pval_loc; ename = vd.pval_name.Asttypes.txt }
+      | _ -> None)
+    sg
+
+(** The last component of every value identifier in [str]. *)
+let referenced_names str =
+  let names = ref [] in
+  let it =
+    {
+      Ast_iterator.default_iterator with
+      expr =
+        (fun it e ->
+          (match e.pexp_desc with
+          | Pexp_ident { txt; _ } -> names := last_of_lid txt :: !names
+          | _ -> ());
+          Ast_iterator.default_iterator.expr it e);
+    }
+  in
+  it.structure it str;
+  !names
+
+(** Resolve R6: [refs] maps each referencing [.ml] to the names it
+    mentions; an export is a finding when only its own [.ml] (or no
+    file at all) mentions its name. *)
+let resolve_exports ~refs exports =
+  let users = Hashtbl.create 4096 in
+  List.iter
+    (fun (file, names) ->
+      List.iter (fun n -> Hashtbl.add users n file) (List.sort_uniq String.compare names))
+    refs;
+  List.filter_map
+    (fun e ->
+      let own = Filename.remove_extension e.efile ^ ".ml" in
+      if List.exists (fun f -> f <> own) (Hashtbl.find_all users e.ename) then None
+      else
+        Some
+          (Finding.make ~rule:Finding.R6_unreferenced_export ~file:e.efile ~loc:e.eloc
+             ~symbol:e.ename
+             ~message:
+               (Printf.sprintf
+                  "'%s' is exported but no .ml outside %s names it: delete it from the \
+                   interface, and its definition if nothing else uses it"
+                  e.ename own)))
+    exports

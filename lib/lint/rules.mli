@@ -24,7 +24,11 @@ type scan = {
   assigns : assign list;  (** R2 candidates, resolved against the corpus *)
 }
 
-val module_name_of_file : string -> string
+type export = {
+  efile : string;  (** the [.mli] *)
+  eloc : Location.t;
+  ename : string;
+}
 
 val scan_file : file:string -> r4_exempt:bool -> Parsetree.structure -> scan
 (** [r4_exempt] marks an audited fast-path module whose [unsafe_*]
@@ -33,3 +37,14 @@ val scan_file : file:string -> r4_exempt:bool -> Parsetree.structure -> scan
 val resolve_assigns : globals:global list -> assign list -> Finding.t list
 (** R2: assignments whose qualified target names an R1 global from a
     different file. *)
+
+val exports : file:string -> Parsetree.signature -> export list
+(** R6 candidates: the interface's top-level [val]/[external] items;
+    items inside [module type] and nested [sig … end] are skipped. *)
+
+val referenced_names : Parsetree.structure -> string list
+(** The last component of every value identifier ([Pexp_ident]). *)
+
+val resolve_exports : refs:(string * string list) list -> export list -> Finding.t list
+(** R6: exports whose name no file in [refs] other than the module's
+    own [.ml] mentions. *)

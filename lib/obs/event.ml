@@ -41,8 +41,6 @@ let category_name = function
   | Fault -> "fault"
   | Recovery -> "recovery"
 
-let category_of_name s = List.find_opt (fun c -> category_name c = s) categories
-
 let category_index = function
   | Cache -> 0
   | Bus -> 1

@@ -18,7 +18,6 @@ type category =
 
 val categories : category list
 val category_name : category -> string
-val category_of_name : string -> category option
 
 (** Stable small index, used for per-category counters. *)
 val category_index : category -> int

@@ -231,9 +231,6 @@ let metrics_jsonl pairs =
     pairs;
   Buffer.contents buf
 
-(** Flat metrics as a single JSON object. *)
-let metrics_json pairs = Json_out.Obj (List.map (fun (k, v) -> (k, Json_out.Float v)) pairs)
-
 (* ------------------------------ files ---------------------------- *)
 
 let write_file ~path contents =

@@ -1,14 +1,6 @@
 (** Trace/metrics exporters. *)
 
-(** Chrome [trace_event] document (loadable in Perfetto and
-    [chrome://tracing]): one lane per subsystem, instants as ["i"],
-    spans as ["X"] with microsecond [ts]/[dur]. *)
-val chrome_trace : ?process_name:string -> Event.t list -> Json_out.t
-
 val chrome_trace_string : ?process_name:string -> Event.t list -> string
-
-(** One event as a JSON object (the JSONL record shape). *)
-val event_json : Event.t -> Json_out.t
 
 (** One JSON object per line. *)
 val jsonl : Event.t list -> string
@@ -37,8 +29,5 @@ val top_spans_table : span_row list -> string
 
 (** Flat metrics, one [{"key":…,"value":…}] object per line. *)
 val metrics_jsonl : (string * float) list -> string
-
-(** Flat metrics as a single JSON object. *)
-val metrics_json : (string * float) list -> Json_out.t
 
 val write_file : path:string -> string -> unit

@@ -120,7 +120,6 @@ let set_at g ~ts v =
   g.ts <- ts
 
 let gauge_value g = g.value
-let gauge_ts g = g.ts
 
 (** HDR bucket for a (non-negative) observation: log2 octave plus a
     linear 1/16 sub-bucket within it; values below 1 (and NaN) land in

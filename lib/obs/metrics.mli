@@ -34,7 +34,6 @@ val set : gauge -> float -> unit
 val set_at : gauge -> ts:float -> float -> unit
 
 val gauge_value : gauge -> float
-val gauge_ts : gauge -> float
 
 (** Record one observation: bumps count/sum/min/max and the HDR
     bucket; the first [reservoir_capacity] samples are also kept
@@ -58,7 +57,6 @@ val bucket_counts : histogram -> (float * int) list
     (≤ 6.25% relative error, clamped to the tracked max) beyond. *)
 val hist_percentile : histogram -> float -> float
 
-val hist_mean : histogram -> float
 val hist_min : histogram -> float
 val hist_max : histogram -> float
 

@@ -26,8 +26,6 @@ type outcome = {
 
 type report = { outcomes : outcome list; violations : int }
 
-val op_name : op -> string
-
 (** Parse a spec document; [Error] carries the first malformed line. *)
 val parse : string -> (objective list, string) result
 
@@ -41,5 +39,4 @@ val evaluate : objective list -> (string * float) list -> report
 val ok : report -> bool
 
 val report_json : report -> Json_out.t
-val pp_outcome : Format.formatter -> outcome -> unit
 val pp_report : Format.formatter -> report -> unit

@@ -18,8 +18,6 @@
 
 type verdict = Queued | Shed | Rejected
 
-let verdict_name = function Queued -> "queued" | Shed -> "shed" | Rejected -> "rejected"
-
 type t = {
   depth : int;
   backlog_pages_max : int;

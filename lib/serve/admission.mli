@@ -6,8 +6,6 @@
 
 type verdict = Queued | Shed | Rejected
 
-val verdict_name : verdict -> string
-
 type t
 
 (** @raise Invalid_argument on a non-positive limit. *)

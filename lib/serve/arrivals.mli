@@ -20,10 +20,6 @@ type config = {
   seed : int;
 }
 
-(** Instantaneous rate multiplier at fraction [frac] ∈ [0, 1) of the
-    schedule: 0.5 / 1.0 / burst / 1.0 by quarter. *)
-val phase_multiplier : burst:float -> float -> float
-
 (** The full schedule, in arrival order.  Deterministic in [config].
     @raise Invalid_argument on a non-positive rate, duration or tenant
     count, or a negative burst. *)

@@ -65,16 +65,6 @@ type stats = {
     backlog: its first-touch page plus the tenant's eager-DMA churn. *)
 val request_pages : pages_per_proc:int -> Arrivals.request -> int
 
-(** Record a run's samples and counters into a registry under
-    [serve/…{tenant_class=…}] — the labeled fan-in sharded runs
-    [Metrics.merge].  Excludes the shed-rate gauge (rates don't merge);
-    see {!set_shed_rate}. *)
-val record_into : Sentry_obs.Metrics.t -> stats -> unit
-
-(** Set the [serve/shed_rate] gauge, stamped at simulated [ts].  Call
-    once per merged registry, never per shard. *)
-val set_shed_rate : Sentry_obs.Metrics.t -> ts:float -> float -> unit
-
 type sharded = {
   merged : stats;  (** deterministic fold over shard stats, in shard order *)
   shards : stats Sentry_workloads.Shard.t;

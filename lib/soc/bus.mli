@@ -61,5 +61,4 @@ val account : t -> op -> int -> unit
 (** (transaction count, bytes read, bytes written). *)
 val stats : t -> int * int * int
 
-val pp_op : Format.formatter -> op -> unit
 val pp_transaction : Format.formatter -> transaction -> unit

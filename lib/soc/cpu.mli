@@ -6,9 +6,6 @@
 
 type t
 
-val num_regs : int
-val reg_bytes : int
-
 val create : clock:Clock.t -> t
 val irqs_enabled : t -> bool
 
@@ -24,13 +21,7 @@ val reg_taint : t -> Taint.level
 
 val zero_regs : t -> unit
 
-(** Plain IRQ disable/enable (no zeroing) — generic kernel code. *)
-val disable_irqs : t -> unit
-
 val enable_irqs : t -> unit
-
-(** The paper's [onsoc_disable_irq()] macro. *)
-val onsoc_disable_irq : t -> unit
 
 (** The paper's [onsoc_enable_irq()]: zero every register, then
     re-enable interrupts. *)

@@ -38,12 +38,6 @@ let taint_range t addr len =
   | None -> Taint.Public
   | Some s -> Taint.max_range s (Memmap.offset t.region addr) len
 
-(** Copy of the shadow labels behind a physical range. *)
-let shadow_of_range t addr len =
-  match t.shadow with
-  | None -> Taint.create_shadow len
-  | Some s -> Bytes.sub s (Memmap.offset t.region addr) len
-
 (** Uniformly relabel a physical range (zeroing thread, boot-time
     clobbers, DMA-written attacker data). *)
 let set_taint t addr len level =

@@ -68,9 +68,6 @@ val taint_enabled : t -> bool
 (** Taint join over a physical range ([Public] when tracking is off). *)
 val taint_range : t -> int -> int -> Taint.level
 
-(** Copy of the shadow labels behind a physical range. *)
-val shadow_of_range : t -> int -> int -> Bytes.t
-
 (** Copy the shadow labels behind a range into [dst] at [dst_off]
     (all-[Public] when tracking is off) — the allocation-free twin of
     [shadow_of_range]. *)

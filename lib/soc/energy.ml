@@ -45,19 +45,6 @@ let meter_charge_bytes m ~per_byte_j bytes =
   m.totals.j <- m.totals.j +. joules;
   m.own.j <- m.own.j +. joules
 
-(** [charge_bytes t ~category ~per_byte_j bytes] charges
-    [float_of_int bytes *. per_byte_j] joules.  The product is formed
-    here and feeds the flat accumulators directly, so per-cache-line
-    call sites pass only an int and allocate nothing — the boxed-float
-    argument [charge] costs them.  The expression is exactly what those
-    call sites computed before, so accounting stays bit-identical. *)
-let charge_bytes t ~category ~per_byte_j bytes =
-  let joules = float_of_int bytes *. per_byte_j in
-  t.total.j <- t.total.j +. joules;
-  match Hashtbl.find t.by_category category with
-  | c -> c.j <- c.j +. joules
-  | exception Not_found -> Hashtbl.add t.by_category category { j = joules }
-
 let total t = t.total.j
 
 let category t name =

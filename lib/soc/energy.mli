@@ -5,13 +5,6 @@ type t
 val create : unit -> t
 val charge : t -> category:string -> float -> unit
 
-(** [charge_bytes t ~category ~per_byte_j bytes] charges
-    [float_of_int bytes *. per_byte_j] joules without boxing the
-    product — the allocation-free form of [charge] for per-cache-line
-    call sites.  Accounting is bit-identical to the equivalent
-    [charge] call. *)
-val charge_bytes : t -> category:string -> per_byte_j:float -> int -> unit
-
 (** A pre-resolved charging handle for one category: resolves the
     accumulator cell once so per-cache-line charges skip the category
     lookup.  Interchangeable and bit-identical with [charge]. *)

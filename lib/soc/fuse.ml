@@ -6,12 +6,11 @@
 
 open Sentry_util
 
-type t = { secret : Bytes.t; mutable jtag_enabled : bool; mutable burned : bool }
+type t = { secret : Bytes.t; mutable jtag_enabled : bool }
 
 let secret_len = 32
 
-let burned t = t.burned
-let create ~prng = { secret = Prng.bytes prng secret_len; jtag_enabled = true; burned = false }
+let create ~prng = { secret = Prng.bytes prng secret_len; jtag_enabled = true }
 
 (** Raw secret — callers must go through [Trustzone.read_fuse], which
     enforces the secure-world check; this function is the hardware
@@ -19,8 +18,6 @@ let create ~prng = { secret = Prng.bytes prng secret_len; jtag_enabled = true; b
 let secret_unchecked t = Bytes.copy t.secret
 
 (** Burn the JTAG fuse at provisioning time; irreversible. *)
-let burn_jtag_fuse t =
-  t.jtag_enabled <- false;
-  t.burned <- true
+let burn_jtag_fuse t = t.jtag_enabled <- false
 
 let jtag_enabled t = t.jtag_enabled

@@ -16,6 +16,3 @@ val secret_unchecked : t -> Bytes.t
 val burn_jtag_fuse : t -> unit
 
 val jtag_enabled : t -> bool
-
-(** Has the JTAG fuse been burned? *)
-val burned : t -> bool

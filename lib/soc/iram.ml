@@ -50,9 +50,6 @@ let region t = t.region
 let size t = t.region.Memmap.size
 let contains t addr = Memmap.contains t.region addr
 
-let firmware_region t =
-  Memmap.region ~base:t.region.Memmap.base ~size:Memmap.iram_firmware_reserved
-
 let check t addr len =
   if not (contains t addr && (len = 0 || contains t (addr + len - 1))) then
     invalid_arg (Printf.sprintf "Iram: access out of range 0x%x+%d" addr len)

@@ -9,9 +9,6 @@ val region : t -> Memmap.region
 val size : t -> int
 val contains : t -> int -> bool
 
-(** The firmware-reserved low 64 KB. *)
-val firmware_region : t -> Memmap.region
-
 val read : t -> int -> int -> Bytes.t
 
 (** Scatter-gather read straight into [buf] at [off]: identical

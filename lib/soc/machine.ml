@@ -154,9 +154,6 @@ let ambient_taint t = t.ambient_taint
 let in_dram t addr = Dram.contains t.dram addr
 let in_iram t addr = Iram.contains t.iram addr
 
-let in_pinned t addr =
-  match t.pinned with Some p -> Pinned_mem.contains p addr | None -> false
-
 (** Taint join over a physical range, seen through the cache for DRAM
     addresses.  [Public] when tracking is off or the address is
     unmapped. *)
@@ -313,5 +310,3 @@ let reboot t kind =
       Iram.firmware_clear t.iram;
       Pl310.reset t.l2);
   Clock.advance t.clock (2.0 *. Units.s)
-
-let boots t = t.boots

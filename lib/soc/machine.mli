@@ -48,7 +48,6 @@ val dram_region : t -> Memmap.region
 val iram_region : t -> Memmap.region
 val in_dram : t -> int -> bool
 val in_iram : t -> int -> bool
-val in_pinned : t -> int -> bool
 
 (** {2 Taint tracking}
 
@@ -121,5 +120,3 @@ type reboot =
 
 (** The three Table 2 reset variants. *)
 val reboot : t -> reboot -> unit
-
-val boots : t -> int

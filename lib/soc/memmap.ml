@@ -31,6 +31,3 @@ let contains r addr = addr >= r.base && addr < limit r
 let offset r addr =
   assert (contains r addr);
   addr - r.base
-
-let pp_region ppf r =
-  Fmt.pf ppf "[0x%08x, 0x%08x) (%a)" r.base (limit r) Sentry_util.Units.pp_bytes r.size

@@ -22,5 +22,3 @@ val contains : region -> int -> bool
 
 (** Offset of an address within a region (asserts containment). *)
 val offset : region -> int -> int
-
-val pp_region : Format.formatter -> region -> unit

@@ -32,7 +32,6 @@ val stats : t -> stats
 
 val set_of_addr : t -> int -> int
 val tag_of_addr : t -> int -> int
-val line_base : t -> int -> int
 
 (** {2 Lockdown and flush-mask registers} *)
 
@@ -98,10 +97,6 @@ val taint_enabled : t -> bool
     shadows where cached, DRAM's shadow elsewhere. [Public] when
     tracking is off. *)
 val taint_range : t -> int -> int -> Taint.level
-
-(** Per-byte shadow of the line resident in ([way], [set]); [None]
-    until taint tracking is enabled. *)
-val line_shadow : t -> int -> int -> Bytes.t option
 
 (** [set_writeback_hook t f] — [f] fires on every dirty-line
     writeback to DRAM; [locked] is true when the line's way is under

@@ -62,20 +62,6 @@ let max_range shadow pos len =
 let get shadow pos = of_char (Bytes.get shadow pos)
 let set shadow pos level = Bytes.set shadow pos (to_char level)
 
-(** [runs_at_least shadow ~level ~len] — is there a contiguous run of
-    at least [len] bytes labelled [>= level]?  Used by checkers that
-    mirror an attacker's contiguous-content search. *)
-let runs_at_least shadow ~level ~len =
-  let n = Bytes.length shadow in
-  let need = rank level in
-  let rec scan i run =
-    if run >= len then true
-    else if i >= n then false
-    else if rank (of_char (Bytes.unsafe_get shadow i)) >= need then scan (i + 1) (run + 1)
-    else scan (i + 1) 0
-  in
-  len > 0 && scan 0 0
-
 (** [fuzzy_window shadow ~level ~len ~min_match] — is there a window
     of [len] bytes in which at least [min_match] (fraction) carry a
     label [>= level]?  The taint analogue of an error-correcting

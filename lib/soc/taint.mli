@@ -31,10 +31,6 @@ val max_range : Bytes.t -> int -> int -> level
 val get : Bytes.t -> int -> level
 val set : Bytes.t -> int -> level -> unit
 
-(** [runs_at_least shadow ~level ~len] — does a contiguous run of at
-    least [len] bytes labelled [>= level] exist? *)
-val runs_at_least : Bytes.t -> level:level -> len:int -> bool
-
 (** [fuzzy_window shadow ~level ~len ~min_match] — does a window of
     [len] bytes exist where at least [min_match] (fraction) of bytes
     are labelled [>= level]?  Taint analogue of

@@ -45,9 +45,6 @@ let percentile p xs =
 
 let mean xs = (summarize xs).mean
 
-let pp_summary ppf s =
-  Fmt.pf ppf "%.4g ± %.2g (n=%d, min=%.4g, max=%.4g)" s.mean s.stddev s.n s.min s.max
-
 (** Ratio of two means, used for overhead factors such as "2.74x". *)
 let overhead ~base ~measured =
   if base = 0.0 then infinity else measured /. base

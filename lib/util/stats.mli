@@ -12,7 +12,6 @@ val repeat : trials:int -> (int -> float) -> summary
 val percentile : float -> float array -> float
 
 val mean : float array -> float
-val pp_summary : Format.formatter -> summary -> unit
 
 (** measured / base (infinity when base is 0). *)
 val overhead : base:float -> measured:float -> float

@@ -13,8 +13,6 @@ type t = {
 
 let make ~title ~header ?(notes = []) rows = { title; header; rows; notes }
 
-let cell_f fmt v = Printf.sprintf fmt v
-
 let widths t =
   let ncols =
     List.fold_left (fun acc r -> max acc (List.length r)) (List.length t.header) t.rows

@@ -9,7 +9,6 @@ type t = {
 }
 
 val make : title:string -> header:string list -> ?notes:string list -> string list list -> t
-val cell_f : ('a -> string, unit, string) format -> 'a -> string
 val to_string : t -> string
 val print : t -> unit
 

@@ -8,10 +8,6 @@ val ns : float
 val us : float
 val ms : float
 val s : float
-val minute : float
-
-val uj : float
-val mj : float
 
 val pp_bytes : Format.formatter -> int -> unit
 val pp_time : Format.formatter -> float -> unit

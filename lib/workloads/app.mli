@@ -28,9 +28,6 @@ val launch : Sentry_core.System.t -> profile -> t
 (** Touch the resume set (encrypted pages fault and decrypt lazily). *)
 val resume : Sentry_core.System.t -> t -> unit
 
-(** Clear young bits on a page range (access-flag aging). *)
-val age : t -> first_page:int -> pages:int -> unit
-
 (** Run the scripted session; returns its simulated duration (ns) —
     overhead is the excess over [profile.script_s]. *)
 val run_script : Sentry_core.System.t -> t -> float

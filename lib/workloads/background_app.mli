@@ -19,10 +19,6 @@ val alpine : profile
 val vlock : profile
 val xmms2 : profile
 
-(** The §2 notifications/calendar-alerts workload (beyond the paper's
-    three): tiny hot set, syscall-heavy, access-light. *)
-val notifier : profile
-
 val all : profile list
 
 type result = {
@@ -31,8 +27,6 @@ type result = {
   page_ins : int;
   page_outs : int;
 }
-
-val working_set_pages : profile -> int
 
 (** Replay the trace against [proc] (whose main region must cover the
     working set).  @raise Invalid_argument if it does not. *)

@@ -34,6 +34,4 @@ type result = {
   cache_hit_rate : float;
 }
 
-val op_size : int
-
 val run : setup -> workload -> direct_io:bool -> ops:int -> seed:int -> result

@@ -29,8 +29,8 @@ type config = {
     batched. *)
 val default : config
 
-(** Stable label for a backend ("batched" / "per-page" / "offload" /
-    "no-access"); alias of [Backend.kind_name]. *)
+(** Stable label for a backend ("batched" / "offload" / "no-access");
+    alias of [Backend.kind_name]. *)
 val backend_label : Sentry.backend -> string
 
 (** Tenant class by (global) spawn index: every 4th process is

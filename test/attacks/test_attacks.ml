@@ -109,7 +109,7 @@ let test_cold_boot_recovers_generic_key () =
   in
   Generic_aes.set_key g key;
   Pl310.flush_masked (Machine.l2 machine);
-  let keys = Cold_boot.recover_keys machine Cold_boot.Os_reboot in
+  let keys = Cold_boot.keys_of_image (Cold_boot.image machine Cold_boot.Os_reboot) in
   checkb "key recovered" true (List.exists (Bytes.equal key) keys)
 
 let test_cold_boot_misses_onsoc_key () =
@@ -118,7 +118,7 @@ let test_cold_boot_misses_onsoc_key () =
   let sentry = Sentry.install system (Config.default `Tegra3) in
   ignore sentry;
   (* the volatile key's schedule lives only on-SoC *)
-  let keys = Cold_boot.recover_keys machine Cold_boot.Os_reboot in
+  let keys = Cold_boot.keys_of_image (Cold_boot.image machine Cold_boot.Os_reboot) in
   checki "nothing" 0 (List.length keys)
 
 let test_cold_boot_image_once_answers_everything () =
@@ -142,8 +142,8 @@ let test_cold_boot_image_once_answers_everything () =
     (List.exists (Bytes.equal key) (Cold_boot.keys_of_image img))
 
 let test_cold_boot_wrappers_agree_with_image () =
-  (* warm reboots keep DRAM intact, so the one-shot wrappers (which
-     each mount their own reset) must agree with the image API *)
+  (* warm reboots keep DRAM intact, so the one-shot [succeeds] wrapper
+     (which mounts its own reset) must agree with the image API *)
   let system = boot ~seed:12 () in
   let machine = System.machine system in
   let secret = Bytes.of_string "WRAPPER-VS-IMAGE-AGREEMENT-CHECK" in
@@ -151,9 +151,8 @@ let test_cold_boot_wrappers_agree_with_image () =
   let img = Cold_boot.image machine Cold_boot.Os_reboot in
   checkb "image finds it" true (Cold_boot.secret_in_image img ~secret);
   checkb "succeeds wrapper agrees" true (Cold_boot.succeeds machine Cold_boot.Os_reboot ~secret);
-  let dram_dump, iram_dump = Cold_boot.mount machine Cold_boot.Os_reboot in
-  checkb "mount wrapper sees dram" true (Memdump.contains dram_dump secret);
-  checkb "mount wrapper misses iram" false (Memdump.contains iram_dump secret)
+  checkb "image dram holds it" true (Memdump.contains img.Cold_boot.dram secret);
+  checkb "image iram does not" false (Memdump.contains img.Cold_boot.iram secret)
 
 (* ---------------------------- Dma_attack -------------------------- *)
 
@@ -344,7 +343,7 @@ let test_locked_device_resists_all_attacks () =
   let machine = System.machine system in
   checkb "dma" false (Dma_attack.succeeds machine ~secret);
   checkb "keys invisible to scan" true
-    (Cold_boot.recover_keys machine Cold_boot.Os_reboot = []);
+    (Cold_boot.keys_of_image (Cold_boot.image machine Cold_boot.Os_reboot) = []);
   let system, _, _, _, secret = locked_device ~seed:32 () in
   checkb "reflash cold boot" false
     (Cold_boot.succeeds (System.machine system) Cold_boot.Device_reflash ~secret)

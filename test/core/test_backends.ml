@@ -1,8 +1,8 @@
 (* Cross-backend differential suite for the protection-backend
    interface ([Backend]).
 
-   The three crypto backends — [Batched], [Per_page] and the
-   MemShield-style [Offload] command queue — claim bit-identical
+   The two crypto backends — [Batched] and the MemShield-style
+   [Offload] command queue — claim bit-identical
    simulated DRAM contents, taint shadows, PTE protection state and
    crypt counters after lock, after unlock and after every lazy fault,
    on both the fig2-style layout and a fleet-style multi-tenant mix.
@@ -130,7 +130,7 @@ let check_fp label (a : fp) (b : fp) =
 
 (* ------------------ crypto backends: equivalence ------------------ *)
 
-(* Batched / Per_page / Offload through a full lock → unlock → every
+(* Batched / Offload through a full lock → unlock → every
    lazy fault cycle: bit-identical semantic state at each stage. *)
 let equivalence_cycle layout other =
   let lbl = Backend.kind_name other in
@@ -154,10 +154,10 @@ let equivalence_cycle layout other =
     (fingerprint sys_o sen_o procs_o)
 
 let test_crypto_backends_fig2 () =
-  List.iter (equivalence_cycle `Fig2) [ Sentry.Per_page; Sentry.Offload ]
+  List.iter (equivalence_cycle `Fig2) [ Sentry.Offload ]
 
 let test_crypto_backends_fleet () =
-  List.iter (equivalence_cycle `Fleet) [ Sentry.Per_page; Sentry.Offload ]
+  List.iter (equivalence_cycle `Fleet) [ Sentry.Offload ]
 
 (* The offload command queue must be fully drained by each walk's
    completion poll: nothing may stay in flight across calls, or the

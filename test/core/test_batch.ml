@@ -3,11 +3,13 @@
 
    The batch engine ([Page_crypt.encrypt_batch]/[decrypt_batch] under
    [Encrypt_on_lock.run]/[Decrypt_on_unlock.run]) claims per-page
-   simulated equivalence with the page-at-a-time reference: same
+   simulated equivalence with the page-at-a-time reference walks
+   ([run_per_page]/[run_eager_per_page], which no backend runs): same
    clock, energy, DRAM contents, taint shadows, PTE flags and attack
    verdicts.  Twin systems booted from the same seed run the same
-   workload through each pipeline and their full state fingerprints
-   are compared bit for bit.
+   workload, each twin's walks driven directly on its
+   [Sentry.page_crypt], and their full state fingerprints are compared
+   bit for bit.
 
    The suite also carries the regression tests for the three bugs
    fixed alongside the batch work: the fault handler's fail-secure
@@ -35,11 +37,10 @@ let secret = "FLEET-SECRET-4242424242424242!!"
    the reused frames break the walk-order = frame-order property the
    sequential layout has. *)
 let build ?(config = { (Config.default `Tegra3) with Config.track_taint = true })
-    ?(shuffle = false) ~pipeline () =
+    ?(shuffle = false) () =
   (* pids feed the per-page ESSIV IVs; twins own identical pid spaces *)
   let system = System.boot ~seed:11 ~pid_base:1 `Tegra3 in
   let sentry = Sentry.install system config in
-  Sentry.set_backend sentry pipeline;
   let machine = System.machine system in
   let spawn_filled ?dma_pages name pages =
     let proc = System.spawn system ~name ~bytes:(pages * Page.size) in
@@ -156,18 +157,46 @@ let check_fp_semantic label (a : fp) (b : fp) =
 
 (* ------------------- differential: lock / unlock ----------------- *)
 
+(* The walks under comparison, driven directly on one twin: [`Batched]
+   is what the Batched backend runs, [`Per_page] the page-at-a-time
+   reference. *)
+let lock_walk engine sentry =
+  let walk =
+    match engine with
+    | `Batched -> Encrypt_on_lock.run
+    | `Per_page -> Encrypt_on_lock.run_per_page
+  in
+  walk (Sentry.page_crypt sentry) (Sentry.system sentry)
+    ~sensitive:(Sentry.sensitive_processes sentry) ~background:(fun _ -> false)
+
+let unlock_walk engine sentry =
+  let walk =
+    match engine with
+    | `Batched -> Decrypt_on_unlock.run
+    | `Per_page -> Decrypt_on_unlock.run_per_page
+  in
+  walk (Sentry.page_crypt sentry) (Sentry.system sentry)
+    ~sensitive:(Sentry.sensitive_processes sentry)
+
+let eager_walk engine sentry =
+  let walk =
+    match engine with
+    | `Batched -> Decrypt_on_unlock.run_eager
+    | `Per_page -> Decrypt_on_unlock.run_eager_per_page
+  in
+  walk (Sentry.page_crypt sentry) (Sentry.system sentry)
+    ~sensitive:(Sentry.sensitive_processes sentry)
+
 let test_lock_unlock_differential () =
-  let sys_b, sen_b, procs_b = build ~pipeline:Sentry.Batched () in
-  let sys_p, sen_p, procs_p = build ~pipeline:Sentry.Per_page () in
-  let ls_b = Sentry.lock sen_b and ls_p = Sentry.lock sen_p in
+  let sys_b, sen_b, procs_b = build () in
+  let sys_p, sen_p, procs_p = build () in
+  let ls_b = lock_walk `Batched sen_b and ls_p = lock_walk `Per_page sen_p in
   checki "pages encrypted" ls_b.Encrypt_on_lock.pages_encrypted
     ls_p.Encrypt_on_lock.pages_encrypted;
   check_fp "locked" (fingerprint sys_b sen_b procs_b) (fingerprint sys_p sen_p procs_p);
-  (match (Sentry.unlock sen_b ~pin:"1234", Sentry.unlock sen_p ~pin:"1234") with
-  | Ok us_b, Ok us_p ->
-      checki "eager DMA pages" us_b.Decrypt_on_unlock.dma_pages_eager
-        us_p.Decrypt_on_unlock.dma_pages_eager
-  | _ -> Alcotest.fail "unlock failed");
+  let us_b = unlock_walk `Batched sen_b and us_p = unlock_walk `Per_page sen_p in
+  checki "eager DMA pages" us_b.Decrypt_on_unlock.dma_pages_eager
+    us_p.Decrypt_on_unlock.dma_pages_eager;
   check_fp "unlocked" (fingerprint sys_b sen_b procs_b) (fingerprint sys_p sen_p procs_p);
   (* drive every lazy fault; the handler path is shared, but the
      state it starts from must be, too *)
@@ -176,41 +205,39 @@ let test_lock_unlock_differential () =
   check_fp "after faults" (fingerprint sys_b sen_b procs_b) (fingerprint sys_p sen_p procs_p)
 
 let test_eager_differential () =
-  let sys_b, sen_b, procs_b = build ~pipeline:Sentry.Batched () in
-  let sys_p, sen_p, procs_p = build ~pipeline:Sentry.Per_page () in
-  ignore (Sentry.lock sen_b);
-  ignore (Sentry.lock sen_p);
-  (match (Sentry.unlock_eager sen_b ~pin:"1234", Sentry.unlock_eager sen_p ~pin:"1234") with
-  | Ok n_b, Ok n_p -> checki "pages decrypted eagerly" n_b n_p
-  | _ -> Alcotest.fail "unlock_eager failed");
+  let sys_b, sen_b, procs_b = build () in
+  let sys_p, sen_p, procs_p = build () in
+  ignore (lock_walk `Batched sen_b);
+  ignore (lock_walk `Per_page sen_p);
+  checki "pages decrypted eagerly" (eager_walk `Batched sen_b) (eager_walk `Per_page sen_p);
   check_fp "eager unlock" (fingerprint sys_b sen_b procs_b) (fingerprint sys_p sen_p procs_p)
 
 (* Shuffled frame layout: the batch sort genuinely reorders the walk,
    so only semantic state is promised (and delivered). *)
 let test_shuffled_semantic () =
-  let sys_b, sen_b, procs_b = build ~shuffle:true ~pipeline:Sentry.Batched () in
-  let sys_p, sen_p, procs_p = build ~shuffle:true ~pipeline:Sentry.Per_page () in
-  ignore (Sentry.lock sen_b);
-  ignore (Sentry.lock sen_p);
+  let sys_b, sen_b, procs_b = build ~shuffle:true () in
+  let sys_p, sen_p, procs_p = build ~shuffle:true () in
+  ignore (lock_walk `Batched sen_b);
+  ignore (lock_walk `Per_page sen_p);
   check_fp_semantic "locked (shuffled)" (fingerprint sys_b sen_b procs_b)
     (fingerprint sys_p sen_p procs_p);
-  (match (Sentry.unlock sen_b ~pin:"1234", Sentry.unlock sen_p ~pin:"1234") with
-  | Ok _, Ok _ -> ()
-  | _ -> Alcotest.fail "unlock failed");
+  ignore (unlock_walk `Batched sen_b);
+  ignore (unlock_walk `Per_page sen_p);
   touch_all sys_b procs_b;
   touch_all sys_p procs_p;
   check_fp_semantic "after faults (shuffled)" (fingerprint sys_b sen_b procs_b)
     (fingerprint sys_p sen_p procs_p)
 
-(* Attack verdicts (the Table 3 claim) must agree between pipelines:
-   every cold-boot variant against the locked twins. *)
+(* Attack verdicts (the Table 3 claim) must agree between the walks:
+   every cold-boot variant against a twin locked through [Sentry.lock]
+   and a twin locked by the reference walk. *)
 let test_attack_verdicts_agree () =
   List.iter
     (fun variant ->
-      let sys_b, sen_b, _ = build ~pipeline:Sentry.Batched () in
-      let sys_p, sen_p, _ = build ~pipeline:Sentry.Per_page () in
+      let sys_b, sen_b, _ = build () in
+      let sys_p, sen_p, _ = build () in
       ignore (Sentry.lock sen_b);
-      ignore (Sentry.lock sen_p);
+      ignore (lock_walk `Per_page sen_p);
       let sec = Bytes.of_string secret in
       let v_b = Sentry_attacks.Cold_boot.succeeds (System.machine sys_b) variant ~secret:sec in
       let v_p = Sentry_attacks.Cold_boot.succeeds (System.machine sys_p) variant ~secret:sec in
@@ -235,7 +262,7 @@ let test_attack_verdicts_agree () =
    bits) completes the pass anyway. *)
 let test_journal_coalesced_roll_forward () =
   let config = { (Config.default `Tegra3) with Config.journal = true } in
-  let _sys, sentry, _procs = build ~config ~pipeline:Sentry.Batched () in
+  let _sys, sentry, _procs = build ~config () in
   checkb "journal active" true (Sentry.journal_enabled sentry);
   Injector.activate
     (Injector.create
@@ -260,7 +287,7 @@ let test_journal_coalesced_roll_forward () =
 
 let test_journal_clean_run_recovers_nothing () =
   let config = { (Config.default `Tegra3) with Config.journal = true } in
-  let _sys, sentry, _procs = build ~config ~pipeline:Sentry.Batched () in
+  let _sys, sentry, _procs = build ~config () in
   ignore (Sentry.lock sentry);
   (match Sentry.unlock sentry ~pin:"1234" with
   | Ok _ -> ()
@@ -276,7 +303,7 @@ let test_journal_clean_run_recovers_nothing () =
    cleartext frame whose PTE claimed ciphertext: the lock walk
    skipped it and the cold-boot attack read the secret. *)
 let test_fault_handler_fail_secure () =
-  let sys, sentry, procs = build ~pipeline:Sentry.Batched () in
+  let sys, sentry, procs = build () in
   ignore (Sentry.lock sentry);
   (match Sentry.unlock sentry ~pin:"1234" with
   | Ok _ -> ()
@@ -311,7 +338,7 @@ let test_fault_handler_fail_secure () =
    dirty lines out.  Without it the cleartext sat dirty in L2 and a
    device DMA read returned stale ciphertext. *)
 let test_eager_dma_coherence () =
-  let sys, sentry, _ = build ~pipeline:Sentry.Batched () in
+  let sys, sentry, _ = build () in
   let machine = System.machine sys in
   let maps = List.find (fun p -> p.Process.name = "maps") sys.System.procs in
   let dma =
@@ -344,7 +371,7 @@ let test_eager_dma_coherence () =
    cycle stays under a small per-page budget. *)
 let test_batch_allocation_ceiling () =
   let _sys, sentry, _ =
-    build ~config:(Config.default `Tegra3) ~pipeline:Sentry.Batched ()
+    build ~config:(Config.default `Tegra3) ()
   in
   let cycle () =
     let ls = Sentry.lock sentry in

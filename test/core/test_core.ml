@@ -491,16 +491,16 @@ let test_sentry_backend_switch_guarded () =
   Sentry.mark_sensitive sentry proc;
   ignore (Sentry.lock sentry);
   Alcotest.check_raises "switch rejected while locked"
-    (Invalid_argument "Sentry.set_backend: cannot switch to per-page while locked")
-    (fun () -> Sentry.set_backend sentry Sentry.Per_page);
+    (Invalid_argument "Sentry.set_backend: cannot switch to offload while locked")
+    (fun () -> Sentry.set_backend sentry Sentry.Offload);
   checkb "backend unchanged" true (Sentry.backend sentry = Sentry.Batched);
   Sentry.set_backend sentry Sentry.Batched;
   checkb "no-op re-select kept the lock" true (Sentry.is_locked sentry);
   (match Sentry.unlock sentry ~pin:"1234" with
   | Ok _ -> ()
   | Error _ -> Alcotest.fail "unlock");
-  Sentry.set_backend sentry Sentry.Per_page;
-  checkb "switch allowed while unlocked" true (Sentry.backend sentry = Sentry.Per_page)
+  Sentry.set_backend sentry Sentry.Offload;
+  checkb "switch allowed while unlocked" true (Sentry.backend sentry = Sentry.Offload)
 
 (* ---------------------------- Background -------------------------- *)
 

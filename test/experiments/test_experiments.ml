@@ -20,8 +20,9 @@ let remanence variant ~seed =
   let pat = Bytes.of_string "\xde\xad\xbe\xef\x13\x37\xc0\xde" in
   Bytes_util.fill_pattern (Dram.raw (Machine.dram machine)) pat;
   Bytes_util.fill_pattern (Iram.raw (Machine.iram machine)) pat;
-  let dram_dump, iram_dump = Cold_boot.mount machine variant in
-  (Memdump.remanence_ratio iram_dump ~pattern:pat, Memdump.remanence_ratio dram_dump ~pattern:pat)
+  let img = Cold_boot.image machine variant in
+  ( Memdump.remanence_ratio img.Cold_boot.iram ~pattern:pat,
+    Memdump.remanence_ratio img.Cold_boot.dram ~pattern:pat )
 
 let test_table2_shapes () =
   let iram, dram = remanence Cold_boot.Os_reboot ~seed:1 in

@@ -242,7 +242,7 @@ let test_dm_crypt_full_stack_with_sentry () =
   checkb "flash ciphertext" false (Bytes_util.contains (Block_dev.raw dev) secret);
   (* and a cold boot recovers neither the data nor the volume key *)
   Pl310.flush_masked (Machine.l2 machine);
-  let keys = Cold_boot.recover_keys machine Cold_boot.Os_reboot in
+  let keys = Cold_boot.keys_of_image (Cold_boot.image machine Cold_boot.Os_reboot) in
   checkb "no key schedules in DRAM" true (not (List.exists (Bytes.equal key) keys));
   (* file contents still decrypt correctly (fresh mapping, same key) *)
   let dm2 = Dm_crypt.create ~api:system.System.crypto_api ~key (Block_dev.target dev) in

@@ -75,6 +75,22 @@ let test_r5_spawned_closures () =
   checki "no globals" 0 (List.length s.Rules.globals);
   checki "no assigns" 0 (List.length s.Rules.assigns)
 
+(* R6 needs the interface, its implementation and the outside caller:
+   the exact set is the one export nobody outside [bad_r6.ml] names;
+   [module type] and nested [sig] items are never candidates. *)
+let test_r6_unreferenced_export () =
+  let r = Driver.run ~roots:[ fx "bad_r6.mli"; fx "bad_r6.ml"; fx "uses_r6.ml" ] () in
+  triple_list "exact R6 set" [ ("R6", "unused", 4) ] (shapes r.Driver.findings);
+  checki "interface and implementations scanned" 3 r.Driver.files_scanned;
+  List.iter
+    (fun (f : Finding.t) ->
+      checkb "R6 is a warning" true (Finding.severity f.Finding.rule = Finding.Warning))
+    r.Driver.findings;
+  (* without the outside caller, the module's own use is no reference *)
+  let alone = Driver.run ~roots:[ fx "bad_r6.mli"; fx "bad_r6.ml" ] () in
+  triple_list "own .ml does not count" [ ("R6", "used", 3); ("R6", "unused", 4) ]
+    (shapes alone.Driver.findings)
+
 let test_clean_file () =
   let s = scan "clean.ml" in
   triple_list "no findings" [] (shapes s.Rules.findings);
@@ -178,6 +194,7 @@ let () =
           Alcotest.test_case "R3 both spellings" `Quick test_r3_both_spellings;
           Alcotest.test_case "R4 and fast-path exemption" `Quick test_r4_and_fastpath_exemption;
           Alcotest.test_case "R5 spawned closures" `Quick test_r5_spawned_closures;
+          Alcotest.test_case "R6 unreferenced export" `Quick test_r6_unreferenced_export;
           Alcotest.test_case "clean file" `Quick test_clean_file;
         ] );
       ( "driver",

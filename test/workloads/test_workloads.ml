@@ -221,14 +221,6 @@ let test_fleet_latency_by_class () =
       checkb (msg "mean bounded by max") true (l.Fleet.mean_ns <= l.Fleet.max_ns))
     s.Fleet.latency_by_class
 
-let test_fleet_samples_pipeline_independent () =
-  (* the first-touch distribution lives on the simulated clock: the
-     host-side pipeline choice must not move it *)
-  let b = Fleet.run small_fleet in
-  let p = Fleet.run { small_fleet with Fleet.backend = Sentry.Per_page } in
-  checkb "identical simulated samples" true
-    (b.Fleet.first_touch_samples = p.Fleet.first_touch_samples)
-
 (* The acceptance bar for shard harvest: feeding the same samples
    through N shard registries and [Metrics.merge]ing them must
    reproduce the single global registry bit-for-bit, key for key.
@@ -472,8 +464,6 @@ let () =
       ( "fleet",
         [
           Alcotest.test_case "latency by class" `Quick test_fleet_latency_by_class;
-          Alcotest.test_case "pipeline-independent samples" `Quick
-            test_fleet_samples_pipeline_independent;
           Alcotest.test_case "sharded metrics merge" `Quick
             test_fleet_sharded_metrics_merge_exactly;
           Alcotest.test_case "golden default digest" `Quick test_fleet_golden;
