@@ -198,8 +198,8 @@ let test_motivation_battery_cycles () =
 
 (* md5 over the rendered tables of one registered experiment, minus
    the rows [drop] selects.  Every pinned experiment is deterministic
-   (simulated clocks only), so its output is byte-identical run to
-   run; the digests were captured before any lock-path simplification. *)
+   (simulated clocks only), so its output is byte-identical run to run
+   and any change to the lock path must leave these digests alone. *)
 let rendered_md5 ?(drop = fun _ -> false) id =
   match Sentry_experiments.Experiments.find id with
   | None -> Alcotest.failf "no experiment %S" id
