@@ -1,6 +1,14 @@
 (** Off-SoC DRAM with a Table 2-calibrated data-remanence model.  The
     backing store is directly inspectable — cold-boot and DMA attacks
-    read this array, not the CPU's cached view. *)
+    read this array, not the CPU's cached view.
+
+    First-touch invariant: the store is allocated uninitialised and
+    zero-filled one fixed 64 KiB chunk at a time, the first time any
+    access covers the chunk.  Every bus access ([read], [write] and
+    their views) and [backing] zero the chunks of their range before
+    touching a byte; [raw], [snapshot] and [power_cycle] zero the whole
+    store first.  Contents, taint and the remanence PRNG stream are
+    therefore exactly those of an eagerly zeroed module. *)
 
 open Sentry_util
 
@@ -52,9 +60,18 @@ val write_from :
   len:int ->
   unit
 
-(** The access check alone ([Powered_off] / range), for fast paths
-    that hoist it out of a per-line loop. *)
-val validate : t -> int -> int -> unit
+(** [backing t addr len] — the access check ([Powered_off] / range)
+    for a physical range, plus first-touch zeroing of the chunks under
+    it; returns the whole backing store, indexed by offset from the
+    region base.  For paths that check once and then touch the store
+    directly (the L2 run loop, [Machine.write_raw], warm reboot): only
+    bytes inside ranges passed here may be read or written through the
+    result. *)
+val backing : t -> int -> int -> Bytes.t
+
+(** Bytes of the store zeroed so far: the host memory this module has
+    made resident. *)
+val resident_bytes : t -> int
 
 (** The memory bus this DRAM answers on, for fast paths that inline
     their own transaction accounting. *)
@@ -80,15 +97,20 @@ val set_taint : t -> int -> int -> Taint.level -> unit
     tracking is enabled. *)
 val shadow : t -> Bytes.t option
 
-(** Direct backing-store access (attack tooling / test assertions —
-    no bus traffic). *)
+(** Direct backing-store access for attack tooling and test
+    assertions only — no bus traffic.  Zeroes every untouched chunk
+    first (a memset of the whole module), so it must not be called on
+    a hot path; use [backing] for a range. *)
 val raw : t -> Bytes.t
 
+(** A copy of the whole image (zeroes every untouched chunk first,
+    like [raw]). *)
 val snapshot : t -> Bytes.t
 
 (** Model [off_s] seconds without power: each byte survives with the
     calibrated probability; decayed bytes fall to the per-row ground
-    state.  The module must already be powered off ([set_powered t
+    state.  Zeroes every untouched chunk first, so the PRNG draws one
+    flip per byte of the whole image, touched or not.  The module must already be powered off ([set_powered t
     false]) — cells decay only without self-refresh.
     @raise Invalid_argument on a still-powered module. *)
 val power_cycle : t -> off_s:float -> unit

@@ -245,7 +245,7 @@ let write_uncached t addr b =
 let write_raw t addr b =
   if in_dram t addr then begin
     let off = addr - (Dram.region t.dram).Memmap.base in
-    Bytes.blit b 0 (Dram.raw t.dram) off (Bytes.length b);
+    Bytes.blit b 0 (Dram.backing t.dram addr (Bytes.length b)) off (Bytes.length b);
     Dram.set_taint t.dram addr (Bytes.length b) t.ambient_taint;
     Pl310.invalidate_range t.l2 addr (Bytes.length b)
   end
@@ -294,8 +294,9 @@ let reboot t kind =
       let overwrite =
         int_of_float (Calib.warm_reboot_overwrite_fraction *. float_of_int t.conf.dram_size)
       in
-      Bytes.fill (Dram.raw t.dram) 0 overwrite '\000';
-      Dram.set_taint t.dram (Dram.region t.dram).Memmap.base overwrite Taint.Public;
+      let base = (Dram.region t.dram).Memmap.base in
+      Bytes.fill (Dram.backing t.dram base overwrite) 0 overwrite '\000';
+      Dram.set_taint t.dram base overwrite Taint.Public;
       Pl310.reset t.l2
   | Reflash ->
       Dram.set_powered t.dram false;

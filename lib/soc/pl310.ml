@@ -393,8 +393,10 @@ let run_fast_ok t =
    unsafe: set/way indices are masked or register-bounded, line
    offsets bounded by the chunk computation, the caller view by
    [check_view], and DRAM offsets by the one-shot whole-run
-   [Dram.validate] below (write-back addresses are in range by
-   construction — tags only ever come from in-range fills).
+   [Dram.backing] below (write-back addresses are in range by
+   construction — tags only ever come from in-range fills — and get
+   their own [Dram.backing] call, which zeroes the victim's chunk on
+   first touch).
 
    The generic path validates DRAM lazily per miss; here the first
    DRAM touch validates the {e whole} run instead (the powered check
@@ -408,17 +410,19 @@ let run_chunks t ~any_unlocked ~write ~taint buf buf_off0 addr0 len0 =
   let line_size = t.line_size and set_shift = t.set_shift and tag_shift = t.tag_shift in
   let set_mask = t.sets - 1 and line_mask = t.line_size - 1 in
   let nways = t.ways and lockdown = t.lockdown and fill_ns = t.fill_ns in
-  let raw = Dram.raw t.dram in
   let dbase = (Dram.region t.dram).Memmap.base in
   let bus = Dram.bus t.dram in
   let dshadow = Dram.shadow t.dram in
-  let validated = ref false in
-  let ensure_valid () =
-    if not !validated then begin
+  (* The backing store, fetched at the first miss by the whole-run
+     [Dram.backing] (which also zeroes the run's chunks on first
+     touch); [Bytes.empty] until then. *)
+  let store = ref Bytes.empty in
+  let run_backing () =
+    if !store == Bytes.empty then begin
       let run_base = addr0 land lnot line_mask in
-      Dram.validate t.dram run_base (((addr0 + len0 - 1) lor line_mask) + 1 - run_base);
-      validated := true
-    end
+      store := Dram.backing t.dram run_base (((addr0 + len0 - 1) lor line_mask) + 1 - run_base)
+    end;
+    !store
   in
   let uline w set = Array.unsafe_get (Array.unsafe_get lines w) set in
   let ushadow s w set = Array.unsafe_get (Array.unsafe_get s w) set in
@@ -482,7 +486,7 @@ let run_chunks t ~any_unlocked ~write ~taint buf buf_off0 addr0 len0 =
              path's bypass branch, trace already known off) *)
           stats.bypasses <- stats.bypasses + 1;
           Clock.advance clock Calib.dram_line_ns;
-          ensure_valid ();
+          let raw = run_backing () in
           if write then begin
             Bytes.unsafe_blit buf buf_off raw (addr - dbase) chunk;
             (match dshadow with
@@ -501,8 +505,9 @@ let run_chunks t ~any_unlocked ~write ~taint buf buf_off0 addr0 len0 =
              None) *)
           if l.valid && l.dirty then begin
             let wb_addr = (l.tag lsl tag_shift) lor (set lsl set_shift) in
-            ensure_valid ();
-            Bytes.unsafe_blit l.data 0 raw (wb_addr - dbase) line_size;
+            ignore (run_backing () : Bytes.t);
+            Bytes.unsafe_blit l.data 0 (Dram.backing t.dram wb_addr line_size) (wb_addr - dbase)
+              line_size;
             (match dshadow with
             | Some ds -> (
                 match shadows with
@@ -516,8 +521,7 @@ let run_chunks t ~any_unlocked ~write ~taint buf buf_off0 addr0 len0 =
           end;
           (* line fill: identical to [fill_way]'s read + shadow + flags *)
           let base = addr land lnot line_mask in
-          ensure_valid ();
-          Bytes.unsafe_blit raw (base - dbase) l.data 0 line_size;
+          Bytes.unsafe_blit (run_backing ()) (base - dbase) l.data 0 line_size;
           Bus.account bus Bus.Read line_size;
           (match shadows with
           | Some s -> (

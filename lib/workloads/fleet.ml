@@ -109,6 +109,9 @@ type stats = {
       (** per-tenant-class latency summary, sorted by class *)
   sim_elapsed_ns : float;  (** simulated time the whole run consumed *)
   energy_j : float;  (** metered AES energy over the run *)
+  dram_resident_bytes : int;
+      (** simulated-DRAM bytes the run made resident on the host
+          ([Dram.resident_bytes] at the end), summed over shards *)
 }
 
 (** End-of-run digests of a tenant's crypto-relevant state: the ESSIV
@@ -360,6 +363,7 @@ let run_slice ~platform (cfg : config) ~seed ~pid_base ~first ~count ~metrics =
       latency_by_class = summarize_by_class samples;
       sim_elapsed_ns = System.now system -. sim0;
       energy_j = Energy.category (Machine.energy machine) "aes" -. energy0;
+      dram_resident_bytes = Dram.resident_bytes (Machine.dram machine);
     },
     fingerprints )
 
@@ -406,6 +410,7 @@ let merge (cfg : config) = function
          elapsed simulated time is the slowest shard's, not the sum. *)
       sim_elapsed_ns = List.fold_left (fun a s -> Float.max a s.sim_elapsed_ns) 0.0 stats_list;
       energy_j = sumf (fun s -> s.energy_j);
+      dram_resident_bytes = sum (fun s -> s.dram_resident_bytes);
     }
 
 let run_sharded ?(platform = `Tegra3) ?(seed = 7) ?shards ?faults ~domains (cfg : config) =

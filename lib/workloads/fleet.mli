@@ -80,6 +80,10 @@ type stats = {
       (** simulated time the run consumed; in a merge, the slowest
           shard's (shards are concurrent in simulated time too) *)
   energy_j : float;  (** metered AES energy over the run *)
+  dram_resident_bytes : int;
+      (** simulated-DRAM bytes the run made resident on the host
+          ({!Sentry_soc.Dram.resident_bytes} at the end), summed over
+          shards *)
 }
 
 (** End-of-run digests of one tenant's crypto-relevant state: the

@@ -269,6 +269,8 @@ let () =
       ( "rendered-pins",
         [
           Alcotest.test_case "fig1" `Quick (pin "fig1" "5b69b3a641fdabb4fd1ff37f4f0f1c5f");
+          Alcotest.test_case "table2" `Slow (pin "table2" "194736706afa2750d5fa5d4f46cb4be6");
+          Alcotest.test_case "table3" `Slow (pin "table3" "69c933118f9e7f97f5dddeeeeabbc7b7");
           Alcotest.test_case "fig7" `Slow (pin "fig7" "e052ea569f6f972cddfb0c62d2b89568");
           Alcotest.test_case "table1" `Slow (pin "table1" "97dcce91fcc72ea6fce46b089ad05b4e");
           Alcotest.test_case "ablations" `Slow (pin "ablations" "784ade672cacd8ab48d02c35d4a7ac07");

@@ -21,9 +21,7 @@ let payload n c = Bytes.init n (fun i -> Char.chr ((Char.code c + (i * 7)) land 
    arithmetic is exercised; otherwise it uses the allocating API.  The
    script covers line-straddling accesses, a page-sized transfer,
    taint-labelled stores, lockdown + masked flush, and single bytes. *)
-let drive ~taint ~use_into =
-  let m = mk () in
-  if taint then Machine.enable_taint m;
+let script ~use_into m =
   let base = (Machine.dram_region m).Memmap.base in
   let do_write addr b =
     if use_into then begin
@@ -54,7 +52,12 @@ let drive ~taint ~use_into =
   let r3 = do_read (base + 8192 + 17) 515 in
   Machine.write_byte m (base + 100_000) 'z';
   let rb = Bytes.make 1 (Machine.read_byte m (base + 100_000)) in
-  (m, Bytes.concat Bytes.empty [ r1; r2; r3; rb ])
+  Bytes.concat Bytes.empty [ r1; r2; r3; rb ]
+
+let drive ~taint ~use_into =
+  let m = mk () in
+  if taint then Machine.enable_taint m;
+  (m, script ~use_into m)
 
 let assert_identical m_a m_b =
   checkf "simulated clock" (Machine.now m_a) (Machine.now m_b);
@@ -89,6 +92,106 @@ let test_differential_tainted () =
   let m_b, bytes_b = drive ~taint:true ~use_into:true in
   check_bytes "read-back bytes" bytes_a bytes_b;
   assert_identical m_a m_b
+
+(* ------------------- first-touch DRAM zeroing ---------------------- *)
+
+(* DRAM is zero-filled one 64 KiB chunk at a time on first touch.
+   That must be invisible: a script run on a machine whose DRAM was
+   materialised with [Dram.raw] right after [create] (eager) and on an
+   untouched one (lazy) must leave the same read-back bytes, clock,
+   energy, cache and bus statistics, DRAM image, taint shadow and PRNG
+   stream. *)
+let chunk = 64 * Units.kib
+
+(* Leave a freed 0xA5-filled block of [mk]'s DRAM size for the host
+   allocator to hand back to the next same-size allocation, so a path
+   that skips the zeroing reads garbage instead of the fresh zero
+   pages the OS hands out.  glibc maps blocks above its mmap threshold
+   afresh on every allocation; freeing a larger mapped block first
+   raises the threshold past the DRAM size, so the filler (and then
+   the DRAM store) come from the reusable heap. *)
+let dirty_heap () =
+  let n = 4 * Units.mib in
+  ignore (Sys.opaque_identity (Bytes.create (n + Units.mib)));
+  Gc.full_major ();
+  ignore (Sys.opaque_identity (Bytes.make n '\xa5'));
+  Gc.full_major ()
+
+let lazy_equals_eager ~taint run () =
+  let go ~eager =
+    dirty_heap ();
+    let m = mk () in
+    if eager then ignore (Dram.raw (Machine.dram m) : Bytes.t);
+    if taint then Machine.enable_taint m;
+    let out = run m in
+    (m, out)
+  in
+  let m_e, out_e = go ~eager:true in
+  let m_l, out_l = go ~eager:false in
+  check_bytes "read-back bytes" out_e out_l;
+  checki "next PRNG draw" (Prng.bits (Machine.prng m_e)) (Prng.bits (Machine.prng m_l));
+  assert_identical m_e m_l
+
+(* Accesses straddling a chunk boundary with only one side touched,
+   through every path: generic cached, page runs, uncached, DMA, the
+   zeroing thread's raw store, and write-backs of dirty lines. *)
+let straddle m =
+  let base = (Machine.dram_region m).Memmap.base in
+  let at c delta = base + (c * chunk) + delta in
+  Machine.write m (at 0 100) (payload 8 'e') (* touches chunk 0 only *);
+  Machine.write m (at 1 (-12)) (payload 24 'f') (* into untouched chunk 1 *);
+  let r1 = Machine.read m (at 2 (-40)) 80 (* chunk 1 touched, chunk 2 not *) in
+  let run = Bytes.create 4096 in
+  Machine.read_run_into m (at 3 (-2048)) run ~off:0 ~len:4096;
+  Machine.write_run_from m (at 4 (-2048)) (payload 4096 'g') ~off:0 ~len:4096;
+  let r2 = Machine.read_uncached m (at 5 (-16)) 32 in
+  let r3 =
+    match Dma.read (Machine.dma m) ~addr:(at 6 (-8)) ~len:16 with
+    | Ok b -> b
+    | Error _ -> Alcotest.fail "DMA read of DRAM refused"
+  in
+  Machine.write_raw m (at 7 (-24)) (payload 48 'h');
+  Pl310.set_flush_mask (Machine.l2 m) 0xff;
+  Pl310.flush_masked (Machine.l2 m) (* writes every dirty line back *);
+  let r4 = Machine.read m (at 8 (-4096)) 8192 in
+  Bytes.concat Bytes.empty [ r1; run; r2; r3; r4 ]
+
+(* Data near both ends of a mostly untouched module, pushed to DRAM,
+   then a reset, then read back along with never-touched ranges. *)
+let reboot kind m =
+  let base = (Machine.dram_region m).Memmap.base in
+  let top = base + (Machine.config m).Machine.dram_size in
+  Machine.with_taint m Taint.Secret_cleartext (fun () ->
+      Machine.write m (base + 64) (payload 256 'k');
+      Machine.write m (top - chunk - 300) (payload 600 'l'));
+  Pl310.set_flush_mask (Machine.l2 m) 0xff;
+  Pl310.flush_masked (Machine.l2 m);
+  Machine.reboot m kind;
+  let lo = Machine.read m (base + 64) 256 in
+  let hi = Machine.read m (top - chunk - 300) 600 in
+  let cold = Machine.read m (base + (20 * chunk)) 4096 in
+  Bytes.concat Bytes.empty [ lo; hi; cold ]
+
+(* Never-written DRAM reads zero through every path even when the
+   allocator recycles dirty memory for the backing store.  Each path
+   reads a chunk no earlier access touched; the whole-image snapshot
+   comes last. *)
+let test_dirty_allocator_reads_zero () =
+  dirty_heap ();
+  let m = mk () in
+  let base = (Machine.dram_region m).Memmap.base in
+  let zeros n = Bytes.make n '\000' in
+  let buf = Bytes.make 4096 '\xee' in
+  Machine.read_into m (base + chunk) buf ~off:0 ~len:4096;
+  check_bytes "generic read_into" (zeros 4096) buf;
+  Bytes.fill buf 0 4096 '\xee';
+  Machine.read_run_into m (base + (2 * chunk)) buf ~off:0 ~len:4096;
+  check_bytes "read_run_into fast path" (zeros 4096) buf;
+  (match Dma.read (Machine.dma m) ~addr:(base + (3 * chunk)) ~len:4096 with
+  | Ok b -> check_bytes "DMA read" (zeros 4096) b
+  | Error _ -> Alcotest.fail "DMA read of DRAM refused");
+  let size = (Machine.config m).Machine.dram_size in
+  check_bytes "snapshot" (zeros size) (Dram.snapshot (Machine.dram m))
 
 (* The write-back path passes the live line array to DRAM as a view
    instead of copying it.  The bus monitor's transaction and the DRAM
@@ -150,6 +253,21 @@ let () =
         [
           Alcotest.test_case "into = allocating (taint off)" `Quick test_differential_plain;
           Alcotest.test_case "into = allocating (taint on)" `Quick test_differential_tainted;
+        ] );
+      ( "lazy = eager",
+        [
+          Alcotest.test_case "drive script (taint off)" `Quick
+            (lazy_equals_eager ~taint:false (script ~use_into:true));
+          Alcotest.test_case "drive script (taint on)" `Quick
+            (lazy_equals_eager ~taint:true (script ~use_into:true));
+          Alcotest.test_case "chunk-straddling accesses" `Quick
+            (lazy_equals_eager ~taint:true straddle);
+          Alcotest.test_case "warm reboot" `Quick
+            (lazy_equals_eager ~taint:true (reboot Machine.Warm));
+          Alcotest.test_case "hard reset" `Quick
+            (lazy_equals_eager ~taint:true (reboot (Machine.Hard_reset 2.0)));
+          Alcotest.test_case "dirty allocator reads zero" `Quick
+            test_dirty_allocator_reads_zero;
         ] );
       ( "aliasing",
         [

@@ -406,6 +406,23 @@ let test_shard_in_caller_isolation () =
         ((Trace.Recorder.stats r).Trace.emitted > 0)
   | None -> Alcotest.fail "a tracing caller should get a merged recorder"
 
+(* Simulated DRAM is zeroed on first touch, so a shard pays host
+   memory only for the chunks it uses.  One fleet-churn-shaped shard
+   (4 tenants x 16 pages x 3 cycles on a 32 MiB Tegra 3) touches well
+   under 1 MiB; a stray whole-image [Dram.raw] on the boot, lock or
+   unlock path would materialise all 32 MiB and trip this. *)
+let test_fleet_shard_dram_mostly_untouched () =
+  let cfg = { Fleet.default with Fleet.procs = 4; pages_per_proc = 16; cycles = 3 } in
+  let sh = Fleet.run_sharded ~shards:1 ~domains:1 cfg in
+  List.iter
+    (fun ((s : Fleet.stats), _) ->
+      let resident = s.Fleet.dram_resident_bytes in
+      checkb "shard touched some DRAM" true (resident > 0);
+      if resident >= 2 * Units.mib then
+        Alcotest.failf "shard materialised %d KiB of its 32 MiB DRAM (limit 2048 KiB)"
+          (resident / Units.kib))
+    sh.Fleet.shards.Shard.results
+
 (* ----------------------------- Daily_use -------------------------- *)
 
 let test_daily_use_estimates () =
@@ -477,6 +494,8 @@ let () =
             test_fleet_sharded_faults_invariant;
           Alcotest.test_case "run is the one-shard plan" `Quick test_fleet_run_is_one_shard_plan;
           Alcotest.test_case "in-caller shard isolation" `Quick test_shard_in_caller_isolation;
+          Alcotest.test_case "shard DRAM mostly untouched" `Quick
+            test_fleet_shard_dram_mostly_untouched;
         ] );
       ( "daily_use",
         [
