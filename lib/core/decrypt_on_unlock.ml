@@ -15,59 +15,50 @@ type stats = {
   energy_j : float;
 }
 
-(** The lazy young-bit fault handler active while unlocked.
-    Fail-secure ordering, same as [decrypt_region]: the PTE's
-    [encrypted] bit is cleared {e before} the cleartext lands, so a
-    crash anywhere inside the handler leaves a page the recovery
-    sweep re-encrypts.  (The reverse order — decrypt, then clear —
-    had a kill chain: a crash between the two leaves a cleartext
-    frame whose PTE still claims ciphertext, the next lock walk skips
-    it as already-encrypted, and the secret reaches DRAM
-    unprotected.) *)
-let fault_handler pc : Vm.fault_handler =
+(* The lazy young-bit fault handler body.  Fail-secure ordering, same
+   as [decrypt_region]: the PTE's [encrypted] bit is cleared {e
+   before} the cleartext lands, so a crash anywhere inside the handler
+   leaves a page the recovery sweep re-encrypts.  (The reverse order —
+   decrypt, then clear — had a kill chain: a crash between the two
+   leaves a cleartext frame whose PTE still claims ciphertext, the
+   next lock walk skips it as already-encrypted, and the secret
+   reaches DRAM unprotected.)  A revoked mapping is restored too,
+   whichever backend revoked it — the handler's job is "make this page
+   accessible cleartext", whichever bits protect it — and [restore]
+   charges for that. *)
+let handler ~decrypt ~restore pc : Vm.fault_handler =
  fun proc ~vaddr pte ->
-  let vpn = Page.vpn_of vaddr in
   if pte.Page_table.encrypted then begin
     pte.Page_table.encrypted <- false;
-    Page_crypt.decrypt_frame pc ~pid:proc.Process.pid ~vpn ~frame:pte.Page_table.frame
-  end;
-  (* a leftover no-access mapping (page locked under the No_access
-     backend, backend switched while unlocked before it was touched)
-     is restored here too — the handler's job is "make this page
-     accessible cleartext", whichever bits protect it *)
-  pte.Page_table.no_access <- false;
-  pte.Page_table.young <- true
-
-(** Offload twin of the lazy handler: the single-page decrypt goes
-    through the command queue and blocks on its completion — each
-    first touch pays the engine's full fixed latency.  This is the
-    losing side of the Offload crossover [exp_backends] measures. *)
-let fault_handler_offload pc : Vm.fault_handler =
- fun proc ~vaddr pte ->
-  let vpn = Page.vpn_of vaddr in
-  if pte.Page_table.encrypted then begin
-    pte.Page_table.encrypted <- false;
-    Page_crypt.decrypt_frame_offload pc ~pid:proc.Process.pid ~vpn ~frame:pte.Page_table.frame
-  end;
-  pte.Page_table.no_access <- false;
-  pte.Page_table.young <- true
-
-(** No_access lazy handler: restore the mapping — a permission write
-    and a TLB shootdown, no crypto.  Residual ciphertext pages from a
-    cycle run under a crypto backend (switched while unlocked) still
-    decrypt, fail-secure order unchanged. *)
-let fault_handler_no_access pc : Vm.fault_handler =
- fun proc ~vaddr pte ->
-  let vpn = Page.vpn_of vaddr in
-  if pte.Page_table.encrypted then begin
-    pte.Page_table.encrypted <- false;
-    Page_crypt.decrypt_frame pc ~pid:proc.Process.pid ~vpn ~frame:pte.Page_table.frame
+    decrypt pc ~pid:proc.Process.pid ~vpn:(Page.vpn_of vaddr) ~frame:pte.Page_table.frame
   end;
   if pte.Page_table.no_access then begin
     pte.Page_table.no_access <- false;
-    Clock.advance (Machine.clock (Page_crypt.machine pc)) Calib.pte_protect_ns
+    restore ()
   end;
   pte.Page_table.young <- true
+
+(** The lazy handler of every backend.  An encrypted page goes through
+    [Page_crypt.decrypt_page ~backend] — under [Offload] each first
+    touch pays the engine's full fixed latency, the losing side of the
+    crossover [exp_backends] measures.  Restoring a revoked mapping
+    costs a permission write and a TLB shootdown under [No_access];
+    the crypto backends only meet one left over from a [No_access]
+    cycle and restore it free. *)
+let fault_handler ~(backend : Backend.kind) pc =
+  let restore =
+    match backend with
+    | Backend.No_access ->
+        let clock = Machine.clock (Page_crypt.machine pc) in
+        fun () -> Clock.advance clock Calib.pte_protect_ns
+    | Backend.Batched | Backend.Offload -> ignore
+  in
+  handler ~decrypt:(Page_crypt.decrypt_page ~backend) ~restore pc
+
+(* The page-at-a-time reference handler the reference walks install:
+   [Page_crypt.decrypt_frame] per fault, so the lazy path is
+   differentially tested too. *)
+let reference_fault_handler pc = handler ~decrypt:Page_crypt.decrypt_frame ~restore:ignore pc
 
 (* Pre-DMA coherence maintenance for an eagerly-decrypted DMA region:
    devices read these frames physically, bypassing the cache, so the
@@ -104,7 +95,20 @@ let dma_coherence_sweep machine ptes =
       ~args:[ ("pages", Sentry_obs.Event.Int (List.length frames)) ]
       ()
 
-let decrypt_region ?journal pc proc (region : Address_space.region) =
+(* The coherence sweep belongs to the region decrypt itself, so every
+   path that eagerly decrypts a DMA region — the lazy unlock's DMA
+   pass, the eager ablation, recovery rollbacks — gets it.  (It used
+   to live only in [run], which left [run_eager]'d DMA buffers stale
+   in DRAM: a device DMA after an eager unlock read ciphertext.) *)
+let sweep_if_dma pc proc (region : Address_space.region) =
+  match region.Address_space.kind with
+  | Address_space.Dma ->
+      dma_coherence_sweep (Page_crypt.machine pc)
+        (Address_space.region_ptes proc.Process.aspace region)
+  | Address_space.Normal | Address_space.Shared _ -> ()
+
+(* The page-at-a-time reference region decrypt. *)
+let decrypt_region ?journal pc proc region =
   let pid = proc.Process.pid in
   let pages = ref 0 in
   List.iter
@@ -123,25 +127,15 @@ let decrypt_region ?journal pc proc (region : Address_space.region) =
         Option.iter (fun j -> Lock_journal.record j ~pid) journal
       end)
     (Address_space.region_ptes proc.Process.aspace region);
-  (* The coherence sweep belongs to the region decrypt itself, so
-     every path that eagerly decrypts a DMA region — the lazy unlock's
-     DMA pass, the eager ablation, recovery rollbacks — gets it.  (It
-     used to live only in [run], which left [run_eager]'d DMA buffers
-     stale in DRAM: a device DMA after an eager unlock read
-     ciphertext.) *)
-  (match region.Address_space.kind with
-  | Address_space.Dma ->
-      dma_coherence_sweep (Page_crypt.machine pc)
-        (Address_space.region_ptes proc.Process.aspace region)
-  | Address_space.Normal | Address_space.Shared _ -> ());
+  sweep_if_dma pc proc region;
   !pages
 
-(** Batched twin of [decrypt_region]: the region's encrypted pages are
-    gathered, frame-sorted and pushed through
-    [Page_crypt.decrypt_batch]; per-page fail-secure ordering (bit
-    cleared in [prepare], before the transform) and the trailing DMA
-    coherence sweep are identical. *)
-let decrypt_region_batch_with ~decrypt_batch ?journal pc proc (region : Address_space.region) =
+(* The batched region decrypt: the region's encrypted pages are
+   gathered, frame-sorted and pushed through
+   [Page_crypt.decrypt_batch ~backend]; per-page fail-secure ordering
+   (bit cleared in [prepare], before the transform) and the trailing
+   DMA coherence sweep are [decrypt_region]'s. *)
+let decrypt_region_batched ~backend ?journal pc proc region =
   let pid = proc.Process.pid in
   let work =
     Array.of_list
@@ -160,7 +154,7 @@ let decrypt_region_batch_with ~decrypt_batch ?journal pc proc (region : Address_
       pending := 0
     end
   in
-  decrypt_batch pc items
+  Page_crypt.decrypt_batch ~backend pc items
     ~prepare:(fun i -> (snd work.(i)).Page_table.encrypted <- false)
     ~complete:(fun i ->
       (snd work.(i)).Page_table.no_access <- false;
@@ -171,31 +165,18 @@ let decrypt_region_batch_with ~decrypt_batch ?journal pc proc (region : Address_
           if !pending >= Lock_journal.coalesce then flush j
       | None -> ());
   Option.iter flush journal;
-  (match region.Address_space.kind with
-  | Address_space.Dma ->
-      dma_coherence_sweep (Page_crypt.machine pc)
-        (Address_space.region_ptes proc.Process.aspace region)
-  | Address_space.Normal | Address_space.Shared _ -> ());
+  sweep_if_dma pc proc region;
   Array.length items
 
-let decrypt_region_batched ?journal pc proc region =
-  decrypt_region_batch_with ~decrypt_batch:Page_crypt.decrypt_batch ?journal pc proc region
-
-(** Offload twin: the region batch is pipelined into the command
-    queue, one completion poll per region. *)
-let decrypt_region_offload ?journal pc proc region =
-  decrypt_region_batch_with ~decrypt_batch:Page_crypt.decrypt_batch_offload ?journal pc proc
-    region
-
-(** No_access eager pass over one region: restore every revoked
-    mapping — PTE writes only, no crypto, no coherence sweep (the
-    frame bytes never changed).  Residual ciphertext pages (from a
-    crypto backend's earlier cycle) go through the batched decrypt so
-    devices never DMA ciphertext. *)
-let restore_region_no_access ?journal pc proc (region : Address_space.region) =
+(* No_access eager pass over one region: restore every revoked
+   mapping — PTE writes only, no crypto, no coherence sweep (the frame
+   bytes never changed).  Residual ciphertext pages (from a crypto
+   backend's earlier cycle) go through the batched CPU decrypt so
+   devices never DMA ciphertext. *)
+let restore_region ?journal pc proc region =
   let pid = proc.Process.pid in
   let clock = Machine.clock (Page_crypt.machine pc) in
-  let residual = decrypt_region_batched ?journal pc proc region in
+  let residual = decrypt_region_batched ~backend:Backend.No_access ?journal pc proc region in
   let pages = ref residual in
   List.iter
     (fun ((_vpn : int), pte) ->
@@ -209,9 +190,14 @@ let restore_region_no_access ?journal pc proc (region : Address_space.region) =
     (Address_space.region_ptes proc.Process.aspace region);
   !pages
 
-(* The eager part of unlock, parameterized over the region-decrypt
-   engine and the lazy handler to install: decrypt DMA regions,
-   re-admit processes, install the handler. *)
+let region_unlock ~(backend : Backend.kind) =
+  match backend with
+  | Backend.Batched | Backend.Offload -> decrypt_region_batched ~backend
+  | Backend.No_access -> restore_region
+
+(* The eager part of unlock, parameterized over the region walk and
+   the lazy handler to install: unlock DMA regions, re-admit
+   processes, install the handler. *)
 let run_with ~region_decrypt ~handler ?journal pc (system : System.t) ~sensitive =
   let machine = system.System.machine in
   let clock = Machine.clock machine in
@@ -242,34 +228,23 @@ let run_with ~region_decrypt ~handler ?journal pc (system : System.t) ~sensitive
     energy_j = Energy.category (Machine.energy machine) "aes" -. energy0;
   }
 
-(** [run pc system ~sensitive] — the eager part of unlock through the
-    batched pipeline (the default): each DMA region's pages are
-    frame-sorted and decrypted as one batch, followed by one coalesced
-    pre-DMA coherence sweep.  With [?journal], eager progress is
-    journaled (coalesced per [Lock_journal.coalesce] pages) so a crash
+(** [run ~backend pc system ~sensitive] — the eager part of unlock:
+    each DMA region is unlocked now (a frame-sorted batch decrypt and
+    one coalesced pre-DMA coherence sweep under [Batched]/[Offload];
+    mapping restores under [No_access]), then the lazy handler is
+    installed.  With [?journal], eager progress is journaled
+    (coalesced per [Lock_journal.coalesce] pages) so a crash
     mid-unlock can be rolled back to fully-locked ([Sentry.recover]
     re-encrypts the already-decrypted pages and aborts the unlock). *)
-let run ?journal pc system ~sensitive =
-  run_with ~region_decrypt:decrypt_region_batched ~handler:fault_handler ?journal pc system
-    ~sensitive
+let run ?journal ~backend pc system ~sensitive =
+  run_with ~region_decrypt:(region_unlock ~backend) ~handler:(fault_handler ~backend) ?journal
+    pc system ~sensitive
 
 (** The page-at-a-time reference unlock; no backend or flag reaches
     it (the batched [run] is differentially tested against it). *)
 let run_per_page ?journal pc system ~sensitive =
-  run_with ~region_decrypt:decrypt_region ~handler:fault_handler ?journal pc system ~sensitive
-
-(** Offload unlock: eager DMA batches pipeline into the command queue
-    (amortized fixed latency), and the installed lazy handler pays the
-    full round trip per first touch. *)
-let run_offload ?journal pc system ~sensitive =
-  run_with ~region_decrypt:decrypt_region_offload ~handler:fault_handler_offload ?journal pc
-    system ~sensitive
-
-(** No_access unlock: eagerly restore DMA-region mappings (PTE writes
-    only), install the mapping-restore lazy handler. *)
-let run_no_access ?journal pc system ~sensitive =
-  run_with ~region_decrypt:restore_region_no_access ~handler:fault_handler_no_access ?journal
-    pc system ~sensitive
+  run_with ~region_decrypt:decrypt_region ~handler:reference_fault_handler ?journal pc system
+    ~sensitive
 
 (* The eager-everything ablation, parameterized like [run_with]. *)
 let run_eager_with ~region_decrypt ~handler pc (system : System.t) ~sensitive =
@@ -285,23 +260,14 @@ let run_eager_with ~region_decrypt ~handler pc (system : System.t) ~sensitive =
   !pages
 
 (** Eager-everything alternative (the ablation Fig 2 is compared
-    against): decrypt every page of every sensitive process now,
-    region by region through the batch engine. *)
-let run_eager pc system ~sensitive =
-  run_eager_with ~region_decrypt:decrypt_region_batched ~handler:fault_handler pc system
-    ~sensitive
+    against): unlock every page of every sensitive process now,
+    region by region. *)
+let run_eager ~backend pc system ~sensitive =
+  run_eager_with ~region_decrypt:(region_unlock ~backend) ~handler:(fault_handler ~backend) pc
+    system ~sensitive
 
 (** The page-at-a-time eager ablation; a reference for [run_eager]
     that no backend or flag reaches. *)
 let run_eager_per_page pc system ~sensitive =
-  run_eager_with ~region_decrypt:decrypt_region ~handler:fault_handler pc system ~sensitive
-
-(** Eager-everything through the offload engine. *)
-let run_eager_offload pc system ~sensitive =
-  run_eager_with ~region_decrypt:decrypt_region_offload ~handler:fault_handler_offload pc
-    system ~sensitive
-
-(** Eager-everything under No_access: restore every mapping now. *)
-let run_eager_no_access pc system ~sensitive =
-  run_eager_with ~region_decrypt:restore_region_no_access ~handler:fault_handler_no_access pc
-    system ~sensitive
+  run_eager_with ~region_decrypt:decrypt_region ~handler:reference_fault_handler pc system
+    ~sensitive

@@ -23,16 +23,76 @@ type stats = {
   energy_j : float;
 }
 
-let encrypt_process ?journal pc ~all_procs proc =
-  let pid = proc.Process.pid in
-  let aspace = proc.Process.aspace in
-  let pages = ref 0 and skipped = ref 0 in
+(* Visit every PTE of every region of [sensitive] the share policy
+   says to encrypt, in walk order, clearing each young bit after [f]
+   so post-unlock accesses trap; returns the pages the policy
+   skipped. *)
+let iter_lockable (system : System.t) ~sensitive f =
+  let skipped = ref 0 in
   List.iter
-    (fun region ->
-      if Share_policy.should_encrypt ~all_procs region then
-        List.iter
-          (fun (vpn, pte) ->
-            if pte.Page_table.present && not pte.Page_table.encrypted then begin
+    (fun proc ->
+      let aspace = proc.Process.aspace in
+      List.iter
+        (fun region ->
+          if Share_policy.should_encrypt ~all_procs:system.System.procs region then
+            List.iter
+              (fun (vpn, pte) ->
+                f proc vpn pte;
+                pte.Page_table.young <- false)
+              (Address_space.region_ptes aspace region)
+          else skipped := !skipped + region.Address_space.npages)
+        (Address_space.regions aspace))
+    sensitive;
+  !skipped
+
+(* The frame every lock walk shares: the freed-page barrier (so no
+   sensitive plaintext lingers in de-allocated frames), the journal
+   pass, [protect] — which protects the pages and returns
+   (pages protected, pages skipped) — then parking (the Locked_out
+   guard makes it idempotent for the recovery re-run), the journal
+   commit and the masked L2 flush (no plaintext may survive in
+   unlocked cache ways). *)
+let walk ?journal (system : System.t) ~sensitive ~background ~bytes_per_page protect =
+  let machine = system.System.machine in
+  let clock = Machine.clock machine in
+  let start = Clock.now clock in
+  let energy0 = Energy.category (Machine.energy machine) "aes" in
+  let zeroed = Zerod.drain system.System.zerod in
+  Option.iter
+    (fun j ->
+      let pid = match sensitive with p :: _ -> p.Process.pid | [] -> 0 in
+      Lock_journal.begin_pass j Lock_journal.Lock_pass ~pid)
+    journal;
+  let pages, skipped = protect () in
+  List.iter
+    (fun proc ->
+      if (not (background proc)) && proc.Process.state <> Process.Locked_out then
+        Sched.make_unschedulable system.System.sched proc)
+    sensitive;
+  Option.iter Lock_journal.commit journal;
+  Pl310.flush_masked (Machine.l2 machine);
+  {
+    pages_encrypted = pages;
+    bytes_encrypted = pages * bytes_per_page;
+    pages_skipped_shared = skipped;
+    freed_pages_zeroed = zeroed;
+    elapsed_ns = Clock.elapsed clock ~since:start;
+    energy_j = Energy.category (Machine.energy machine) "aes" -. energy0;
+  }
+
+(** [run_per_page pc system ~sensitive ~background] executes the full
+    lock sequence over the sensitive process set, one page at a time.
+    No backend or flag reaches it: it is the reference walk the
+    batched [run] is differentially tested against.  With [?journal],
+    walk progress is journaled per page and the pass committed at the
+    end.  The walk is idempotent (keyed off PTE [encrypted] bits). *)
+let run_per_page ?journal pc system ~sensitive ~background =
+  walk ?journal system ~sensitive ~background ~bytes_per_page:Page.size (fun () ->
+      let pages = ref 0 in
+      let skipped =
+        iter_lockable system ~sensitive (fun proc vpn pte ->
+            let pid = proc.Process.pid in
+            if pte.Page_table.present && not pte.Page_table.encrypted then
               (* ordering is fail-secure and idempotent: ciphertext
                  lands in memory, then — inside the same crash unit,
                  before the page-boundary fault hook — the PTE flags
@@ -42,108 +102,30 @@ let encrypt_process ?journal pc ~all_procs proc =
                  it flagged (recovery skips it).  Neither gap ever
                  leaves cleartext believed encrypted, and no page is
                  ever encrypted twice. *)
-              Page_crypt.encrypt_frame pc ~pid ~vpn ~frame:pte.Page_table.frame
-                ~commit:(fun () ->
+              Page_crypt.encrypt_frame pc ~pid ~vpn ~frame:pte.Page_table.frame ~commit:(fun () ->
                   pte.Page_table.encrypted <- true;
                   incr pages;
-                  Option.iter (fun j -> Lock_journal.record j ~pid) journal)
-            end;
-            pte.Page_table.young <- false)
-          (Address_space.region_ptes aspace region)
-      else skipped := !skipped + region.Address_space.npages)
-    (Address_space.regions aspace);
-  (!pages, !skipped)
+                  Option.iter (fun j -> Lock_journal.record j ~pid) journal))
+      in
+      (!pages, skipped))
 
-let finish_lock ?journal (system : System.t) ~sensitive ~background =
-  List.iter
-    (fun proc ->
-      (* the Locked_out guard makes parking idempotent for the
-         recovery re-run (make_unschedulable would double-push) *)
-      if (not (background proc)) && proc.Process.state <> Process.Locked_out then
-        Sched.make_unschedulable system.System.sched proc)
-    sensitive;
-  Option.iter Lock_journal.commit journal;
-  (* no plaintext may survive in unlocked cache ways *)
-  Pl310.flush_masked (Machine.l2 system.System.machine)
-
-(** [run_per_page pc system ~sensitive ~background] executes the full
-    lock sequence over the sensitive process set, one page at a time.
-    No backend or flag reaches it: it is the reference walk the
-    batched [run] is differentially tested against.  With [?journal],
-    walk progress is journaled per page and the pass committed at the
-    end.  The walk is idempotent (keyed off PTE [encrypted] bits). *)
-let run_per_page ?journal pc (system : System.t) ~sensitive ~background =
-  let machine = system.System.machine in
-  let clock = Machine.clock machine in
-  let start = Clock.now clock in
-  let energy0 = Energy.category (Machine.energy machine) "aes" in
-  (* freed-page barrier *)
-  let zeroed = Zerod.drain system.System.zerod in
-  let pages = ref 0 and skipped = ref 0 in
-  Option.iter
-    (fun j ->
-      let pid = match sensitive with p :: _ -> p.Process.pid | [] -> 0 in
-      Lock_journal.begin_pass j Lock_journal.Lock_pass ~pid)
-    journal;
-  List.iter
-    (fun proc ->
-      let p, s = encrypt_process ?journal pc ~all_procs:system.System.procs proc in
-      pages := !pages + p;
-      skipped := !skipped + s)
-    sensitive;
-  finish_lock ?journal system ~sensitive ~background;
-  {
-    pages_encrypted = !pages;
-    bytes_encrypted = !pages * Page.size;
-    pages_skipped_shared = !skipped;
-    freed_pages_zeroed = zeroed;
-    elapsed_ns = Clock.elapsed clock ~since:start;
-    energy_j = Energy.category (Machine.energy machine) "aes" -. energy0;
-  }
-
-(** [run pc system ~sensitive ~background] — the batched lock driver
-    (the default pipeline).  One pass over the page tables gathers
-    every (pid, vpn, frame) triple to encrypt (clearing young bits as
-    it goes), the work list is sorted by frame so the sweep walks DRAM
-    and the physically-indexed L2 monotonically, and the whole batch
-    goes through [Page_crypt.encrypt_batch] — one staging buffer, one
-    cached cipher schedule, the run-granule memory path.  Each page's
-    simulated op sequence and fail-secure ordering (ciphertext, then
-    PTE flag, then journal) are exactly [run_per_page]'s; journal
-    records are coalesced per [Lock_journal.coalesce] pages, an
-    under-count recovery tolerates by design. *)
-let run_batch_with ~encrypt_batch ?journal pc (system : System.t) ~sensitive ~background =
-  let machine = system.System.machine in
-  let clock = Machine.clock machine in
-  let start = Clock.now clock in
-  let energy0 = Energy.category (Machine.energy machine) "aes" in
-  (* freed-page barrier *)
-  let zeroed = Zerod.drain system.System.zerod in
-  let skipped = ref 0 in
-  Option.iter
-    (fun j ->
-      let pid = match sensitive with p :: _ -> p.Process.pid | [] -> 0 in
-      Lock_journal.begin_pass j Lock_journal.Lock_pass ~pid)
-    journal;
-  (* gather: same per-PTE walk effects as [encrypt_process], with the
-     transforms deferred to the batch *)
+(* The batched lock walk ([Batched] and [Offload]).  One pass over the
+   page tables gathers every (pid, vpn, frame) triple to encrypt
+   (clearing young bits as it goes), the work list is sorted by frame
+   so the sweep walks DRAM and the physically-indexed L2
+   monotonically, and the whole batch goes through
+   [Page_crypt.encrypt_batch].  Each page's simulated op sequence and
+   fail-secure ordering (ciphertext, then PTE flag, then journal) are
+   exactly [run_per_page]'s; journal records are coalesced per
+   [Lock_journal.coalesce] pages, an under-count recovery tolerates
+   by design. *)
+let encrypt_batched ?journal ~backend pc system ~sensitive () =
   let work = ref [] in
-  List.iter
-    (fun proc ->
-      let pid = proc.Process.pid in
-      let aspace = proc.Process.aspace in
-      List.iter
-        (fun region ->
-          if Share_policy.should_encrypt ~all_procs:system.System.procs region then
-            List.iter
-              (fun (vpn, pte) ->
-                if pte.Page_table.present && not pte.Page_table.encrypted then
-                  work := (pid, vpn, pte) :: !work;
-                pte.Page_table.young <- false)
-              (Address_space.region_ptes aspace region)
-          else skipped := !skipped + region.Address_space.npages)
-        (Address_space.regions aspace))
-    sensitive;
+  let skipped =
+    iter_lockable system ~sensitive (fun proc vpn pte ->
+        if pte.Page_table.present && not pte.Page_table.encrypted then
+          work := (proc.Process.pid, vpn, pte) :: !work)
+  in
   let work = Array.of_list (List.rev !work) in
   (* stable, so layouts already walked in frame order (the common
      case) keep their walk order exactly *)
@@ -160,7 +142,7 @@ let run_batch_with ~encrypt_batch ?journal pc (system : System.t) ~sensitive ~ba
       pending := 0
     end
   in
-  encrypt_batch pc items ~complete:(fun i ->
+  Page_crypt.encrypt_batch ~backend pc items ~complete:(fun i ->
       let pid, _, pte = work.(i) in
       (* fail-secure and idempotent: ciphertext already in memory,
          now the PTE flag, then the (coalesced) journal — all before
@@ -173,81 +155,41 @@ let run_batch_with ~encrypt_batch ?journal pc (system : System.t) ~sensitive ~ba
           if !pending >= Lock_journal.coalesce then flush j
       | None -> ());
   Option.iter flush journal;
-  finish_lock ?journal system ~sensitive ~background;
-  {
-    pages_encrypted = Array.length work;
-    bytes_encrypted = Array.length work * Page.size;
-    pages_skipped_shared = !skipped;
-    freed_pages_zeroed = zeroed;
-    elapsed_ns = Clock.elapsed clock ~since:start;
-    energy_j = Energy.category (Machine.energy machine) "aes" -. energy0;
-  }
+  (Array.length work, skipped)
 
-let run ?journal pc system ~sensitive ~background =
-  run_batch_with ~encrypt_batch:Page_crypt.encrypt_batch ?journal pc system ~sensitive
-    ~background
+(* The MProtect-inspired lock walk ([No_access]): revoke each
+   sensitive page's mapping instead of encrypting it.  No bytes move —
+   the frame keeps its {e cleartext} contents, which is exactly the
+   attack surface the Table-3 checkers must flag (cold boot and DMA
+   read secrets out of locked DRAM), and the freed-page barrier is the
+   only thing between a de-allocated cleartext frame and a dump.  Each
+   page still journals and fires the [page_encrypted] boundary hook
+   so crash plans and recovery replay work unchanged; the walk is
+   idempotent keyed off the [no_access] bit. *)
+let revoke ?journal (system : System.t) ~sensitive () =
+  let clock = Machine.clock system.System.machine in
+  let pages = ref 0 in
+  let skipped =
+    iter_lockable system ~sensitive (fun proc _vpn pte ->
+        if pte.Page_table.present && not pte.Page_table.no_access then begin
+          (* permission write + single-entry TLB shootdown: the whole
+             per-page cost of this backend *)
+          pte.Page_table.no_access <- true;
+          incr pages;
+          Clock.advance clock Calib.pte_protect_ns;
+          Option.iter (fun j -> Lock_journal.record j ~pid:proc.Process.pid) journal;
+          Sentry_faults.Injector.fire Sentry_faults.Injector.Points.page_encrypted
+        end)
+  in
+  (!pages, skipped)
 
-(** [run_offload] — the batched driver pipelining the frame-sorted run
-    into the MemShield-style command queue ([Offload] backend): same
-    gather/sort/commit machinery, crypto time/energy accounted by the
-    engine, one completion poll per run. *)
-let run_offload ?journal pc system ~sensitive ~background =
-  run_batch_with ~encrypt_batch:Page_crypt.encrypt_batch_offload ?journal pc system ~sensitive
-    ~background
-
-(** [run_no_access] — the MProtect-inspired lock walk ([No_access]
-    backend): revoke each sensitive page's mapping instead of
-    encrypting it.  No bytes move — the frame keeps its {e cleartext}
-    contents, which is exactly the attack surface the Table-3 checkers
-    must flag (cold boot and DMA read secrets out of locked DRAM).
-    Each page still journals and fires the [page_encrypted] boundary
-    hook so crash plans and recovery replay work unchanged; the walk
-    is idempotent keyed off the [no_access] bit. *)
-let run_no_access ?journal pc (system : System.t) ~sensitive ~background =
-  ignore pc;
-  let machine = system.System.machine in
-  let clock = Machine.clock machine in
-  let start = Clock.now clock in
-  let energy0 = Energy.category (Machine.energy machine) "aes" in
-  (* freed-page barrier: freed frames are not mapped at all, so the
-     zero scrub matters even more here — it is the only thing standing
-     between a de-allocated cleartext frame and a dump *)
-  let zeroed = Zerod.drain system.System.zerod in
-  let pages = ref 0 and skipped = ref 0 in
-  Option.iter
-    (fun j ->
-      let pid = match sensitive with p :: _ -> p.Process.pid | [] -> 0 in
-      Lock_journal.begin_pass j Lock_journal.Lock_pass ~pid)
-    journal;
-  List.iter
-    (fun proc ->
-      let pid = proc.Process.pid in
-      let aspace = proc.Process.aspace in
-      List.iter
-        (fun region ->
-          if Share_policy.should_encrypt ~all_procs:system.System.procs region then
-            List.iter
-              (fun (_vpn, pte) ->
-                if pte.Page_table.present && not pte.Page_table.no_access then begin
-                  (* permission write + single-entry TLB shootdown:
-                     the whole per-page cost of this backend *)
-                  pte.Page_table.no_access <- true;
-                  incr pages;
-                  Clock.advance clock Calib.pte_protect_ns;
-                  Option.iter (fun j -> Lock_journal.record j ~pid) journal;
-                  Sentry_faults.Injector.fire Sentry_faults.Injector.Points.page_encrypted
-                end;
-                pte.Page_table.young <- false)
-              (Address_space.region_ptes aspace region)
-          else skipped := !skipped + region.Address_space.npages)
-        (Address_space.regions aspace))
-    sensitive;
-  finish_lock ?journal system ~sensitive ~background;
-  {
-    pages_encrypted = !pages;
-    bytes_encrypted = 0;
-    pages_skipped_shared = !skipped;
-    freed_pages_zeroed = zeroed;
-    elapsed_ns = Clock.elapsed clock ~since:start;
-    energy_j = Energy.category (Machine.energy machine) "aes" -. energy0;
-  }
+(** [run ~backend pc system ~sensitive ~background] — the lock walk of
+    every backend. *)
+let run ?journal ~(backend : Backend.kind) pc system ~sensitive ~background =
+  match backend with
+  | Backend.Batched | Backend.Offload ->
+      walk ?journal system ~sensitive ~background ~bytes_per_page:Page.size
+        (encrypt_batched ?journal ~backend pc system ~sensitive)
+  | Backend.No_access ->
+      walk ?journal system ~sensitive ~background ~bytes_per_page:0
+        (revoke ?journal system ~sensitive)

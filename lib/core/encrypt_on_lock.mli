@@ -11,18 +11,29 @@ type stats = {
   energy_j : float;  (** AES energy attributable to this lock pass *)
 }
 
-(** [run pc system ~sensitive ~background] executes the full lock
-    sequence through the batched pipeline (the default): gather every
-    page to encrypt, sort by frame, push the whole batch through
-    [Page_crypt.encrypt_batch] with journal records coalesced per
-    [Lock_journal.coalesce] pages.  Processes for which [background]
-    returns [true] stay schedulable (the encrypted-DRAM pager will
-    serve them); the rest are parked on the un-schedulable queue.
-    With [?journal], walk progress is journaled for crash recovery;
-    the walk is idempotent (keyed off PTE [encrypted] bits and guarded
-    parking), so recovery can simply re-run it. *)
+(** [run ~backend pc system ~sensitive ~background] executes the full
+    lock sequence: freed-page barrier, page-table walk, young-bit
+    clearing, parking, masked L2 flush.  Processes for which
+    [background] returns [true] stay schedulable (the encrypted-DRAM
+    pager will serve them); the rest are parked on the un-schedulable
+    queue.  With [?journal], walk progress is journaled for crash
+    recovery; the walk is idempotent (keyed off PTE bits and guarded
+    parking), so recovery can simply re-run it.
+
+    [Batched] and [Offload] gather every page to encrypt, sort by
+    frame and push the whole batch through
+    [Page_crypt.encrypt_batch ~backend], with journal records
+    coalesced per [Lock_journal.coalesce] pages; their DRAM, PTE and
+    taint evolution is bit-identical, only time and energy differ.
+    [No_access] revokes each sensitive page's mapping instead of
+    encrypting it (per-page journal records): DRAM keeps the
+    cleartext — cold boot and DMA succeed against it by design, and
+    the Table-3 checkers flag exactly that.  Its
+    [stats.bytes_encrypted] is 0 and [stats.pages_encrypted] counts
+    protected (revoked) pages. *)
 val run :
   ?journal:Lock_journal.t ->
+  backend:Backend.kind ->
   Page_crypt.t ->
   System.t ->
   sensitive:Sentry_kernel.Process.t list ->
@@ -33,31 +44,6 @@ val run :
     journal records).  No backend or flag reaches it: it exists as the
     reference the batched [run] is differentially tested against. *)
 val run_per_page :
-  ?journal:Lock_journal.t ->
-  Page_crypt.t ->
-  System.t ->
-  sensitive:Sentry_kernel.Process.t list ->
-  background:(Sentry_kernel.Process.t -> bool) ->
-  stats
-
-(** MemShield-style offload driver ([Backend.Offload]): the batched
-    gather/sort/commit machinery pipelining frame-sorted runs into the
-    [Offload_engine] command queue, with one completion poll per run.
-    Simulated DRAM/PTE/taint evolution is bit-identical to [run]. *)
-val run_offload :
-  ?journal:Lock_journal.t ->
-  Page_crypt.t ->
-  System.t ->
-  sensitive:Sentry_kernel.Process.t list ->
-  background:(Sentry_kernel.Process.t -> bool) ->
-  stats
-
-(** MProtect-style no-access walk ([Backend.No_access]): revoke each
-    sensitive page's mapping instead of encrypting it.  DRAM keeps the
-    cleartext — cold boot and DMA succeed against it by design; the
-    Table-3 checkers flag exactly that.  [stats.bytes_encrypted] is 0;
-    [stats.pages_encrypted] counts protected (revoked) pages. *)
-val run_no_access :
   ?journal:Lock_journal.t ->
   Page_crypt.t ->
   System.t ->

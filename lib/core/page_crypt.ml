@@ -54,11 +54,6 @@ let decrypt_bytes t ~pid ~vpn data =
   t.bytes_decrypted <- t.bytes_decrypted + Bytes.length data;
   Aes_on_soc.bulk t.aes ~dir:`Decrypt ~iv:(iv t ~pid ~vpn) data
 
-(** Encrypt a frame in place (lock path).  The ciphertext replaces the
-    plaintext through the cached path; the lock sequence ends with a
-    masked L2 flush so no plaintext survives in unlocked ways.
-    Passing through the cipher declassifies: the frame's bytes are
-    re-labelled [Ciphertext]. *)
 let trace_frame t name ~pid ~vpn ~frame =
   if Sentry_obs.Trace.on () then
     Sentry_obs.Trace.emit
@@ -71,6 +66,11 @@ let trace_frame t name ~pid ~vpn ~frame =
           ("frame", Sentry_obs.Event.Int frame);
         ]
 
+(** Encrypt a frame in place (the reference lock walk).  The
+    ciphertext replaces the plaintext through the cached path; the
+    lock sequence ends with a masked L2 flush so no plaintext survives
+    in unlocked ways.  Passing through the cipher declassifies: the
+    frame's bytes are re-labelled [Ciphertext]. *)
 let encrypt_frame ?(commit = fun () -> ()) t ~pid ~vpn ~frame =
   trace_frame t "encrypt-frame" ~pid ~vpn ~frame;
   Machine.read_into t.machine frame t.page_buf ~off:0 ~len:Page.size;
@@ -95,8 +95,8 @@ let encrypt_frame ?(commit = fun () -> ()) t ~pid ~vpn ~frame =
      ciphertext, PTE flag and journal record have all committed *)
   Sentry_faults.Injector.fire Sentry_faults.Injector.Points.page_encrypted
 
-(** Decrypt a frame in place (lazy unlock path); the recovered bytes
-    are secret cleartext again. *)
+(** Decrypt a frame in place (the reference unlock walks and their
+    lazy handler); the recovered bytes are secret cleartext again. *)
 let decrypt_frame t ~pid ~vpn ~frame =
   trace_frame t "decrypt-frame" ~pid ~vpn ~frame;
   Machine.read_into t.machine frame t.page_buf ~off:0 ~len:Page.size;
@@ -108,21 +108,26 @@ let decrypt_frame t ~pid ~vpn ~frame =
       Machine.write_from t.machine frame t.page_buf ~off:0 ~len:Page.size);
   Sentry_faults.Injector.fire Sentry_faults.Injector.Points.page_decrypted
 
-(* ----------------------- batched pipeline ------------------------ *)
+(* ------------------------- batch engine -------------------------- *)
 
 (** One page of a batched lock/unlock pass; [frame] is the physical
     frame address.  The caller sorts items by frame so the walk sweeps
     DRAM (and the physically-indexed L2) monotonically. *)
 type batch_item = { pid : int; vpn : int; frame : int }
 
-(* One batched page transform.  The per-page op sequence — trace,
-   cached read, counter, fault hooks, cipher charge bracket, tainted
-   write-back — replicates [encrypt_frame]/[decrypt_frame] {e
-   exactly}, so the simulated state evolution per page is identical;
-   the batch engine only changes the host-side machinery around it
-   (run-granule memory path, reused IV buffer, fused cipher kernel,
-   one cached [Mode] across the batch). *)
-let transform_item t ~(dir : [ `Encrypt | `Decrypt ]) { pid; vpn; frame } =
+(* One page transform, shared by the batch walks and the lazy fault.
+   The per-page op sequence — trace, cached read, counter, fault
+   hooks, cipher, tainted write-back — replicates
+   [encrypt_frame]/[decrypt_frame] {e exactly}, so the simulated state
+   evolution per page is identical; only the host-side machinery
+   around it differs (run-granule memory path, reused IV buffer,
+   fused cipher kernel).  The backend picks who pays for the cipher:
+   [Offload] runs the same kernel uncharged ([bulk_fused_raw]) and
+   submits the page as a command to the [Offload_engine] queue; every
+   other backend charges the CPU inside the IRQ bracket.  Bytes, PTEs
+   and taint are bit-identical either way. *)
+let transform_item ~(backend : Backend.kind) t ~(dir : [ `Encrypt | `Decrypt ])
+    { pid; vpn; frame } =
   trace_frame t (match dir with `Encrypt -> "encrypt-frame" | `Decrypt -> "decrypt-frame") ~pid
     ~vpn ~frame;
   Machine.read_run_into t.machine frame t.page_buf ~off:0 ~len:Page.size;
@@ -131,141 +136,81 @@ let transform_item t ~(dir : [ `Encrypt | `Decrypt ]) { pid; vpn; frame } =
   | `Decrypt -> t.bytes_decrypted <- t.bytes_decrypted + Page.size);
   Sentry_faults.Injector.fire Sentry_faults.Injector.Points.frame_transform;
   Essiv.iv_into t.essiv ~sector:((pid lsl 24) lxor vpn) t.iv_buf 0;
-  Aes_on_soc.bulk_fused_into t.aes ~dir ~iv:t.iv_buf ~iv_off:0 ~src:t.page_buf ~src_off:0
-    ~dst:t.page_buf ~dst_off:0 ~len:Page.size;
+  (match backend with
+  | Backend.Offload ->
+      Aes_on_soc.bulk_fused_raw t.aes ~dir ~iv:t.iv_buf ~iv_off:0 ~src:t.page_buf ~src_off:0
+        ~dst:t.page_buf ~dst_off:0 ~len:Page.size;
+      Offload_engine.submit t.engine ~bytes:Page.size
+  | Backend.Batched | Backend.No_access ->
+      Aes_on_soc.bulk_fused_into t.aes ~dir ~iv:t.iv_buf ~iv_off:0 ~src:t.page_buf ~src_off:0
+        ~dst:t.page_buf ~dst_off:0 ~len:Page.size);
   let level = match dir with `Encrypt -> Taint.Ciphertext | `Decrypt -> Taint.Secret_cleartext in
   Machine.with_taint t.machine level (fun () ->
       Machine.write_run_from t.machine frame t.page_buf ~off:0 ~len:Page.size)
 
-let fire_page_done = function
-  | `Encrypt -> Sentry_faults.Injector.fire Sentry_faults.Injector.Points.page_encrypted
-  | `Decrypt -> Sentry_faults.Injector.fire Sentry_faults.Injector.Points.page_decrypted
+(* The [Offload] queue is polled for completion once, after the last
+   page of a batch: the fixed per-command latency is amortized over
+   the batch.  The CPU backends have nothing to wait for. *)
+let complete_commands ~(backend : Backend.kind) t =
+  match backend with
+  | Backend.Offload -> Offload_engine.flush t.engine
+  | Backend.Batched | Backend.No_access -> ()
 
-(** [encrypt_batch t items ~complete] — the lock path's batch engine:
-    encrypt every item's frame in place, calling [complete i]
-    immediately after item [i]'s ciphertext lands and {e before} the
-    [page_encrypted] fault hook — the caller flips the PTE and
-    journals there, matching [encrypt_frame]'s [?commit] slot, so a
-    crash at any page boundary leaves every ciphertext page flagged
-    and recovery's PTE-keyed roll-forward idempotent. *)
-let encrypt_batch t items ~complete =
+let with_batch_span ~(backend : Backend.kind) t name items f =
   let traced = Sentry_obs.Trace.on () in
   if traced then
     Sentry_obs.Trace.enter_span
       ~ts:(Clock.now (Machine.clock t.machine))
-      ~cat:Sentry_obs.Event.Crypto ~subsystem:"core.page_crypt" "encrypt-batch";
-  Array.iteri
-    (fun i item ->
-      transform_item t ~dir:`Encrypt item;
-      complete i;
-      fire_page_done `Encrypt)
-    items;
+      ~cat:Sentry_obs.Event.Crypto ~subsystem:"core.page_crypt"
+      (match backend with
+      | Backend.Offload -> name ^ "-offload"
+      | Backend.Batched | Backend.No_access -> name);
+  f ();
+  complete_commands ~backend t;
   if traced then
     Sentry_obs.Trace.exit_span
       ~ts:(Clock.now (Machine.clock t.machine))
       ~args:[ ("pages", Sentry_obs.Event.Int (Array.length items)) ]
       ()
 
-(** [decrypt_batch t items ~prepare ~complete] — the unlock twin:
-    [prepare i] runs {e before} item [i] is touched (the caller clears
-    the PTE's encrypted bit there — fail-secure: a crash mid-transform
-    re-encrypts on recovery), [complete i] after the cleartext lands. *)
-let decrypt_batch t items ~prepare ~complete =
-  let traced = Sentry_obs.Trace.on () in
-  if traced then
-    Sentry_obs.Trace.enter_span
-      ~ts:(Clock.now (Machine.clock t.machine))
-      ~cat:Sentry_obs.Event.Crypto ~subsystem:"core.page_crypt" "decrypt-batch";
-  Array.iteri
-    (fun i item ->
-      prepare i;
-      transform_item t ~dir:`Decrypt item;
-      fire_page_done `Decrypt;
-      complete i)
-    items;
-  if traced then
-    Sentry_obs.Trace.exit_span
-      ~ts:(Clock.now (Machine.clock t.machine))
-      ~args:[ ("pages", Sentry_obs.Event.Int (Array.length items)) ]
-      ()
+(** [encrypt_batch ~backend t items ~complete] — the lock path's
+    batch engine: encrypt every item's frame in place, calling
+    [complete i] immediately after item [i]'s ciphertext lands and
+    {e before} the [page_encrypted] fault hook — the caller flips the
+    PTE and journals there, matching [encrypt_frame]'s [?commit] slot,
+    so a crash at any page boundary leaves every ciphertext page
+    flagged and recovery's PTE-keyed roll-forward idempotent. *)
+let encrypt_batch ~backend t items ~complete =
+  with_batch_span ~backend t "encrypt-batch" items (fun () ->
+      Array.iteri
+        (fun i item ->
+          transform_item ~backend t ~dir:`Encrypt item;
+          complete i;
+          Sentry_faults.Injector.fire Sentry_faults.Injector.Points.page_encrypted)
+        items)
 
-(* ----------------------- offload pipeline ------------------------ *)
+(** [decrypt_batch ~backend t items ~prepare ~complete] — the unlock
+    twin: [prepare i] runs {e before} item [i] is touched (the caller
+    clears the PTE's encrypted bit there — fail-secure: a crash
+    mid-transform re-encrypts on recovery), [complete i] after the
+    cleartext lands. *)
+let decrypt_batch ~backend t items ~prepare ~complete =
+  with_batch_span ~backend t "decrypt-batch" items (fun () ->
+      Array.iteri
+        (fun i item ->
+          prepare i;
+          transform_item ~backend t ~dir:`Decrypt item;
+          Sentry_faults.Injector.fire Sentry_faults.Injector.Points.page_decrypted;
+          complete i)
+        items)
 
-(* Offload twin of [transform_item]: same cached read, counters, fault
-   hooks, IVs, taint-labelled write-back and the same fused cipher
-   kernel (via [bulk_fused_raw]), so the simulated DRAM/PTE/taint
-   evolution is bit-identical to the CPU path.  Only the time/energy
-   accounting changes: instead of [Perf.charge] inside an IRQ bracket,
-   each page is a command submitted to the [Offload_engine] queue. *)
-let transform_item_offload t ~(dir : [ `Encrypt | `Decrypt ]) { pid; vpn; frame } =
-  trace_frame t (match dir with `Encrypt -> "encrypt-frame" | `Decrypt -> "decrypt-frame") ~pid
-    ~vpn ~frame;
-  Machine.read_run_into t.machine frame t.page_buf ~off:0 ~len:Page.size;
-  (match dir with
-  | `Encrypt -> t.bytes_encrypted <- t.bytes_encrypted + Page.size
-  | `Decrypt -> t.bytes_decrypted <- t.bytes_decrypted + Page.size);
-  Sentry_faults.Injector.fire Sentry_faults.Injector.Points.frame_transform;
-  Essiv.iv_into t.essiv ~sector:((pid lsl 24) lxor vpn) t.iv_buf 0;
-  Aes_on_soc.bulk_fused_raw t.aes ~dir ~iv:t.iv_buf ~iv_off:0 ~src:t.page_buf ~src_off:0
-    ~dst:t.page_buf ~dst_off:0 ~len:Page.size;
-  Offload_engine.submit t.engine ~bytes:Page.size;
-  let level = match dir with `Encrypt -> Taint.Ciphertext | `Decrypt -> Taint.Secret_cleartext in
-  Machine.with_taint t.machine level (fun () ->
-      Machine.write_run_from t.machine frame t.page_buf ~off:0 ~len:Page.size)
-
-(** Offload twin of [encrypt_batch]: pipelines frame-sorted runs into
-    the command queue and polls for completion once, after the last
-    page — the fixed per-command latency is amortized over the batch.
-    Commit ordering per page is unchanged ([complete i] before the
-    [page_encrypted] hook), so crash units and recovery are identical
-    to the batched CPU path. *)
-let encrypt_batch_offload t items ~complete =
-  let traced = Sentry_obs.Trace.on () in
-  if traced then
-    Sentry_obs.Trace.enter_span
-      ~ts:(Clock.now (Machine.clock t.machine))
-      ~cat:Sentry_obs.Event.Crypto ~subsystem:"core.page_crypt" "encrypt-batch-offload";
-  Array.iteri
-    (fun i item ->
-      transform_item_offload t ~dir:`Encrypt item;
-      complete i;
-      fire_page_done `Encrypt)
-    items;
-  Offload_engine.flush t.engine;
-  if traced then
-    Sentry_obs.Trace.exit_span
-      ~ts:(Clock.now (Machine.clock t.machine))
-      ~args:[ ("pages", Sentry_obs.Event.Int (Array.length items)) ]
-      ()
-
-(** Offload twin of [decrypt_batch]; same [prepare]/[complete] slots,
-    one completion poll per run. *)
-let decrypt_batch_offload t items ~prepare ~complete =
-  let traced = Sentry_obs.Trace.on () in
-  if traced then
-    Sentry_obs.Trace.enter_span
-      ~ts:(Clock.now (Machine.clock t.machine))
-      ~cat:Sentry_obs.Event.Crypto ~subsystem:"core.page_crypt" "decrypt-batch-offload";
-  Array.iteri
-    (fun i item ->
-      prepare i;
-      transform_item_offload t ~dir:`Decrypt item;
-      fire_page_done `Decrypt;
-      complete i)
-    items;
-  Offload_engine.flush t.engine;
-  if traced then
-    Sentry_obs.Trace.exit_span
-      ~ts:(Clock.now (Machine.clock t.machine))
-      ~args:[ ("pages", Sentry_obs.Event.Int (Array.length items)) ]
-      ()
-
-(** Single-page lazy decrypt through the offload engine — the losing
-    side of the crossover: submit one command, then block on the full
-    fixed completion latency before the faulting process can run. *)
-let decrypt_frame_offload t ~pid ~vpn ~frame =
-  transform_item_offload t ~dir:`Decrypt { pid; vpn; frame };
-  Offload_engine.flush t.engine;
+(** [decrypt_page ~backend t ~pid ~vpn ~frame] — the lazy fault's
+    single-page decrypt: one batch transform, then (under [Offload]) a
+    blocking completion poll that pays the engine's full fixed
+    latency, then the [page_decrypted] fault hook. *)
+let decrypt_page ~backend t ~pid ~vpn ~frame =
+  transform_item ~backend t ~dir:`Decrypt { pid; vpn; frame };
+  complete_commands ~backend t;
   Sentry_faults.Injector.fire Sentry_faults.Injector.Points.page_decrypted
 
 let counters t = (t.bytes_encrypted, t.bytes_decrypted)

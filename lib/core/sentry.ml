@@ -53,7 +53,7 @@ type t = {
      Never lives in simulated memory, so it is invisible to the
      modeled attacks. *)
   volatile_key_check : Bytes.t;
-  mutable backend : (module Backend.S);
+  mutable backend : Backend.kind;
   mutable sensitive : Process.t list;
   mutable background_enabled : Process.t list;
   mutable last_lock : Encrypt_on_lock.stats option;
@@ -161,7 +161,7 @@ let install (system : System.t) (config : Config.t) =
     background;
     journal;
     volatile_key_check = Bytes.copy volatile_key;
-    backend = Backend.of_kind Backend.Batched;
+    backend = Batched;
     sensitive = [];
     background_enabled = [];
     last_lock = None;
@@ -171,9 +171,7 @@ let install (system : System.t) (config : Config.t) =
 
 let state t = Lock_state.state t.lock_state
 
-let backend t =
-  let module B = (val t.backend : Backend.S) in
-  B.kind
+let backend t = t.backend
 
 (** [set_backend t b] — switch the protection backend.  Only legal
     while [Unlocked]: each backend fixes the journal granularity and
@@ -189,18 +187,17 @@ let set_backend t b =
         (Printf.sprintf "Sentry.set_backend: cannot switch to %s while %s"
            (Backend.kind_name b)
            (Lock_state.state_name (Lock_state.state t.lock_state)));
-    t.backend <- Backend.of_kind b
+    t.backend <- b
   end
 
-(* Backend-dispatched walk drivers. *)
 let lock_walk t =
-  let module B = (val t.backend : Backend.S) in
-  B.lock_walk ?journal:t.journal t.pc t.system ~sensitive:t.sensitive
+  Encrypt_on_lock.run ?journal:t.journal ~backend:t.backend t.pc t.system ~sensitive:t.sensitive
     ~background:(fun p -> List.memq p t.background_enabled)
 
 let unlock_walk t =
-  let module B = (val t.backend : Backend.S) in
-  B.unlock_walk ?journal:t.journal t.pc t.system ~sensitive:t.sensitive
+  Decrypt_on_unlock.run ?journal:t.journal ~backend:t.backend t.pc t.system
+    ~sensitive:t.sensitive
+
 let is_locked t = state t = Lock_state.Locked || state t = Lock_state.Deep_locked
 
 (** Mark an application for protection (the systems-settings menu
@@ -324,10 +321,11 @@ let recover t =
           ~subsystem:"core.recovery" "crash-recovery";
       let journal_entry = Option.bind t.journal Lock_journal.load in
       let rekeyed = ensure_key t in
-      (* backend-specific crash teardown (e.g. the offload engine's
-         command queue does not survive a reset) *)
-      let module B = (val t.backend : Backend.S) in
-      B.on_recover t.pc;
+      (* the offload engine's command queue does not survive a crash;
+         the walk below re-submits whatever is outstanding *)
+      (match t.backend with
+      | Offload -> Sentry_crypto.Offload_engine.reset (Page_crypt.engine t.pc)
+      | Batched | No_access -> ());
       (* The sweep is the lock walk itself: every present, unencrypted
          page of a should-encrypt region gets ciphertext — completing
          an interrupted lock and un-doing an interrupted unlock alike.
@@ -380,8 +378,7 @@ let unlock_eager t ~pin =
   | Ok () ->
       Option.iter Background.evict_all t.background;
       let pages =
-        let module B = (val t.backend : Backend.S) in
-        B.unlock_eager t.pc t.system ~sensitive:t.sensitive
+        Decrypt_on_unlock.run_eager ~backend:t.backend t.pc t.system ~sensitive:t.sensitive
       in
       Lock_state.finish_unlock t.lock_state;
       Ok pages

@@ -34,8 +34,6 @@ type t = {
   mutable blocks_done : int;
 }
 
-let context_size = Aes_state.total_size
-
 (** [init acc ~key] lays the full cipher context out behind [acc]:
     expands the key schedule and writes tables, key and schedule into
     their [Aes_state] slots. *)

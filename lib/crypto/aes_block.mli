@@ -22,9 +22,6 @@ type t = {
   mutable blocks_done : int;
 }
 
-(** Bytes of raw cipher state for a key size (= [Aes_state.total_size]). *)
-val context_size : Aes_key.size -> int
-
 (** Lay the full cipher context out behind the accessor: expands the
     key and writes tables, key and schedule into their
     [Aes_state] slots. *)

@@ -22,8 +22,7 @@ type t = {
   storage : storage;
   base : int;
   mutable block : Aes_block.t;
-  mutable fast_cipher : Mode.cipher; (* host-side twin for the bulk path *)
-  mutable fast_key : Aes.key; (* same schedule, for the fused page kernel *)
+  mutable fast_key : Aes.key; (* host-side key schedule for the bulk kernel *)
   scratch : Mode.scratch; (* reusable CBC chaining buffers *)
   chain : Bytes.t; (* batch-to-batch chaining block for [transform] *)
   variant : Perf.variant;
@@ -51,20 +50,16 @@ let create machine ~storage ~base ~key =
     | In_iram | In_pinned -> Perf.Onsoc_iram (* SRAM-class timing *)
     | In_locked_l2 -> Perf.Onsoc_locked_l2
   in
-  let expanded = Aes.expand key in
   {
     machine;
     storage;
     base;
     block;
-    fast_cipher = Mode.of_key expanded;
-    fast_key = expanded;
+    fast_key = Aes.expand key;
     scratch = Mode.make_scratch ();
     chain = Bytes.create 16;
     variant;
   }
-
-let context_bytes t = Aes_block.context_size t.block.Aes_block.size
 
 (** Run [f] with sensitive state live in CPU registers, under the IRQ
     bracket.  A context switch cannot fire inside, and the registers
@@ -115,78 +110,73 @@ let transform t ~(dir : [ `Encrypt | `Decrypt ]) ~iv data =
 let encrypt t ~iv data = transform t ~dir:`Encrypt ~iv data
 let decrypt t ~iv data = transform t ~dir:`Decrypt ~iv data
 
-(** Fast-path bulk transform for the paging engine, scatter-gather
-    flavour: transform the [len]-byte view of [src] into [dst]
-    ([src]/[dst] may alias for in-place work) with the cached native
-    cipher (bit-identical result to the instrumented path) and charge
-    the modeled on-SoC cost.  Register/IRQ discipline is still
-    exercised; no allocation. *)
-let bulk_into t ~(dir : [ `Encrypt | `Decrypt ]) ~iv ~src ~src_off ~dst ~dst_off ~len =
-  if Bytes.length iv <> 16 then invalid_arg "Aes_on_soc.bulk_into: bad IV";
-  let start_ns = Clock.now (Machine.clock t.machine) in
-  with_protected_registers t ~sensitive:(key_schedule_head t) (fun () ->
-      (* the modeled transform time elapses inside the bracket: this is
-         exactly the window interrupts stay masked (§6.2) *)
-      Perf.charge t.machine t.variant ~bytes:len;
-      match dir with
-      | `Encrypt ->
-          Mode.cbc_encrypt_into ~scratch:t.scratch t.fast_cipher ~iv ~src ~src_off ~dst ~dst_off
-            ~len
-      | `Decrypt ->
-          Mode.cbc_decrypt_into ~scratch:t.scratch t.fast_cipher ~iv ~src ~src_off ~dst ~dst_off
-            ~len);
-  if Sentry_obs.Trace.on () then
-    Sentry_obs.Trace.span ~cat:Sentry_obs.Event.Crypto ~subsystem:"crypto.aes_on_soc" ~start_ns
-      ~end_ns:(Clock.now (Machine.clock t.machine))
-      ~args:
-        [
-          ("storage", Sentry_obs.Event.Str (storage_name t.storage));
-          ("bytes", Sentry_obs.Event.Int len);
-        ]
-      (match dir with `Encrypt -> "bulk-encrypt" | `Decrypt -> "bulk-decrypt")
-
-(** Batch-pipeline twin of [bulk_into]: same IV check, same IRQ
-    bracket, same [Perf] charge, same trace span — but the bytes go
-    through the fused register-chained CBC kernel ([Aes.cbc_*_into])
-    instead of the [Mode] wrapper.  For [`Decrypt] the transform is in
-    place over [dst] (so [src]/[src_off] are implied); output is
-    bit-identical to [bulk_into] either way. *)
-let bulk_fused_into t ~(dir : [ `Encrypt | `Decrypt ]) ~iv ~iv_off ~src ~src_off ~dst ~dst_off
-    ~len =
-  if iv_off < 0 || iv_off + 16 > Bytes.length iv then
-    invalid_arg "Aes_on_soc.bulk_fused_into: bad IV";
-  if len mod 16 <> 0 then invalid_arg "Aes_on_soc.bulk_fused_into: not block aligned";
-  let start_ns = Clock.now (Machine.clock t.machine) in
-  with_protected_registers t ~sensitive:(key_schedule_head t) (fun () ->
-      Perf.charge t.machine t.variant ~bytes:len;
-      match dir with
-      | `Encrypt -> Aes.cbc_encrypt_into t.fast_key ~iv ~iv_off src src_off dst dst_off (len / 16)
-      | `Decrypt -> Aes.cbc_decrypt_into t.fast_key ~iv ~iv_off dst dst_off (len / 16));
-  if Sentry_obs.Trace.on () then
-    Sentry_obs.Trace.span ~cat:Sentry_obs.Event.Crypto ~subsystem:"crypto.aes_on_soc" ~start_ns
-      ~end_ns:(Clock.now (Machine.clock t.machine))
-      ~args:
-        [
-          ("storage", Sentry_obs.Event.Str (storage_name t.storage));
-          ("bytes", Sentry_obs.Event.Int len);
-        ]
-      (match dir with `Encrypt -> "bulk-encrypt" | `Decrypt -> "bulk-decrypt")
-
-(** Host-side transform only: the same fused page kernel as
-    [bulk_fused_into] but with no [Perf.charge] and no IRQ bracket.
-    For engine models that account simulated time/energy themselves —
-    the [Offload_engine] command queue — while ciphertext must stay
-    bit-identical to the CPU path.  The key never transits CPU
-    registers here (it lives in the engine), so there is nothing to
-    protect with an IRQ window. *)
-let bulk_fused_raw t ~(dir : [ `Encrypt | `Decrypt ]) ~iv ~iv_off ~src ~src_off ~dst ~dst_off
-    ~len =
-  if iv_off < 0 || iv_off + 16 > Bytes.length iv then
-    invalid_arg "Aes_on_soc.bulk_fused_raw: bad IV";
-  if len mod 16 <> 0 then invalid_arg "Aes_on_soc.bulk_fused_raw: not block aligned";
+(* The fused register-chained kernel ([Aes.cbc_*_into]).  The decrypt
+   kernel works in place and the encrypt kernel lets [src]/[dst] alias
+   only at equal offsets, so any other layout blits the input into
+   [dst] first and transforms it there. *)
+let kernel t ~(dir : [ `Encrypt | `Decrypt ]) ~iv ~iv_off ~src ~src_off ~dst ~dst_off ~len =
+  let nblocks = len / 16 in
   match dir with
-  | `Encrypt -> Aes.cbc_encrypt_into t.fast_key ~iv ~iv_off src src_off dst dst_off (len / 16)
-  | `Decrypt -> Aes.cbc_decrypt_into t.fast_key ~iv ~iv_off dst dst_off (len / 16)
+  | `Encrypt when src != dst || src_off = dst_off ->
+      Aes.cbc_encrypt_into t.fast_key ~iv ~iv_off src src_off dst dst_off nblocks
+  | `Encrypt ->
+      Bytes.blit src src_off dst dst_off len;
+      Aes.cbc_encrypt_into t.fast_key ~iv ~iv_off dst dst_off dst dst_off nblocks
+  | `Decrypt ->
+      if src != dst || src_off <> dst_off then Bytes.blit src src_off dst dst_off len;
+      Aes.cbc_decrypt_into t.fast_key ~iv ~iv_off dst dst_off nblocks
+
+(* The modeled on-SoC cost of transforming [len] bytes, charged inside
+   the IRQ bracket — exactly the window interrupts stay masked (§6.2) —
+   with the bulk trace span.  The host-side kernel has no simulated
+   effect, so it runs outside the bracket. *)
+let charge t ~(dir : [ `Encrypt | `Decrypt ]) ~len =
+  let start_ns = Clock.now (Machine.clock t.machine) in
+  with_protected_registers t ~sensitive:(key_schedule_head t) (fun () ->
+      Perf.charge t.machine t.variant ~bytes:len);
+  if Sentry_obs.Trace.on () then
+    Sentry_obs.Trace.span ~cat:Sentry_obs.Event.Crypto ~subsystem:"crypto.aes_on_soc" ~start_ns
+      ~end_ns:(Clock.now (Machine.clock t.machine))
+      ~args:
+        [
+          ("storage", Sentry_obs.Event.Str (storage_name t.storage));
+          ("bytes", Sentry_obs.Event.Int len);
+        ]
+      (match dir with `Encrypt -> "bulk-encrypt" | `Decrypt -> "bulk-decrypt")
+
+(* The one checked body behind [bulk_into], [bulk_fused_into] and
+   [bulk_fused_raw]: IV bounds, block alignment, then the charge (when
+   [charged]) and the kernel call. *)
+let cbc_into name ~charged t ~dir ~iv ~iv_off ~src ~src_off ~dst ~dst_off ~len =
+  if iv_off < 0 || iv_off + 16 > Bytes.length iv then invalid_arg (name ^ ": bad IV");
+  if len mod 16 <> 0 then invalid_arg (name ^ ": not block aligned");
+  if charged then charge t ~dir ~len;
+  kernel t ~dir ~iv ~iv_off ~src ~src_off ~dst ~dst_off ~len
+
+(** Fast-path bulk transform, scatter-gather flavour: transform the
+    [len]-byte view of [src] into [dst] with the fused kernel
+    (bit-identical to the instrumented path) and charge the modeled
+    on-SoC cost.  Register/IRQ discipline is still exercised; no
+    allocation. *)
+let bulk_into t ~dir ~iv ~src ~src_off ~dst ~dst_off ~len =
+  cbc_into "Aes_on_soc.bulk_into" ~charged:true t ~dir ~iv ~iv_off:0 ~src ~src_off ~dst ~dst_off
+    ~len
+
+(** [bulk_into] with the IV at [iv_off] inside [iv], so a batch can
+    reuse one IV buffer. *)
+let bulk_fused_into t ~dir ~iv ~iv_off ~src ~src_off ~dst ~dst_off ~len =
+  cbc_into "Aes_on_soc.bulk_fused_into" ~charged:true t ~dir ~iv ~iv_off ~src ~src_off ~dst
+    ~dst_off ~len
+
+(** Host-side transform only: the same checked kernel with no
+    [Perf.charge] and no IRQ bracket.  For engine models that account
+    simulated time/energy themselves — the [Offload_engine] command
+    queue — while ciphertext must stay bit-identical to the CPU path.
+    The key never transits CPU registers here (it lives in the
+    engine), so there is nothing to protect with an IRQ window. *)
+let bulk_fused_raw t ~dir ~iv ~iv_off ~src ~src_off ~dst ~dst_off ~len =
+  cbc_into "Aes_on_soc.bulk_fused_raw" ~charged:false t ~dir ~iv ~iv_off ~src ~src_off ~dst
+    ~dst_off ~len
 
 (** Allocating wrapper over [bulk_into]; identical cost and trace. *)
 let bulk t ~(dir : [ `Encrypt | `Decrypt ]) ~iv data =
@@ -195,15 +185,13 @@ let bulk t ~(dir : [ `Encrypt | `Decrypt ]) ~iv data =
   bulk_into t ~dir ~iv ~src:data ~src_off:0 ~dst:out ~dst_off:0 ~len:n;
   out
 
-(** Re-key: rewrites the on-SoC context and the cached bulk-path
-    cipher together, so [bulk]/[bulk_into] never run a stale key. *)
+(** Re-key: rewrites the on-SoC context and the bulk-path key
+    schedule together, so [bulk]/[bulk_into] never run a stale key. *)
 let set_key t key =
   t.block <-
     Machine.with_taint t.machine Taint.Secret_cleartext (fun () ->
         Aes_block.init t.block.Aes_block.acc ~key);
-  let expanded = Aes.expand key in
-  t.fast_cipher <- Mode.of_key expanded;
-  t.fast_key <- expanded
+  t.fast_key <- Aes.expand key
 
 (** Register with a [Crypto_api] {e above} the generic cipher and any
     accelerator driver, so legacy Crypto-API users (dm-crypt) pick up

@@ -20,8 +20,6 @@ val storage : t -> storage
 (** Physical base of the on-SoC context. *)
 val base : t -> int
 
-val context_bytes : t -> int
-
 (** Instrumented CBC transform: all cipher state through the on-SoC
     context, in IRQ-bracketed batches. *)
 val encrypt : t -> iv:Bytes.t -> Bytes.t -> Bytes.t
@@ -33,10 +31,12 @@ val decrypt : t -> iv:Bytes.t -> Bytes.t -> Bytes.t
 val bulk : t -> dir:[ `Encrypt | `Decrypt ] -> iv:Bytes.t -> Bytes.t -> Bytes.t
 
 (** Scatter-gather bulk path: transform the [len]-byte view of [src]
-    at [src_off] into [dst] at [dst_off] ([src]/[dst] may alias for
-    in-place work) with the cached cipher and reusable scratch — no
-    allocation.  [bulk] is implemented on top; identical cost and
-    trace. *)
+    at [src_off] into [dst] at [dst_off] through the fused
+    register-chained CBC kernel ([Aes.cbc_*_into]), with the modeled
+    on-SoC cost charged inside the IRQ bracket — no allocation.
+    [src]/[dst] may be the same buffer, at any offsets; any layout
+    but in place at one offset copies the input into [dst] first.
+    [bulk] is implemented on top; identical cost and trace. *)
 val bulk_into :
   t ->
   dir:[ `Encrypt | `Decrypt ] ->
@@ -48,13 +48,9 @@ val bulk_into :
   len:int ->
   unit
 
-(** Batch-pipeline twin of [bulk_into]: identical IRQ bracket, modeled
-    charge and trace span, but the bytes run through the fused
-    register-chained CBC page kernel ([Aes.cbc_*_into]) instead of the
-    [Mode] wrapper.  [`Decrypt] transforms [dst] in place ([src] is
-    ignored); output is bit-identical to [bulk_into].  [iv_off] gives
-    the 16-byte IV's offset inside [iv] so callers can reuse one IV
-    buffer across a batch. *)
+(** [bulk_into] with the 16-byte IV at [iv_off] inside [iv], so a
+    batch can reuse one IV buffer; same checks, kernel, charge and
+    trace span. *)
 val bulk_fused_into :
   t ->
   dir:[ `Encrypt | `Decrypt ] ->
@@ -67,10 +63,11 @@ val bulk_fused_into :
   len:int ->
   unit
 
-(** Host-side transform only — same fused kernel as [bulk_fused_into]
-    with no [Perf.charge] and no IRQ bracket, for engine models
-    ([Offload_engine]) that account simulated time/energy themselves
-    while ciphertext must stay bit-identical to the CPU path. *)
+(** Host-side transform only — the same checked kernel as
+    [bulk_fused_into] with no [Perf.charge] and no IRQ bracket, for
+    engine models ([Offload_engine]) that account simulated
+    time/energy themselves while ciphertext must stay bit-identical
+    to the CPU path. *)
 val bulk_fused_raw :
   t ->
   dir:[ `Encrypt | `Decrypt ] ->
@@ -83,7 +80,7 @@ val bulk_fused_raw :
   len:int ->
   unit
 
-(** Re-key: rewrites the on-SoC context and the bulk twin together. *)
+(** Re-key: rewrites the on-SoC context and the bulk-path key schedule together. *)
 val set_key : t -> Bytes.t -> unit
 
 (** Register with a [Crypto_api] above the generic cipher and any
@@ -93,5 +90,6 @@ val register : t -> Crypto_api.t -> unit
 (** Register the XTS flavour under "xts(aes)" (priority 500). *)
 val register_xts : t -> Crypto_api.t -> unit
 
-(** Erase the on-SoC context. *)
+(** Erase the on-SoC context: the erasure primitive for device
+    shutdown and re-key.  Nothing calls it yet (see [lint.allow]). *)
 val wipe : t -> unit

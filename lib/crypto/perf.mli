@@ -13,8 +13,6 @@ type variant =
 
 type platform = [ `Nexus4 | `Tegra3 ]
 
-val variant_name : variant -> string
-
 (** Modeled throughput on 4 KB pages, MB/s.
     @raise Invalid_argument for impossible platform/variant pairs. *)
 val throughput_mb_s : platform:platform -> variant -> float

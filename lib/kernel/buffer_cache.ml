@@ -122,10 +122,6 @@ let drop t =
 
 let stats t = (t.hits, t.misses)
 
-let hit_rate t =
-  let total = t.hits + t.misses in
-  if total = 0 then 0.0 else float_of_int t.hits /. float_of_int total
-
 (** Cached target view. *)
 let target t =
   let size = t.lower.Blockio.size in

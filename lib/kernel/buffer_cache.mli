@@ -17,7 +17,5 @@ val drop : t -> unit
 (** (hits, misses). *)
 val stats : t -> int * int
 
-val hit_rate : t -> float
-
 (** The cached target view. *)
 val target : t -> Blockio.t

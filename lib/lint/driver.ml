@@ -110,7 +110,9 @@ let run ?(allow = Allowlist.empty) ~roots () =
   let findings =
     List.concat_map (fun s -> s.Rules.findings) scans
     @ Rules.resolve_assigns ~globals assigns
-    @ Rules.resolve_exports ~refs exports
+    @ Rules.resolve_exports
+        ~modules:(List.map Rules.module_name_of_file (files @ interfaces))
+        ~refs exports
     |> List.sort Finding.compare
   in
   let allowed, unallowed = List.partition (Allowlist.allows allow) findings in

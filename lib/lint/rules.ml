@@ -369,7 +369,9 @@ let exports ~file (sg : signature) =
       | _ -> None)
     sg
 
-(** The last component of every value identifier in [str]. *)
+(** Every value identifier in [str] as (qualifier, name): [M.v] (any
+    longer path included) gives [(Some "M", "v")], a bare [v] gives
+    [(None, "v")]. *)
 let referenced_names str =
   let names = ref [] in
   let it =
@@ -378,7 +380,13 @@ let referenced_names str =
       expr =
         (fun it e ->
           (match e.pexp_desc with
-          | Pexp_ident { txt; _ } -> names := last_of_lid txt :: !names
+          | Pexp_ident { txt; _ } ->
+              names :=
+                (match List.rev (Longident.flatten txt) with
+                | v :: m :: _ -> (Some m, v)
+                | [ v ] -> (None, v)
+                | [] -> (None, ""))
+                :: !names
           | _ -> ());
           Ast_iterator.default_iterator.expr it e);
     }
@@ -386,19 +394,30 @@ let referenced_names str =
   it.structure it str;
   !names
 
-(** Resolve R6: [refs] maps each referencing [.ml] to the names it
-    mentions; an export is a finding when only its own [.ml] (or no
-    file at all) mentions its name. *)
-let resolve_exports ~refs exports =
+(** Resolve R6: [refs] maps each referencing [.ml] to the identifiers
+    it mentions, [modules] names the modules under the lint roots.  A
+    reference [M.v] counts only as a use of module [M]'s [v] when [M]
+    is one of [modules], and as a use of any module's [v] when it is
+    not (a library alias, a local module: the pass is type-blind); a
+    bare [v] counts for any module.  An export is a finding when no
+    reference from outside its own [.ml] counts for it. *)
+let resolve_exports ~modules ~refs exports =
+  let known = Hashtbl.create 512 in
+  List.iter (fun m -> Hashtbl.replace known m ()) modules;
   let users = Hashtbl.create 4096 in
   List.iter
     (fun (file, names) ->
-      List.iter (fun n -> Hashtbl.add users n file) (List.sort_uniq String.compare names))
+      List.iter (fun (q, n) -> Hashtbl.add users n (file, q)) (List.sort_uniq compare names))
     refs;
   List.filter_map
     (fun e ->
       let own = Filename.remove_extension e.efile ^ ".ml" in
-      if List.exists (fun f -> f <> own) (Hashtbl.find_all users e.ename) then None
+      let m = module_name_of_file e.efile in
+      let counts (file, q) =
+        file <> own
+        && match q with Some q -> q = m || not (Hashtbl.mem known q) | None -> true
+      in
+      if List.exists counts (Hashtbl.find_all users e.ename) then None
       else
         Some
           (Finding.make ~rule:Finding.R6_unreferenced_export ~file:e.efile ~loc:e.eloc

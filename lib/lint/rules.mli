@@ -42,9 +42,18 @@ val exports : file:string -> Parsetree.signature -> export list
 (** R6 candidates: the interface's top-level [val]/[external] items;
     items inside [module type] and nested [sig … end] are skipped. *)
 
-val referenced_names : Parsetree.structure -> string list
-(** The last component of every value identifier ([Pexp_ident]). *)
+val referenced_names : Parsetree.structure -> (string option * string) list
+(** Every value identifier ([Pexp_ident]) as (qualifier, name): [M.v]
+    gives [(Some "M", "v")] from the last two path components, a bare
+    [v] gives [(None, "v")]. *)
 
-val resolve_exports : refs:(string * string list) list -> export list -> Finding.t list
-(** R6: exports whose name no file in [refs] other than the module's
-    own [.ml] mentions. *)
+val module_name_of_file : string -> string
+(** The module a source file defines ([lib/x/foo_bar.ml] is [Foo_bar]). *)
+
+val resolve_exports :
+  modules:string list -> refs:(string * (string option * string) list) list -> export list ->
+  Finding.t list
+(** R6: exports no file in [refs] other than the module's own [.ml]
+    uses.  A qualified [M.v] is a use of [M]'s [v] only when [M] is
+    one of [modules] (the modules under the lint roots) and of any
+    module's [v] otherwise; a bare [v] is a use of any module's [v]. *)

@@ -65,21 +65,14 @@ let trace t name ~addr ~len =
       name
       ~args:[ ("addr", Sentry_obs.Event.Int addr); ("bytes", Sentry_obs.Event.Int len) ]
 
-(** Scatter-gather read straight into [buf] at [off]: identical
-    charge/trace to [read] (implemented on top), no allocation. *)
+(** Read straight into [buf] at [off], no allocation. *)
 let read_into t addr buf ~off ~len =
   check t addr len;
   charge t len;
   trace t "read" ~addr ~len;
   Bytes.blit t.data (Memmap.offset t.region addr) buf off len
 
-let read t addr len =
-  let b = Bytes.create len in
-  read_into t addr b ~off:0 ~len;
-  b
-
-(** Scatter-gather write of the [len]-byte view of [buf] at [off];
-    [write] is implemented on top. *)
+(** Write the [len]-byte view of [buf] at [off]. *)
 let write_from t ?(level = Taint.Public) addr buf ~off ~len =
   check t addr len;
   charge t len;
@@ -88,8 +81,6 @@ let write_from t ?(level = Taint.Public) addr buf ~off ~len =
   set_taint t addr len level;
   (* Clobbering the firmware scratch area takes the platform down. *)
   if addr < t.region.Memmap.base + Memmap.iram_firmware_reserved then t.firmware_ok <- false
-
-let write t ?level addr b = write_from t ?level addr b ~off:0 ~len:(Bytes.length b)
 
 let firmware_ok t = t.firmware_ok
 

@@ -9,18 +9,12 @@ val region : t -> Memmap.region
 val size : t -> int
 val contains : t -> int -> bool
 
-val read : t -> int -> int -> Bytes.t
-
-(** Scatter-gather read straight into [buf] at [off]: identical
-    charge/trace to [read] (which is implemented on top). *)
+(** Read straight into [buf] at [off], no allocation. *)
 val read_into : t -> int -> Bytes.t -> off:int -> len:int -> unit
 
-(** Writing inside the firmware region marks the platform crashed.
-    [level] labels the written bytes when taint tracking is on. *)
-val write : t -> ?level:Taint.level -> int -> Bytes.t -> unit
-
-(** Scatter-gather write of the [len]-byte view of [buf] at [off];
-    [write] is implemented on top. *)
+(** Write the [len]-byte view of [buf] at [off].  Writing inside the
+    firmware region marks the platform crashed.  [level] labels the
+    written bytes when taint tracking is on. *)
 val write_from : t -> ?level:Taint.level -> int -> Bytes.t -> off:int -> len:int -> unit
 
 (** Lazily allocate the taint shadow. *)

@@ -57,20 +57,13 @@ let charge t len =
   Clock.advance t.clock (float_of_int lines *. Calib.iram_line_ns);
   Energy.charge t.energy ~category:"pinned" (float_of_int len *. Calib.onsoc_byte_j)
 
-(** Scatter-gather read straight into [buf] at [off]: identical
-    charge to [read] (implemented on top), no allocation. *)
+(** Read straight into [buf] at [off], no allocation. *)
 let read_into t addr buf ~off ~len =
   check t addr len;
   charge t len;
   Bytes.blit t.data (Memmap.offset t.region addr) buf off len
 
-let read t addr len =
-  let b = Bytes.create len in
-  read_into t addr b ~off:0 ~len;
-  b
-
-(** Scatter-gather write of the [len]-byte view of [buf] at [off];
-    [write] is implemented on top. *)
+(** Write the [len]-byte view of [buf] at [off]. *)
 let write_from t ?(level = Taint.Public) addr buf ~off ~len =
   check t addr len;
   charge t len;
@@ -78,8 +71,6 @@ let write_from t ?(level = Taint.Public) addr buf ~off ~len =
   match t.shadow with
   | Some s -> Taint.fill s (Memmap.offset t.region addr) len level
   | None -> ()
-
-let write t ?level addr b = write_from t ?level addr b ~off:0 ~len:(Bytes.length b)
 
 (** Immutable boot-ROM behaviour: erased on {e every} boot, warm or
     cold — there is no firmware to replace or skip. *)

@@ -10,11 +10,8 @@ val region : t -> Memmap.region
 val size : t -> int
 val contains : t -> int -> bool
 
-val read : t -> int -> int -> Bytes.t
-val write : t -> ?level:Taint.level -> int -> Bytes.t -> unit
-
-(** Scatter-gather variants; the allocating pair is implemented on
-    top and charges identically. *)
+(** Read straight into [buf] at [off] / write the [len]-byte view of
+    [buf] at [off], no allocation. *)
 val read_into : t -> int -> Bytes.t -> off:int -> len:int -> unit
 
 val write_from : t -> ?level:Taint.level -> int -> Bytes.t -> off:int -> len:int -> unit

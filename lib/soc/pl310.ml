@@ -340,28 +340,17 @@ let rec rw_chunks t addr ~write ~taint buf buf_off len =
   end
 
 (** [read_into t addr buf ~off ~len] performs a cached CPU read
-    straight into the caller's buffer: identical clock/energy/stats
-    to [read] (which is implemented on top), no allocation. *)
+    straight into the caller's buffer, no allocation. *)
 let read_into t addr buf ~off ~len =
   check_view "read_into" buf ~off ~len;
   rw_chunks t addr ~write:false ~taint:Taint.Public buf off len
 
-(** [read t addr len] performs a cached CPU read. *)
-let read t addr len =
-  let out = Bytes.create len in
-  read_into t addr out ~off:0 ~len;
-  out
-
 (** [write_from t ?taint addr buf ~off ~len] performs a cached CPU
-    write (write-allocate) of the [len]-byte view of [buf] at [off];
-    [write] is implemented on top. *)
+    write (write-allocate) of the [len]-byte view of [buf] at [off],
+    labelling the written bytes [taint]. *)
 let write_from t ?(taint = Taint.Public) addr buf ~off ~len =
   check_view "write_from" buf ~off ~len;
   rw_chunks t addr ~write:true ~taint buf off len
-
-(** [write t ?taint addr b] performs a cached CPU write
-    (write-allocate), labelling the written bytes [taint]. *)
-let write t ?taint addr b = write_from t ?taint addr b ~off:0 ~len:(Bytes.length b)
 
 (* ------------------- batched run fast path ----------------------- *)
 

@@ -55,21 +55,14 @@ val way_of : t -> int -> int option
 
 (** {2 CPU access path} *)
 
-(** Cached read: hit, fill (evicting per lockdown), or — when every
-    way is locked — an uncached DRAM bypass. *)
-val read : t -> int -> int -> Bytes.t
-
-(** Scatter-gather read straight into [buf] at [off]: identical
-    clock/energy/stats to [read] (which is implemented on top), no
-    allocation. *)
+(** Cached read straight into [buf] at [off]: hit, fill (evicting
+    per lockdown), or — when every way is locked — an uncached DRAM
+    bypass.  No allocation. *)
 val read_into : t -> int -> Bytes.t -> off:int -> len:int -> unit
 
-(** Cached write (write-allocate, write-back); [taint] labels the
-    written bytes when taint tracking is on. *)
-val write : t -> ?taint:Taint.level -> int -> Bytes.t -> unit
-
-(** Scatter-gather write of the [len]-byte view of [buf] at [off];
-    [write] is implemented on top. *)
+(** Cached write (write-allocate, write-back) of the [len]-byte view
+    of [buf] at [off]; [taint] labels the written bytes when taint
+    tracking is on. *)
 val write_from : t -> ?taint:Taint.level -> int -> Bytes.t -> off:int -> len:int -> unit
 
 (** {2 Batched run fast path} *)

@@ -163,7 +163,7 @@ let check_fp_semantic label (a : fp) (b : fp) =
 let lock_walk engine sentry =
   let walk =
     match engine with
-    | `Batched -> Encrypt_on_lock.run
+    | `Batched -> Encrypt_on_lock.run ~backend:Backend.Batched
     | `Per_page -> Encrypt_on_lock.run_per_page
   in
   walk (Sentry.page_crypt sentry) (Sentry.system sentry)
@@ -172,7 +172,7 @@ let lock_walk engine sentry =
 let unlock_walk engine sentry =
   let walk =
     match engine with
-    | `Batched -> Decrypt_on_unlock.run
+    | `Batched -> Decrypt_on_unlock.run ~backend:Backend.Batched
     | `Per_page -> Decrypt_on_unlock.run_per_page
   in
   walk (Sentry.page_crypt sentry) (Sentry.system sentry)
@@ -181,7 +181,7 @@ let unlock_walk engine sentry =
 let eager_walk engine sentry =
   let walk =
     match engine with
-    | `Batched -> Decrypt_on_unlock.run_eager
+    | `Batched -> Decrypt_on_unlock.run_eager ~backend:Backend.Batched
     | `Per_page -> Decrypt_on_unlock.run_eager_per_page
   in
   walk (Sentry.page_crypt sentry) (Sentry.system sentry)
@@ -198,8 +198,9 @@ let test_lock_unlock_differential () =
   checki "eager DMA pages" us_b.Decrypt_on_unlock.dma_pages_eager
     us_p.Decrypt_on_unlock.dma_pages_eager;
   check_fp "unlocked" (fingerprint sys_b sen_b procs_b) (fingerprint sys_p sen_p procs_p);
-  (* drive every lazy fault; the handler path is shared, but the
-     state it starts from must be, too *)
+  (* drive every lazy fault: the batched unlock installed the backend
+     handler (the batch engine's page transform), the reference unlock
+     one built on [Page_crypt.decrypt_frame] *)
   touch_all sys_b procs_b;
   touch_all sys_p procs_p;
   check_fp "after faults" (fingerprint sys_b sen_b procs_b) (fingerprint sys_p sen_p procs_p)

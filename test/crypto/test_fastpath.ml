@@ -89,20 +89,48 @@ let boot () = Machine.create ~seed:33 (Machine.tegra3 ~dram_size:(4 * Units.mib)
 
 let mk_aes m = Aes_on_soc.create m ~storage:Aes_on_soc.In_iram ~base:(Machine.iram_region m).Memmap.base ~key
 
-(* The cached-cipher [bulk_into] path must charge the same simulated
-   clock and energy as the allocating [bulk], and write the same
-   ciphertext. *)
+(* [bulk_into] runs the fused CBC kernel: for either direction, at
+   512 B and 4 KiB, and for every buffer layout it accepts (in place,
+   in place at a non-zero offset, distinct buffers, one buffer at
+   shifted offsets) it must write exactly [Mode]'s bytes, and charge
+   the same simulated clock and energy as the allocating [bulk]. *)
 let test_bulk_into_differential () =
-  let data = payload 8192 in
-  let m_a = boot () in
-  let out_a = Aes_on_soc.bulk (mk_aes m_a) ~dir:`Encrypt ~iv data in
-  let m_b = boot () in
-  let out_b = Bytes.copy data in
-  Aes_on_soc.bulk_into (mk_aes m_b) ~dir:`Encrypt ~iv ~src:out_b ~src_off:0 ~dst:out_b ~dst_off:0
-    ~len:8192;
-  check_bytes "ciphertext" out_a out_b;
-  checkf "simulated clock" (Machine.now m_a) (Machine.now m_b);
-  checkf "energy total" (Energy.total (Machine.energy m_a)) (Energy.total (Machine.energy m_b))
+  let c = cipher () in
+  List.iter
+    (fun (dir, n) ->
+      let label layout =
+        Printf.sprintf "%s %d B %s"
+          (match dir with `Encrypt -> "encrypt" | `Decrypt -> "decrypt")
+          n layout
+      in
+      let data = payload n in
+      let expected =
+        match dir with
+        | `Encrypt -> Mode.cbc_encrypt c ~iv data
+        | `Decrypt -> Mode.cbc_decrypt c ~iv data
+      in
+      let m_a = boot () in
+      check_bytes (label "bulk") expected (Aes_on_soc.bulk (mk_aes m_a) ~dir ~iv data);
+      List.iter
+        (fun (layout, src_off, dst_off, same) ->
+          let src = Bytes.make (n + 64) '\x5a' in
+          Bytes.blit data 0 src src_off n;
+          let dst = if same then src else Bytes.make (n + 64) '\x00' in
+          let m_b = boot () in
+          Aes_on_soc.bulk_into (mk_aes m_b) ~dir ~iv ~src ~src_off ~dst ~dst_off ~len:n;
+          check_bytes (label layout) expected (Bytes.sub dst dst_off n);
+          checkf (label layout ^ ": simulated clock") (Machine.now m_a) (Machine.now m_b);
+          checkf (label layout ^ ": energy total")
+            (Energy.total (Machine.energy m_a))
+            (Energy.total (Machine.energy m_b)))
+        [
+          ("in place", 0, 0, true);
+          ("in place at an offset", 32, 32, true);
+          ("distinct buffers", 16, 48, false);
+          ("one buffer, shifted", 48, 16, true);
+          ("one buffer, shifted up", 16, 48, true);
+        ])
+    [ (`Encrypt, 512); (`Decrypt, 512); (`Encrypt, 4096); (`Decrypt, 4096) ]
 
 let test_bulk_roundtrip () =
   let m = boot () in

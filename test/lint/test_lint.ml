@@ -91,6 +91,23 @@ let test_r6_unreferenced_export () =
   triple_list "own .ml does not count" [ ("R6", "used", 3); ("R6", "unused", 4) ]
     (shapes alone.Driver.findings)
 
+(* A qualified [M.v] uses [M]'s [v] only: [Other_r6.unused] does not
+   keep [Bad_r6.unused] alive.  When [M] names no module under the
+   roots (an alias, a library outside the scan) the type-blind pass
+   cannot tell, and the use counts for every module's [v]. *)
+let test_r6_qualified_use () =
+  let bad = [ fx "bad_r6.mli"; fx "bad_r6.ml"; fx "uses_r6.ml"; fx "qualified_r6.ml" ] in
+  let r = Driver.run ~roots:(bad @ [ fx "other_r6.mli"; fx "other_r6.ml" ]) () in
+  triple_list "another module's same-named use does not count" [ ("R6", "unused", 4) ]
+    (shapes r.Driver.findings);
+  List.iter
+    (fun (f : Finding.t) ->
+      checkb "the finding is Bad_r6's" true (f.Finding.file = fx "bad_r6.mli"))
+    r.Driver.findings;
+  let unknown = Driver.run ~roots:bad () in
+  triple_list "a qualifier outside the roots counts for any module" []
+    (shapes unknown.Driver.findings)
+
 let test_clean_file () =
   let s = scan "clean.ml" in
   triple_list "no findings" [] (shapes s.Rules.findings);
@@ -195,6 +212,7 @@ let () =
           Alcotest.test_case "R4 and fast-path exemption" `Quick test_r4_and_fastpath_exemption;
           Alcotest.test_case "R5 spawned closures" `Quick test_r5_spawned_closures;
           Alcotest.test_case "R6 unreferenced export" `Quick test_r6_unreferenced_export;
+          Alcotest.test_case "R6 qualified use" `Quick test_r6_qualified_use;
           Alcotest.test_case "clean file" `Quick test_clean_file;
         ] );
       ( "driver",
