@@ -138,11 +138,14 @@ let run_json ~path ~trials ~slo_spec ids =
      over the wall time of the whole execution (boot, spawn, lock,
      unlock and pool included), so on an N-core host speedup_vs_d1
      should approach min(D, N); on a single core it stays flat at ~1.0.
-     The lock walk's own rate is the fleet section's lock_pages_per_s. *)
+     Rows with more domains than host cores measure oversubscription,
+     not scaling, and say so.  The lock walk's own rate is the fleet
+     section's lock_pages_per_s. *)
   let fleet_domains =
     let module F = Sentry_workloads.Fleet in
     let module Shard = Sentry_workloads.Shard in
     let cfg = { F.default with procs = 16; pages_per_proc = 24; cycles = 3 } in
+    let host_cores = Domain.recommended_domain_count () in
     let baseline = ref nan in
     List.map
       (fun d ->
@@ -152,8 +155,9 @@ let run_json ~path ~trials ~slo_spec ids =
         if d = 1 then baseline := rate;
         let speedup = rate /. !baseline in
         let shards = List.length sh.F.shards.Shard.plan in
-        Printf.printf "  fleet_domains d=%d shards=%d %.0f pages/wall-s (%.2fx vs d=1)\n%!" d
-          shards rate speedup;
+        Printf.printf "  fleet_domains d=%d shards=%d %.0f pages/wall-s (%.2fx vs d=1)%s\n%!" d
+          shards rate speedup
+          (if d > host_cores then " oversubscribed" else "");
         Json_out.Obj
           [
             ("domains", Json_out.Int d);
@@ -162,6 +166,8 @@ let run_json ~path ~trials ~slo_spec ids =
             ("wall_s", Json_out.Float wall_s);
             ("pages_per_wall_s", Json_out.Float rate);
             ("speedup_vs_d1", Json_out.Float speedup);
+            ("host_cores", Json_out.Int host_cores);
+            ("oversubscribed", Json_out.Bool (d > host_cores));
           ])
       [ 1; 2; 4; 8 ]
   in

@@ -186,8 +186,12 @@ module Root_key_confined = struct
     | None -> ());
     let l2 = Machine.l2 m in
     let lockdown = Pl310.lockdown l2 in
-    Pl310.iter_resident l2 (fun ~way ~addr data ->
-        if lockdown land (1 lsl way) = 0 && Sentry_util.Bytes_util.contains data key then
+    let len = Pl310.line_size l2 in
+    Pl310.iter_resident l2 (fun ~way ~addr store ~off ->
+        if
+          lockdown land (1 lsl way) = 0
+          && Option.is_some (Sentry_util.Bytes_util.find_in store ~off ~len key)
+        then
           found := { key = label; where = Printf.sprintf "unlocked L2 way %d" way; addr } :: !found);
     !found
 

@@ -7,10 +7,13 @@
     The store is allocated uninitialised and zero-filled on first
     touch, one fixed 64 KiB chunk at a time: every access path below
     zeroes the chunks its range covers before it reads or writes a
-    byte, and the whole-image views ([raw], [snapshot], [power_cycle])
-    zero the whole store first.  So no uninitialised host byte ever
-    reaches simulated state, and a boot pays only for the chunks the
-    run touches, not for the full image. *)
+    byte, and the whole-image views ([raw], [snapshot], [shadow],
+    [power_cycle]) zero the whole store first.  The taint shadow
+    follows the same rule: it is allocated uninitialised too, and a
+    chunk's labels are set [Public] when the chunk is zeroed (or, for
+    chunks zeroed before tracking was enabled, by [enable_taint]).  So
+    no uninitialised host byte ever reaches simulated state, and a boot
+    pays only for the chunks the run touches, not for the full image. *)
 
 open Sentry_util
 
@@ -27,7 +30,7 @@ type t = {
   bus : Bus.t;
   prng : Prng.t;
   mutable powered : bool;
-  mutable shadow : Bytes.t option; (* taint labels, one per data byte *)
+  mutable shadow : Bytes.t option; (* taint labels, one per data byte, defined where [data] is *)
 }
 
 let create ~bus ~clock:_ ~prng ~size =
@@ -42,14 +45,18 @@ let create ~bus ~clock:_ ~prng ~size =
     shadow = None;
   }
 
-(* Zero every not-yet-zeroed chunk under the store range [off, off + len). *)
+(* Bytes of chunk [c]: [chunk_size], less for a short last chunk. *)
+let chunk_bytes t c = min chunk_size (Bytes.length t.data - (c lsl chunk_shift))
+
+(* Zero every not-yet-zeroed chunk under the store range [off, off + len),
+   labelling its shadow [Public] when tracking is on. *)
 let materialise t off len =
   if len > 0 && t.resident < Bytes.length t.data then
     for c = off lsr chunk_shift to (off + len - 1) lsr chunk_shift do
       if not t.zeroed.(c) then begin
-        let start = c lsl chunk_shift in
-        let n = min chunk_size (Bytes.length t.data - start) in
+        let start = c lsl chunk_shift and n = chunk_bytes t c in
         Bytes.fill t.data start n '\000';
+        (match t.shadow with Some s -> Taint.fill s start n Taint.Public | None -> ());
         t.zeroed.(c) <- true;
         t.resident <- t.resident + n
       end
@@ -57,33 +64,59 @@ let materialise t off len =
 
 let materialise_all t = materialise t 0 (Bytes.length t.data)
 
+(* First-touch zeroing for the store range [off, off + len): the common
+   case — a range inside one already zeroed chunk — is decided inline. *)
+let[@inline] touch t off len =
+  let c = off lsr chunk_shift in
+  if len > 0 && not (t.zeroed.(c) && (off + len - 1) lsr chunk_shift = c) then materialise t off len
+
 (** Bytes of the store zeroed so far (the host memory this DRAM has
     made resident). *)
 let resident_bytes t = t.resident
 
 (* ------------------------- taint shadow -------------------------- *)
 
+(* The shadow is allocated uninitialised; chunks already zeroed get
+   their [Public] labels here, the rest when they are first touched. *)
 let enable_taint t =
-  if t.shadow = None then t.shadow <- Some (Taint.create_shadow (Bytes.length t.data))
-
-let taint_enabled t = t.shadow <> None
+  if t.shadow = None then begin
+    let s = Bytes.create (Bytes.length t.data) in
+    Array.iteri
+      (fun c zeroed ->
+        if zeroed then Taint.fill s (c lsl chunk_shift) (chunk_bytes t c) Taint.Public)
+      t.zeroed;
+    t.shadow <- Some s
+  end
 
 (** Taint join over a physical range ([Public] when tracking is off). *)
 let taint_range t addr len =
   match t.shadow with
   | None -> Taint.Public
-  | Some s -> Taint.max_range s (Memmap.offset t.region addr) len
+  | Some s ->
+      let off = Memmap.offset t.region addr in
+      touch t off len;
+      Taint.max_range s off len
 
 (** Uniformly relabel a physical range (zeroing thread, boot-time
     clobbers, DMA-written attacker data). *)
 let set_taint t addr len level =
   match t.shadow with
   | None -> ()
-  | Some s -> Taint.fill s (Memmap.offset t.region addr) len level
+  | Some s ->
+      let off = Memmap.offset t.region addr in
+      touch t off len;
+      Taint.fill s off len level
 
-(** The raw shadow store, for analysis passes (same layout as [raw]);
-    [None] until taint tracking is enabled. *)
-let shadow t = t.shadow
+(** The whole shadow store, for analysis passes (same layout as [raw]);
+    [None] until taint tracking is enabled.  Like [raw], it zeroes
+    every untouched chunk first. *)
+let shadow t =
+  if t.shadow <> None then materialise_all t;
+  t.shadow
+
+(** The shadow store behind [backing], with the same rule: only labels
+    of ranges passed to [backing] are defined. *)
+let backing_shadow t = t.shadow
 
 let region t = t.region
 let size t = t.region.Memmap.size
@@ -95,16 +128,14 @@ exception Powered_off
 
 (* The access check ([Powered_off] / range), then first-touch zeroing
    of the chunks the range covers.  Runs once per L2 line fill and
-   write-back, so the common case — a range inside one already zeroed
-   chunk — is decided inline. *)
+   write-back, so [touch] is inlined. *)
 let check t addr len =
   if not (t.powered) then raise Powered_off;
   let off = addr - t.region.Memmap.base and size = Bytes.length t.data in
   let last = off + len - 1 in
   if not (off >= 0 && off < size && (len = 0 || (last >= 0 && last < size))) then
     invalid_arg (Printf.sprintf "Dram: access out of range 0x%x+%d" addr len);
-  if len > 0 && not (t.zeroed.(off lsr chunk_shift) && last lsr chunk_shift = off lsr chunk_shift)
-  then materialise t off len
+  touch t off len
 
 (** [backing t addr len] — the access check for a physical range plus
     first-touch zeroing of the chunks under it, returning the whole
@@ -136,12 +167,12 @@ let read t ~initiator addr len =
   read_into t ~initiator addr b ~off:0 ~len;
   b
 
-(** [write_from t ~initiator ?level ?taint addr buf ~off ~len] stores
-    the [len]-byte view of [buf] at [off] over the bus; the written
-    range's shadow comes from [taint] (per-byte labels) when given,
-    else uniformly from [level] (default [Public]).  The allocating
-    [write] is implemented on top. *)
-let write_from t ~initiator ?(level = Taint.Public) ?taint addr buf ~off ~len =
+(** [write_from t ~initiator ?level ?taint ?taint_off addr buf ~off
+    ~len] stores the [len]-byte view of [buf] at [off] over the bus;
+    the written range's shadow comes from [taint] at [taint_off]
+    (per-byte labels) when given, else uniformly from [level] (default
+    [Public]).  The allocating [write] is implemented on top. *)
+let write_from t ~initiator ?(level = Taint.Public) ?taint ?(taint_off = 0) addr buf ~off ~len =
   check t addr len;
   let dst_off = Memmap.offset t.region addr in
   Bytes.blit buf off t.data dst_off len;
@@ -150,7 +181,7 @@ let write_from t ~initiator ?(level = Taint.Public) ?taint addr buf ~off ~len =
     | None -> Taint.Public
     | Some s ->
         (match taint with
-        | Some tb -> Bytes.blit tb 0 s dst_off len
+        | Some tb -> Bytes.blit tb taint_off s dst_off len
         | None -> Taint.fill s dst_off len level);
         Taint.max_range s dst_off len
   in
@@ -160,12 +191,15 @@ let write t ~initiator ?level ?taint addr b =
   write_from t ~initiator ?level ?taint addr b ~off:0 ~len:(Bytes.length b)
 
 (** Copy the shadow labels behind a physical range into [dst] at
-    [dst_off] (all-[Public] when tracking is off): the allocation-free
-    twin of [shadow_of_range] for the L2 line-fill path. *)
+    [dst_off] (all-[Public] when tracking is off), allocation-free, for
+    the L2 line-fill path. *)
 let blit_shadow_into t addr len dst dst_off =
   match t.shadow with
   | None -> Taint.fill dst dst_off len Taint.Public
-  | Some s -> Bytes.blit s (Memmap.offset t.region addr) dst dst_off len
+  | Some s ->
+      let off = Memmap.offset t.region addr in
+      touch t off len;
+      Bytes.blit s off dst dst_off len
 
 (** Direct backing-store access for attack tooling and test assertions
     (no bus traffic — this is "desoldering the chip", not a CPU read).

@@ -5,9 +5,12 @@
     First-touch invariant: the store is allocated uninitialised and
     zero-filled one fixed 64 KiB chunk at a time, the first time any
     access covers the chunk.  Every bus access ([read], [write] and
-    their views) and [backing] zero the chunks of their range before
-    touching a byte; [raw], [snapshot] and [power_cycle] zero the whole
-    store first.  Contents, taint and the remanence PRNG stream are
+    their views), every range taint accessor and [backing] zero the
+    chunks of their range before touching a byte; [raw], [snapshot],
+    [shadow] and [power_cycle] zero the whole store first.  The taint
+    shadow is first-touch too: a chunk's labels become [Public] when
+    the chunk is zeroed, or at [enable_taint] for chunks zeroed
+    earlier.  Contents, taint and the remanence PRNG stream are
     therefore exactly those of an eagerly zeroed module. *)
 
 open Sentry_util
@@ -35,9 +38,8 @@ val read_into :
   t -> initiator:[ `Cpu | `Dma | `L2 ] -> int -> Bytes.t -> off:int -> len:int -> unit
 
 (** [write t ~initiator ?level ?taint addr b] — the written range's
-    shadow comes from [taint] (per-byte labels, e.g. an evicted cache
-    line's) when given, else uniformly from [level] (default
-    [Public]). *)
+    shadow comes from [taint] (per-byte labels) when given, else
+    uniformly from [level] (default [Public]). *)
 val write :
   t ->
   initiator:[ `Cpu | `Dma | `L2 ] ->
@@ -48,12 +50,15 @@ val write :
   unit
 
 (** Scatter-gather store of the [len]-byte view of [buf] at [off];
-    [write] is implemented on top. *)
+    [write] is implemented on top.  Per-byte labels are read from
+    [taint] at [taint_off] (default 0), e.g. an evicted line's window
+    of the L2 shadow. *)
 val write_from :
   t ->
   initiator:[ `Cpu | `Dma | `L2 ] ->
   ?level:Taint.level ->
   ?taint:Bytes.t ->
+  ?taint_off:int ->
   int ->
   Bytes.t ->
   off:int ->
@@ -77,25 +82,30 @@ val resident_bytes : t -> int
     their own transaction accounting. *)
 val bus : t -> Bus.t
 
-(** Lazily allocate the taint shadow (no-op when already enabled). *)
+(** Allocate the taint shadow (no-op when already enabled).  It is not
+    filled here beyond the chunks already zeroed: each other chunk's
+    labels are set [Public] on first touch. *)
 val enable_taint : t -> unit
-
-val taint_enabled : t -> bool
 
 (** Taint join over a physical range ([Public] when tracking is off). *)
 val taint_range : t -> int -> int -> Taint.level
 
 (** Copy the shadow labels behind a range into [dst] at [dst_off]
-    (all-[Public] when tracking is off) — the allocation-free twin of
-    [shadow_of_range]. *)
+    (all-[Public] when tracking is off), allocation-free. *)
 val blit_shadow_into : t -> int -> int -> Bytes.t -> int -> unit
 
 (** Uniformly relabel a physical range. *)
 val set_taint : t -> int -> int -> Taint.level -> unit
 
-(** The raw shadow store (same layout as [raw]); [None] until taint
-    tracking is enabled. *)
+(** The whole shadow store (same layout as [raw]); [None] until taint
+    tracking is enabled.  Zeroes every untouched chunk first, like
+    [raw]: analysis and test tooling only. *)
 val shadow : t -> Bytes.t option
+
+(** The shadow store behind [backing], without zeroing anything: only
+    labels of ranges passed to [backing] may be read or written
+    through it.  For the L2 walk. *)
+val backing_shadow : t -> Bytes.t option
 
 (** Direct backing-store access for attack tooling and test
     assertions only — no bus traffic.  Zeroes every untouched chunk

@@ -202,24 +202,12 @@ let write_from t addr buf ~off ~len =
 (** Cached CPU write; bytes are labelled with the ambient taint. *)
 let write t addr b = write_from t addr b ~off:0 ~len:(Bytes.length b)
 
-(** Batched-pipeline page-run read: [Pl310.read_run_into] for DRAM
-    addresses (bit-identical state evolution to [read_into], tight
-    host loop), the generic path elsewhere. *)
-let read_run_into t addr buf ~off ~len =
-  if in_dram t addr then Pl310.read_run_into t.l2 addr buf ~off ~len
-  else read_into t addr buf ~off ~len
+(** Batched-pipeline page-run read.  The L2 has one access path, so
+    this is [read_into]. *)
+let read_run_into = read_into
 
-(** Page-run write twin of [read_run_into]; same fault hook and taint
-    labelling as [write_from]. *)
-let write_run_from t addr buf ~off ~len =
-  Sentry_faults.Injector.fire Sentry_faults.Injector.Points.machine_write;
-  if in_dram t addr then Pl310.write_run_from t.l2 ~taint:t.ambient_taint addr buf ~off ~len
-  else if in_iram t addr then Iram.write_from t.iram ~level:t.ambient_taint addr buf ~off ~len
-  else
-    match t.pinned with
-    | Some p when Pinned_mem.contains p addr ->
-        Pinned_mem.write_from p ~level:t.ambient_taint addr buf ~off ~len
-    | Some _ | None -> raise (Bus_fault addr)
+(** Page-run write twin of [read_run_into]: [write_from]. *)
+let write_run_from = write_from
 
 (** Uncached CPU access: goes straight to DRAM over the bus (device
     memory attribute / explicitly uncached mapping). *)

@@ -89,10 +89,8 @@ val read_into : t -> int -> Bytes.t -> off:int -> len:int -> unit
 
 val write_from : t -> int -> Bytes.t -> off:int -> len:int -> unit
 
-(** Page-run variants used by the batched lock/unlock pipeline:
-    bit-identical simulated state evolution to [read_into] /
-    [write_from] (differentially tested), with the per-line host
-    overhead hoisted out of DRAM runs via {!Pl310.read_run_into}. *)
+(** Page-run names used by the batched lock/unlock pipeline.  The L2
+    has one access path, so these are [read_into] / [write_from]. *)
 val read_run_into : t -> int -> Bytes.t -> off:int -> len:int -> unit
 
 val write_run_from : t -> int -> Bytes.t -> off:int -> len:int -> unit

@@ -3,7 +3,15 @@
     Locked ways keep serving hits and absorbing writes but never
     evict — their data never reaches DRAM — and the flush mask makes
     kernel cache maintenance skip them (the Sentry patch, §4.5).
-    [flush_all_stock] reproduces the dangerous stock behaviour. *)
+    [flush_all_stock] reproduces the dangerous stock behaviour.
+
+    Storage is three flat arrays, not per-line records: every line's
+    bytes in one [ways * way_size] store (line [(way, set)] at
+    [(way * sets + set) * line_size]), one tag word per line
+    ([(tag lsl 2) lor (dirty lsl 1) lor valid]) and, once
+    [enable_taint] runs, one shadow in the store's layout.  [create]
+    allocates the arrays straight in the major heap, and the access
+    path allocates nothing. *)
 
 type stats = {
   mutable hits : int;
@@ -53,7 +61,13 @@ val lookup : t -> int -> int option
 val resident : t -> int -> bool
 val way_of : t -> int -> int option
 
-(** {2 CPU access path} *)
+(** {2 CPU access path}
+
+    One line-granule walk serves every cached access, from a byte to a
+    page run.  With tracing on, a write-back hook set or a bus monitor
+    attached, its misses emit trace events, fire the hook and deliver
+    bus transactions; otherwise they only account them.  Simulated
+    state evolves the same either way. *)
 
 (** Cached read straight into [buf] at [off]: hit, fill (evicting
     per lockdown), or — when every way is locked — an uncached DRAM
@@ -65,23 +79,9 @@ val read_into : t -> int -> Bytes.t -> off:int -> len:int -> unit
     tracking is on. *)
 val write_from : t -> ?taint:Taint.level -> int -> Bytes.t -> off:int -> len:int -> unit
 
-(** {2 Batched run fast path} *)
-
-(** [read_run_into t addr buf ~off ~len] — the batched lock/unlock
-    pipeline's page-run read.  Bit-identical simulated state evolution
-    to [read_into] (same per-line stats, clock advances, energy
-    charges, bus transactions, victim choices; differentially tested)
-    with the per-line host overhead hoisted out of the loop.  Falls
-    back to [read_into] whenever tracing is on, a bus monitor is
-    attached or a write-back hook is installed. *)
-val read_run_into : t -> int -> Bytes.t -> off:int -> len:int -> unit
-
-(** Page-run write twin of [read_run_into]. *)
-val write_run_from : t -> ?taint:Taint.level -> int -> Bytes.t -> off:int -> len:int -> unit
-
 (** {2 Taint tracking} *)
 
-(** Lazily allocate per-line shadows (and DRAM's, transitively). *)
+(** Allocate the line shadow (and DRAM's, transitively); idempotent. *)
 val enable_taint : t -> unit
 
 val taint_enabled : t -> bool
@@ -99,9 +99,11 @@ val set_writeback_hook : t -> (way:int -> addr:int -> locked:bool -> unit) -> un
 
 val clear_writeback_hook : t -> unit
 
-(** Visit every valid resident line ([f ~way ~addr data]); used by
-    analysis passes searching the cache for key material. *)
-val iter_resident : t -> (way:int -> addr:int -> Bytes.t -> unit) -> unit
+(** Visit every valid resident line: [f ~way ~addr store ~off] sees
+    the line as the [line_size]-byte window of the live store at [off]
+    (a view, not a copy: read it in place, do not keep or mutate it).
+    Used by analysis passes searching the cache for key material. *)
+val iter_resident : t -> (way:int -> addr:int -> Bytes.t -> off:int -> unit) -> unit
 
 (** {2 Maintenance} *)
 

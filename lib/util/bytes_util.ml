@@ -34,13 +34,16 @@ let count_pattern b pat =
   done;
   !count
 
-(** [find b needle] returns the offset of the first occurrence of
-    [needle] in [b], or [None]. Naive scan; dumps are tens of MB at most. *)
-let find b needle =
-  let nn = Bytes.length needle and n = Bytes.length b in
-  if nn = 0 then Some 0
+(** [find_in b ~off ~len needle] returns the offset in [b] of the first
+    occurrence of [needle] lying wholly inside the window [off, off +
+    len), or [None]: a bounded search of a view, no copy. *)
+let find_in b ~off ~len needle =
+  if off < 0 || len < 0 || off + len > Bytes.length b then
+    invalid_arg "Bytes_util.find_in: bad window";
+  let nn = Bytes.length needle in
+  if nn = 0 then Some off
   else
-    let limit = n - nn in
+    let limit = off + len - nn in
     let rec scan i =
       if i > limit then None
       else
@@ -49,7 +52,11 @@ let find b needle =
         in
         if matches 0 then Some i else scan (i + 1)
     in
-    scan 0
+    scan off
+
+(** [find b needle] returns the offset of the first occurrence of
+    [needle] in [b], or [None]. Naive scan; dumps are tens of MB at most. *)
+let find b needle = find_in b ~off:0 ~len:(Bytes.length b) needle
 
 (** [contains b needle] tests whether [needle] occurs anywhere in [b]. *)
 let contains b needle = Option.is_some (find b needle)

@@ -11,6 +11,11 @@ val count_pattern : Bytes.t -> Bytes.t -> int
 (** Offset of the first occurrence, if any. *)
 val find : Bytes.t -> Bytes.t -> int option
 
+(** [find_in b ~off ~len needle] — offset in [b] of the first
+    occurrence lying wholly inside the window [off, off + len), if any.
+    @raise Invalid_argument on a window outside [b]. *)
+val find_in : Bytes.t -> off:int -> len:int -> Bytes.t -> int option
+
 val contains : Bytes.t -> Bytes.t -> bool
 
 (** Xor [src] into [dst] in place; lengths must match. *)

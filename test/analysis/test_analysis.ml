@@ -88,10 +88,38 @@ let test_key_writes_are_tagged () =
   let m = System.machine system in
   (* the root key lives in locked L2: its line shadow must be secret *)
   let found = ref false in
-  Pl310.iter_resident (Machine.l2 m) (fun ~way:_ ~addr data ->
-      ignore data;
+  Pl310.iter_resident (Machine.l2 m) (fun ~way:_ ~addr _store ~off:_ ->
       if Pl310.taint_range (Machine.l2 m) addr 16 = Taint.Secret_cleartext then found := true);
   checkb "key tagged secret somewhere on-SoC" true !found
+
+(* The root-key checker searches each resident line in place: a key
+   planted inside one line of an unlocked way is reported with that way
+   and the line's address; a copy straddling two lines is not (the
+   match is per line). *)
+let test_root_key_in_unlocked_way () =
+  let system = System.boot `Tegra3 ~seed:9 in
+  let config = { (Config.default `Tegra3) with Config.track_taint = true } in
+  let sentry = Sentry.install system config in
+  let m = System.machine system and l2 = Machine.l2 (System.machine system) in
+  let key = Key_manager.volatile_key (Sentry.key_manager sentry) in
+  let line = Pl310.line_size l2 in
+  checkb "key fits in a line" true (Bytes.length key <= line);
+  let addr = frame system in
+  Machine.write m (addr + line) key;
+  Machine.write m (addr + (4 * line) - 3) key (* straddles two lines *);
+  let way =
+    match Pl310.way_of l2 (addr + line) with
+    | Some w -> w
+    | None -> Alcotest.fail "planted line not resident"
+  in
+  checkb "planted in an unlocked way" true (Pl310.lockdown l2 land (1 lsl way) = 0);
+  let found =
+    Checker.run_packed sentry Checker.On_demand (Checker.Packed (module Checkers.Root_key_confined))
+  in
+  Alcotest.(check (list string))
+    "one finding, with way and line address"
+    [ Printf.sprintf "volatile root key found in unlocked L2 way %d at 0x%08x" way (addr + line) ]
+    (List.map (fun v -> v.Checker.message) found)
 
 (* ------------------------- Scenario: clean ------------------------ *)
 
@@ -175,6 +203,7 @@ let () =
           Alcotest.test_case "write_raw ambient" `Quick test_write_raw_uses_ambient;
           Alcotest.test_case "register taint" `Quick test_registers_carry_taint;
           Alcotest.test_case "key writes tagged" `Quick test_key_writes_are_tagged;
+          Alcotest.test_case "root key in unlocked way" `Quick test_root_key_in_unlocked_way;
         ] );
       ( "scenario",
         [

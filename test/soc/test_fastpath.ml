@@ -117,12 +117,19 @@ let dirty_heap () =
   ignore (Sys.opaque_identity (Bytes.make n '\xa5'));
   Gc.full_major ()
 
+(* With [taint], the allocator is primed again before tracking is
+   enabled, so the DRAM taint shadow (allocated uninitialised, labelled
+   on first touch) also starts out dirty.  The eager machine enables
+   tracking after [Dram.raw]: its shadow is labelled at [enable_taint]. *)
 let lazy_equals_eager ~taint run () =
   let go ~eager =
     dirty_heap ();
     let m = mk () in
     if eager then ignore (Dram.raw (Machine.dram m) : Bytes.t);
-    if taint then Machine.enable_taint m;
+    if taint then begin
+      dirty_heap ();
+      Machine.enable_taint m
+    end;
     let out = run m in
     (m, out)
   in
@@ -193,6 +200,32 @@ let test_dirty_allocator_reads_zero () =
   let size = (Machine.config m).Machine.dram_size in
   check_bytes "snapshot" (zeros size) (Dram.snapshot (Machine.dram m))
 
+(* The DRAM taint shadow is allocated uninitialised: a range no access
+   touched must still read [Public], through the range query and in
+   the whole-image shadow, even from a dirty allocator.  Only the one
+   labelled store shows up. *)
+let test_untouched_shadow_public () =
+  dirty_heap ();
+  let m = mk () in
+  dirty_heap ();
+  Machine.enable_taint m;
+  let dram = Machine.dram m in
+  let base = (Machine.dram_region m).Memmap.base in
+  Machine.with_taint m Taint.Secret_cleartext (fun () ->
+      Machine.write m (base + chunk + 96) (payload 64 's'));
+  Pl310.flush_masked (Machine.l2 m) (* the labelled line reaches DRAM *);
+  let public = Alcotest.testable Taint.pp ( = ) in
+  Alcotest.check public "untouched range via the cache" Taint.Public
+    (Machine.taint_of m (base + (5 * chunk)) 4096);
+  Alcotest.check public "untouched chunk in DRAM" Taint.Public
+    (Dram.taint_range dram (base + (6 * chunk)) chunk);
+  match Dram.shadow dram with
+  | None -> Alcotest.fail "no DRAM shadow"
+  | Some sh ->
+      Alcotest.(check (list (pair int int)))
+        "only the labelled store is above Public" [ (chunk + 96, 64) ]
+        (Taint.runs sh ~level:Taint.Ciphertext)
+
 (* The write-back path passes the live line array to DRAM as a view
    instead of copying it.  The bus monitor's transaction and the DRAM
    contents must still be snapshots: mutating the line after the
@@ -246,6 +279,211 @@ let test_warm_path_allocation_ceiling () =
   if per_page > 64.0 then
     Alcotest.failf "warm 4 KB access allocated %.1f minor words (ceiling 64)" per_page
 
+(* [Pl310.create] builds its arrays straight in the major heap: the
+   minor heap sees only the record, the stats and the meter. *)
+let test_create_allocation_ceiling () =
+  let m = mk () in
+  let dram = Machine.dram m and clock = Machine.clock m and energy = Machine.energy m in
+  let mw0 = Gc.minor_words () in
+  let l2 = Pl310.create ~dram ~clock ~energy () in
+  let words = Gc.minor_words () -. mw0 in
+  ignore (Sys.opaque_identity l2);
+  if words > 100.0 then Alcotest.failf "Pl310.create allocated %.0f minor words (ceiling 100)" words
+
+(* Cold page runs — every line a miss, most evicting a dirty line, DRAM
+   chunks zeroed on first touch — allocate nothing either. *)
+let test_cold_run_allocation_ceiling () =
+  let m = mk () in
+  let base = (Machine.dram_region m).Memmap.base in
+  let page i = base + (i * 4096) in
+  let buf = Bytes.create 4096 in
+  for i = 0 to 255 do
+    Machine.write_run_from m (page i) buf ~off:0 ~len:4096 (* 1 MiB: every line dirty *)
+  done;
+  let s = Pl310.stats (Machine.l2 m) in
+  let misses0 = s.Pl310.misses and wb0 = s.Pl310.writebacks in
+  let mw0 = Gc.minor_words () in
+  for i = 256 to 256 + 31 do
+    Machine.write_run_from m (page i) buf ~off:0 ~len:4096;
+    Machine.read_run_into m (page (i + 256)) buf ~off:0 ~len:4096
+  done;
+  let per_call = (Gc.minor_words () -. mw0) /. 64.0 in
+  checki "every line missed" (64 * 128) (s.Pl310.misses - misses0);
+  if s.Pl310.writebacks - wb0 < 32 * 128 then
+    Alcotest.fail "the runs wrote back too few dirty lines";
+  if per_call > 8.0 then
+    Alcotest.failf "cold 4 KB run allocated %.1f minor words per call (ceiling 8)" per_call
+
+(* --------------- reference-model differential (qcheck) -------------- *)
+
+(* [Pl310] against [Ref_pl310], the per-line-record controller it
+   replaced, over random operation sequences on two identical small
+   systems.  Small geometries keep conflicts, evictions and bypasses
+   frequent.  [Read_run]/[Write_run] issue page-aligned 4 KiB runs, the
+   batched pipeline's shape. *)
+type op =
+  | Read of int * int
+  | Write of int * int * Taint.level
+  | Read_run of int
+  | Write_run of int * Taint.level
+  | Lockdown of int
+  | Flush_mask of int
+  | Flush_masked
+  | Flush_all_stock
+  | Clean_invalidate of int * int
+  | Invalidate of int * int
+  | Reset
+  | Enable_taint
+  | Hook of bool
+
+let pp_op = function
+  | Read (o, n) -> Printf.sprintf "read %d+%d" o n
+  | Write (o, n, l) -> Printf.sprintf "write %d+%d %s" o n (Taint.to_string l)
+  | Read_run p -> Printf.sprintf "read_run page %d" p
+  | Write_run (p, l) -> Printf.sprintf "write_run page %d %s" p (Taint.to_string l)
+  | Lockdown m -> Printf.sprintf "lockdown 0x%x" m
+  | Flush_mask m -> Printf.sprintf "flush_mask 0x%x" m
+  | Flush_masked -> "flush_masked"
+  | Flush_all_stock -> "flush_all_stock"
+  | Clean_invalidate (o, n) -> Printf.sprintf "clean_invalidate %d+%d" o n
+  | Invalidate (o, n) -> Printf.sprintf "invalidate %d+%d" o n
+  | Reset -> "reset"
+  | Enable_taint -> "enable_taint"
+  | Hook b -> Printf.sprintf "hook %b" b
+
+let ref_dram_size = 128 * Units.kib
+
+let gen_case =
+  let open QCheck.Gen in
+  let* ways, way_size = oneofl [ (4, Units.kib); (8, 2 * Units.kib) ] in
+  let full = (1 lsl ways) - 1 in
+  let mask = frequency [ (3, int_bound full); (1, return full); (1, return 0) ] in
+  let level = oneofl [ Taint.Public; Taint.Ciphertext; Taint.Secret_cleartext ] in
+  (* mostly a hot 16 KiB window, sometimes straddling the 64 KiB chunk
+     boundary (first-touch zeroing of the second chunk) *)
+  let range =
+    let* off =
+      frequency
+        [ (4, int_bound ((16 * Units.kib) - 1)); (1, int_range (60 * Units.kib) (68 * Units.kib)) ]
+    in
+    let+ len = int_range 1 200 in
+    (off, len)
+  in
+  let page = frequency [ (4, int_bound 3); (1, int_bound ((ref_dram_size / 4096) - 1)) ] in
+  let op =
+    frequency
+      [
+        (6, map (fun (o, n) -> Read (o, n)) range);
+        (6, map2 (fun (o, n) l -> Write (o, n, l)) range level);
+        (2, map (fun p -> Read_run p) page);
+        (2, map2 (fun p l -> Write_run (p, l)) page level);
+        (2, map (fun m -> Lockdown m) mask);
+        (1, map (fun m -> Flush_mask m) mask);
+        (1, return Flush_masked);
+        (1, return Flush_all_stock);
+        (1, map (fun (o, n) -> Clean_invalidate (o, n)) range);
+        (1, map (fun (o, n) -> Invalidate (o, n)) range);
+        (1, return Reset);
+        (1, return Enable_taint);
+        (1, map (fun b -> Hook b) bool);
+      ]
+  in
+  let+ ops = list_size (int_range 1 80) op in
+  (ways, way_size, ops)
+
+let print_case (ways, way_size, ops) =
+  Printf.sprintf "%d ways x %d B: %s" ways way_size (String.concat "; " (List.map pp_op ops))
+
+type sys = { clock : Clock.t; energy : Energy.t; bus : Bus.t; dram : Dram.t }
+
+let small_sys () =
+  let clock = Clock.create () and energy = Energy.create () in
+  let bus = Bus.create ~clock ~energy in
+  let dram = Dram.create ~bus ~clock ~prng:(Prng.create ~seed:1) ~size:ref_dram_size in
+  { clock; energy; bus; dram }
+
+let same_scalars (a : sys) l2 (b : sys) rf =
+  let sa = Pl310.stats l2 and sb = rf.Ref_pl310.stats in
+  sa = sb
+  && Clock.now a.clock = Clock.now b.clock
+  && Energy.categories a.energy = Energy.categories b.energy
+  && Bus.stats a.bus = Bus.stats b.bus
+
+let reference_differential (ways, way_size, ops) =
+  let a = small_sys () and b = small_sys () in
+  let l2 =
+    Pl310.create ~ways ~way_size ~line_size:32 ~dram:a.dram ~clock:a.clock ~energy:a.energy ()
+  in
+  let rf =
+    Ref_pl310.create ~ways ~way_size ~line_size:32 ~dram:b.dram ~clock:b.clock ~energy:b.energy
+  in
+  let base = (Dram.region a.dram).Memmap.base in
+  let log_a = ref [] and log_b = ref [] in
+  let touched = ref [] in
+  let line a = a land lnot 31 in
+  let touch o n = touched := line (base + o) :: line (base + o + n - 1) :: !touched in
+  let read o n =
+    let buf_a = Bytes.make (n + 5) '\x55' and buf_b = Bytes.make (n + 5) '\x55' in
+    Pl310.read_into l2 (base + o) buf_a ~off:2 ~len:n;
+    Ref_pl310.read_into rf (base + o) buf_b ~off:2 ~len:n;
+    Bytes.equal buf_a buf_b
+  in
+  let write o n taint =
+    let buf = Bytes.init (n + 5) (fun i -> Char.chr ((o + (i * 31)) land 0xff)) in
+    Pl310.write_from l2 ~taint (base + o) buf ~off:2 ~len:n;
+    Ref_pl310.write_from rf ~taint (base + o) buf ~off:2 ~len:n;
+    true
+  in
+  let step op =
+    let ok =
+      match op with
+      | Read (o, n) -> touch o n; read o n
+      | Write (o, n, l) -> touch o n; write o n l
+      | Read_run p -> touch (p * 4096) 4096; read (p * 4096) 4096
+      | Write_run (p, l) -> touch (p * 4096) 4096; write (p * 4096) 4096 l
+      | Lockdown m -> Pl310.set_lockdown l2 m; Ref_pl310.set_lockdown rf m; true
+      | Flush_mask m -> Pl310.set_flush_mask l2 m; Ref_pl310.set_flush_mask rf m; true
+      | Flush_masked -> Pl310.flush_masked l2; Ref_pl310.flush_masked rf; true
+      | Flush_all_stock -> Pl310.flush_all_stock l2; Ref_pl310.flush_all_stock rf; true
+      | Clean_invalidate (o, n) ->
+          Pl310.clean_invalidate_range l2 (base + o) n;
+          Ref_pl310.clean_invalidate_range rf (base + o) n;
+          true
+      | Invalidate (o, n) ->
+          Pl310.invalidate_range l2 (base + o) n;
+          Ref_pl310.invalidate_range rf (base + o) n;
+          true
+      | Reset -> Pl310.reset l2; Ref_pl310.reset rf; true
+      | Enable_taint -> Pl310.enable_taint l2; Ref_pl310.enable_taint rf; true
+      | Hook true ->
+          Pl310.set_writeback_hook l2 (fun ~way ~addr ~locked ->
+              log_a := (way, addr, locked) :: !log_a);
+          Ref_pl310.set_writeback_hook rf (fun ~way ~addr ~locked ->
+              log_b := (way, addr, locked) :: !log_b);
+          true
+      | Hook false -> Pl310.clear_writeback_hook l2; Ref_pl310.clear_writeback_hook rf; true
+    in
+    if not (ok && same_scalars a l2 b rf) then
+      QCheck.Test.fail_reportf "diverged at %s" (pp_op op)
+  in
+  List.iter step ops;
+  let line_state addr =
+    (Pl310.way_of l2 addr, Pl310.peek_line l2 addr, Pl310.taint_range l2 addr 32)
+  and ref_state addr =
+    (Ref_pl310.way_of rf addr, Ref_pl310.peek_line rf addr, Ref_pl310.taint_range rf addr 32)
+  in
+  List.for_all (fun addr -> line_state addr = ref_state addr) !touched
+  && !log_a = !log_b
+  && Pl310.lockdown l2 = rf.Ref_pl310.lockdown
+  && Bytes.equal (Dram.snapshot a.dram) (Dram.snapshot b.dram)
+  && Option.equal Bytes.equal (Dram.shadow a.dram) (Dram.shadow b.dram)
+
+let test_reference_model =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300 ~name:"flat store = per-line records"
+       (QCheck.make ~print:print_case gen_case)
+       reference_differential)
+
 let () =
   Alcotest.run "sentry_soc_fastpath"
     [
@@ -268,12 +506,18 @@ let () =
             (lazy_equals_eager ~taint:true (reboot (Machine.Hard_reset 2.0)));
           Alcotest.test_case "dirty allocator reads zero" `Quick
             test_dirty_allocator_reads_zero;
+          Alcotest.test_case "untouched shadow reads public" `Quick test_untouched_shadow_public;
         ] );
+      ("reference model", [ test_reference_model ]);
       ( "aliasing",
         [
           Alcotest.test_case "write-back snapshots" `Quick test_writeback_no_alias;
           Alcotest.test_case "byte accessors" `Quick test_byte_accessors;
         ] );
       ( "allocation",
-        [ Alcotest.test_case "warm path ceiling" `Quick test_warm_path_allocation_ceiling ] );
+        [
+          Alcotest.test_case "warm path ceiling" `Quick test_warm_path_allocation_ceiling;
+          Alcotest.test_case "create ceiling" `Quick test_create_allocation_ceiling;
+          Alcotest.test_case "cold run ceiling" `Quick test_cold_run_allocation_ceiling;
+        ] );
     ]
