@@ -1,53 +1,19 @@
-(** The benchmark harness: regenerates every table and figure of the
-    paper's evaluation (§8), then runs the Bechamel microbenchmark
-    suite over the implementation's primitives.
+(** The benchmark snapshot: times every experiment of the paper's
+    evaluation (§8) and records fleet, serve, backend, counter and SLO
+    sections in BENCH_sentry.json, or re-times a committed snapshot
+    and warns about regressions.  The tables and figures themselves
+    are printed by [sentry_cli exp].
 
     {v
-    dune exec bench/main.exe                 # everything
-    dune exec bench/main.exe -- fig9 fig10   # selected experiments
-    dune exec bench/main.exe -- micro        # microbenchmarks only
-    dune exec bench/main.exe -- --list       # what exists
+    dune exec bench/main.exe -- --json BENCH_sentry.json   # write a snapshot
+    dune exec bench/main.exe -- --compare BENCH_sentry.json fig9
     v} *)
-
-let list_experiments () =
-  print_endline "Available experiments:";
-  List.iter
-    (fun (e : Sentry_experiments.Experiments.entry) ->
-      Printf.printf "  %-11s %s\n" e.Sentry_experiments.Experiments.id
-        e.Sentry_experiments.Experiments.description)
-    Sentry_experiments.Experiments.all;
-  print_endline "  micro       bechamel microbenchmarks"
-
-let run_all () =
-  print_endline "Sentry: reproduction of every table and figure (ASPLOS'15)";
-  print_endline "==========================================================\n";
-  List.iter Sentry_experiments.Experiments.run_and_print Sentry_experiments.Experiments.all;
-  Micro.run ()
-
-let run_selected ~csv ids =
-  List.iter
-    (fun id ->
-      if id = "micro" then Micro.run ()
-      else
-        match Sentry_experiments.Experiments.find id with
-        | Some e ->
-            if csv then
-              List.iter
-                (fun t -> print_string (Sentry_util.Table.to_csv t))
-                (e.Sentry_experiments.Experiments.run ())
-            else Sentry_experiments.Experiments.run_and_print e
-        | None ->
-            Printf.eprintf "unknown experiment %S (try --list)\n" id;
-            exit 1)
-    ids
-
-(* ------------------------- machine-readable ---------------------- *)
 
 let find_or_die id =
   match Sentry_experiments.Experiments.find id with
   | Some e -> e
   | None ->
-      Printf.eprintf "unknown experiment %S (try --list)\n" id;
+      Printf.eprintf "unknown experiment %S (try sentry_cli list)\n" id;
       exit 1
 
 (* One timed run with its host GC cost: wall-clock seconds plus the
@@ -199,7 +165,7 @@ let run_json ~path ~trials ~slo_spec ids =
       (String.concat ", "
          (List.map
             (fun b -> Printf.sprintf "%s %.0f" (kname b) (EB.fault_elapsed_ns b))
-            EB.backends));
+            Sentry_core.Backend.all_kinds));
     let sweep =
       List.map
         (fun n ->
@@ -224,7 +190,9 @@ let run_json ~path ~trials ~slo_spec ids =
         (EB.app_race ())
     in
     let faults =
-      List.map (fun b -> (kname b, Json_out.Float (EB.fault_elapsed_ns b))) EB.backends
+      List.map
+        (fun b -> (kname b, Json_out.Float (EB.fault_elapsed_ns b)))
+        Sentry_core.Backend.all_kinds
     in
     Json_out.Obj
       [
@@ -275,6 +243,9 @@ let run_json ~path ~trials ~slo_spec ids =
 
 (* [bench --compare FILE] re-times the experiments recorded in a
    committed snapshot and reports which drifted beyond tolerance.
+   Fresh best-of-N is compared with the snapshot's recorded best-of-N
+   ([min_s]): load inflates a mean, so a min held against [mean_s]
+   would hide a real slowdown.
    Wall clock is environment sensitive (CI runners differ from dev
    machines), so the diff is warn-only: it never fails the build, it
    makes a slowdown visible in the log next to the run that caused
@@ -303,9 +274,9 @@ let run_compare ~path ~trials ~tolerance ids =
           (fun e ->
             match
               ( Option.bind (Json_in.member "id" e) Json_in.to_string,
-                Option.bind (Json_in.member "mean_s" e) Json_in.to_float )
+                Option.bind (Json_in.member "min_s" e) Json_in.to_float )
             with
-            | Some id, Some mean -> Some (id, mean)
+            | Some id, Some min -> Some (id, min)
             | _ -> None)
           exps
     | None ->
@@ -334,16 +305,16 @@ let run_compare ~path ~trials ~tolerance ids =
   in
   Printf.printf "bench --compare: %d experiment(s) vs %s, %d trial(s) each, tolerance %.0f%%\n"
     (List.length selected) path trials (tolerance *. 100.0);
-  Printf.printf "  %-11s %12s %12s %7s\n%!" "id" "snapshot" "fresh min" "ratio";
+  Printf.printf "  %-11s %12s %12s %7s\n%!" "id" "snap min" "fresh min" "ratio";
   (* sub-tolerance absolute drift on the microsecond experiments is
      scheduler noise, not regression *)
   let abs_floor_s = 0.05 in
   let drifted =
     List.filter
-      (fun (id, snap_mean) ->
+      (fun (id, snap_min) ->
         match Sentry_experiments.Experiments.find id with
         | None ->
-            Printf.printf "  %-11s %11.3fs %12s\n%!" id snap_mean "(gone)";
+            Printf.printf "  %-11s %11.3fs %12s\n%!" id snap_min "(gone)";
             false
         | Some e ->
             let times =
@@ -355,11 +326,11 @@ let run_compare ~path ~trials ~tolerance ids =
                transient machine load inflates the mean, never deflates
                the min — so a warning here means the code itself slowed *)
             let fresh = (Sentry_util.Stats.summarize times).Sentry_util.Stats.min in
-            let ratio = if snap_mean > 0.0 then fresh /. snap_mean else Float.infinity in
+            let ratio = if snap_min > 0.0 then fresh /. snap_min else Float.infinity in
             let slower =
-              fresh -. snap_mean > abs_floor_s && fresh > snap_mean *. (1.0 +. tolerance)
+              fresh -. snap_min > abs_floor_s && fresh > snap_min *. (1.0 +. tolerance)
             in
-            Printf.printf "  %-11s %11.3fs %11.3fs %6.2fx%s\n%!" id snap_mean fresh ratio
+            Printf.printf "  %-11s %11.3fs %11.3fs %6.2fx%s\n%!" id snap_min fresh ratio
               (if slower then "  WARN: slower than snapshot" else "");
             slower)
       selected
@@ -375,16 +346,8 @@ let run_compare ~path ~trials ~tolerance ids =
 open Cmdliner
 
 let ids =
-  let doc = "Experiment ids to run (default: all + micro). Use --list to enumerate." in
+  let doc = "Experiment ids to time (default: all). $(b,sentry_cli list) enumerates them." in
   Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT" ~doc)
-
-let list_flag =
-  let doc = "List available experiments." in
-  Arg.(value & flag & info [ "list" ] ~doc)
-
-let csv_flag =
-  let doc = "Emit CSV instead of aligned tables (selected experiments only)." in
-  Arg.(value & flag & info [ "csv" ] ~doc)
 
 let json_flag =
   let doc = "Write machine-readable results (schema sentry-bench/v1) to $(docv)." in
@@ -414,22 +377,19 @@ let slo_spec_flag =
   in
   Arg.(value & opt string "slo.spec" & info [ "slo-spec" ] ~docv:"FILE" ~doc)
 
-let main list_it csv json compare tolerance trials slo_spec ids =
-  if list_it then list_experiments ()
-  else
-    match (json, compare) with
-    | Some _, Some _ ->
-        prerr_endline "--json and --compare are mutually exclusive";
-        exit 1
-    | Some path, None -> run_json ~path ~trials:(Option.value trials ~default:3) ~slo_spec ids
-    | None, Some path -> run_compare ~path ~trials ~tolerance ids
-    | None, None -> ( match ids with [] -> run_all () | ids -> run_selected ~csv ids)
+let main json compare tolerance trials slo_spec ids =
+  match (json, compare) with
+  | Some path, None -> run_json ~path ~trials:(Option.value trials ~default:3) ~slo_spec ids
+  | None, Some path -> run_compare ~path ~trials ~tolerance ids
+  | _ ->
+      prerr_endline
+        "give exactly one of --json FILE or --compare FILE (tables and figures: sentry_cli exp)";
+      exit 1
 
 let cmd =
-  let doc = "regenerate the Sentry paper's tables and figures" in
+  let doc = "write or compare the Sentry benchmark snapshot" in
   Cmd.v (Cmd.info "sentry-bench" ~doc)
     Term.(
-      const main $ list_flag $ csv_flag $ json_flag $ compare_flag $ tolerance_flag $ trials_flag
-      $ slo_spec_flag $ ids)
+      const main $ json_flag $ compare_flag $ tolerance_flag $ trials_flag $ slo_spec_flag $ ids)
 
 let () = exit (Cmd.eval cmd)

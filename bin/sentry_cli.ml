@@ -2,7 +2,8 @@
 
     {v
     sentry-cli list                         # available experiments
-    sentry-cli exp table3 fig10             # run experiments
+    sentry-cli exp table3 fig10             # run experiments (all without ids)
+    sentry-cli exp --csv table4             # tables as CSV
     sentry-cli demo                         # lock/unlock walk-through
     sentry-cli attack --variant reflash     # mount a cold-boot attack
     v} *)
@@ -58,19 +59,32 @@ let list_cmd =
 (* ------------------------------ exp ------------------------------ *)
 
 let exp_cmd =
-  let doc = "run experiments by id (see list)" in
-  let ids = Arg.(non_empty & pos_all string [] & info [] ~docv:"ID") in
-  let run ids =
+  let module E = Sentry_experiments.Experiments in
+  let doc = "run experiments by id (see list); every experiment without ids" in
+  let ids = Arg.(value & pos_all string [] & info [] ~docv:"ID") in
+  let csv = Arg.(value & flag & info [ "csv" ] ~doc:"print each table as CSV") in
+  let run csv ids =
+    (* resolve every id before running any, so a typo fails closed *)
+    let entries =
+      match ids with
+      | [] -> E.all
+      | ids ->
+          List.map
+            (fun id ->
+              match E.find id with
+              | Some e -> e
+              | None ->
+                  Printf.eprintf "unknown experiment %S (try list)\n" id;
+                  exit 1)
+            ids
+    in
     List.iter
-      (fun id ->
-        match Sentry_experiments.Experiments.find id with
-        | Some e -> Sentry_experiments.Experiments.run_and_print e
-        | None ->
-            Printf.eprintf "unknown experiment %S\n" id;
-            exit 1)
-      ids
+      (fun (e : E.entry) ->
+        if csv then List.iter (fun t -> print_string (Table.to_csv t)) (e.E.run ())
+        else E.run_and_print e)
+      entries
   in
-  Cmd.v (Cmd.info "exp" ~doc) Term.(const run $ ids)
+  Cmd.v (Cmd.info "exp" ~doc) Term.(const run $ csv $ ids)
 
 (* ------------------------------ demo ----------------------------- *)
 
@@ -406,21 +420,51 @@ let attack_cmd =
 
 (* ----------------------------- fleet ----------------------------- *)
 
-let fleet procs pages cycles wakes io touch backend (shards, domains) json folded =
-  let open Sentry_obs in
+(* The fleet workload's six knobs plus --backend, shared by fleet and
+   slo; defaults are [Fleet.default]'s. *)
+let fleet_config_arg =
   let module F = Sentry_workloads.Fleet in
-  let module Shard = Sentry_workloads.Shard in
-  let cfg =
+  let d = F.default in
+  let procs =
+    Arg.(value & opt int d.F.procs & info [ "procs" ] ~docv:"N"
+           ~doc:"sensitive processes in the fleet")
+  in
+  let pages =
+    Arg.(value & opt int d.F.pages_per_proc & info [ "pages" ] ~docv:"M"
+           ~doc:"pages per medium tenant main region")
+  in
+  let cycles =
+    Arg.(value & opt int d.F.cycles & info [ "cycles" ] ~docv:"C" ~doc:"lock/unlock churn cycles")
+  in
+  let wakes =
+    Arg.(value & opt int d.F.service_wakes & info [ "wakes" ] ~docv:"W"
+           ~doc:"background service wakes per locked period")
+  in
+  let io =
+    Arg.(value & opt int d.F.io_sectors & info [ "io" ] ~docv:"SECTORS"
+           ~doc:"dm-crypt sectors written+read per wake")
+  in
+  let touch =
+    Arg.(value & opt float d.F.touch_fraction & info [ "touch" ] ~docv:"FRAC"
+           ~doc:"fraction of pages faulted in after unlock")
+  in
+  let make procs pages_per_proc cycles service_wakes io_sectors touch_fraction backend =
     {
       F.procs;
-      pages_per_proc = pages;
+      pages_per_proc;
       cycles;
-      touch_fraction = touch;
-      service_wakes = wakes;
-      io_sectors = io;
+      touch_fraction;
+      service_wakes;
+      io_sectors;
       backend = resolve_backend backend;
     }
   in
+  Term.(const make $ procs $ pages $ cycles $ wakes $ io $ touch $ backend_arg)
+
+let fleet (cfg : Sentry_workloads.Fleet.config) (shards, domains) json folded =
+  let open Sentry_obs in
+  let module F = Sentry_workloads.Fleet in
+  let module Shard = Sentry_workloads.Shard in
   (* only pay for tracing when the folded-stacks export was asked for:
      installing a recorder here opts the shards into per-shard
      recorders, merged deterministically afterwards *)
@@ -434,28 +478,16 @@ let fleet procs pages cycles wakes io touch backend (shards, domains) json folde
       Printf.printf "wrote folded stacks to %s\n" path
   | _ -> ());
   if json then begin
-    let latency_json (cls, (l : F.latency)) =
-      ( cls,
-        Json_out.Obj
-          [
-            ("count", Json_out.Int l.F.count);
-            ("mean_ns", Json_out.Float l.F.mean_ns);
-            ("p50_ns", Json_out.Float l.F.p50_ns);
-            ("p99_ns", Json_out.Float l.F.p99_ns);
-            ("p999_ns", Json_out.Float l.F.p999_ns);
-            ("max_ns", Json_out.Float l.F.max_ns);
-          ] )
-    in
     let doc =
       Json_out.Obj
         [
           ("domains", Json_out.Int run.Shard.domains);
           ("shards", Json_out.Int (List.length run.Shard.plan));
           ("wall_s", Json_out.Float run.Shard.wall_s);
-          ("procs", Json_out.Int procs);
-          ("pages_per_proc", Json_out.Int pages);
-          ("cycles", Json_out.Int cycles);
-          ("backend", Json_out.Str (F.backend_label cfg.F.backend));
+          ("procs", Json_out.Int cfg.F.procs);
+          ("pages_per_proc", Json_out.Int cfg.F.pages_per_proc);
+          ("cycles", Json_out.Int cfg.F.cycles);
+          ("backend", Json_out.Str (Backend.kind_name cfg.F.backend));
           ("fleet_pages", Json_out.Int s.F.fleet_pages);
           ("pages_locked", Json_out.Int s.F.pages_locked);
           ("pages_unlocked_eager", Json_out.Int s.F.pages_unlocked_eager);
@@ -466,7 +498,8 @@ let fleet procs pages cycles wakes io touch backend (shards, domains) json folde
           ("unlock_wall_s", Json_out.Float s.F.unlock_wall_s);
           ("lock_pages_per_s", Json_out.Float s.F.lock_pages_per_s);
           ("unlock_to_first_touch_ns", Json_out.Float s.F.unlock_to_first_touch_ns);
-          ("unlock_to_first_touch_by_class", Json_out.Obj (List.map latency_json s.F.latency_by_class));
+          ( "unlock_to_first_touch_by_class",
+            Json_out.Obj (List.map F.latency_json s.F.latency_by_class) );
           ("sim_elapsed_ns", Json_out.Float s.F.sim_elapsed_ns);
           ("energy_j", Json_out.Float s.F.energy_j);
         ]
@@ -477,32 +510,13 @@ let fleet procs pages cycles wakes io touch backend (shards, domains) json folde
 
 let fleet_cmd =
   let doc = "run the multi-tenant fleet churn workload" in
-  let procs =
-    Arg.(value & opt int 8 & info [ "procs" ] ~docv:"N" ~doc:"sensitive processes in the fleet")
-  in
-  let pages =
-    Arg.(value & opt int 16 & info [ "pages" ] ~docv:"M" ~doc:"pages per process main region")
-  in
-  let cycles =
-    Arg.(value & opt int 3 & info [ "cycles" ] ~docv:"C" ~doc:"lock/unlock churn cycles")
-  in
-  let wakes =
-    Arg.(value & opt int 1 & info [ "wakes" ] ~docv:"W" ~doc:"background service wakes per locked period")
-  in
-  let io =
-    Arg.(value & opt int 8 & info [ "io" ] ~docv:"SECTORS" ~doc:"dm-crypt sectors written+read per wake")
-  in
-  let touch =
-    Arg.(value & opt float 0.25 & info [ "touch" ] ~docv:"FRAC" ~doc:"fraction of pages faulted in after unlock")
-  in
   let json = Arg.(value & flag & info [ "json" ] ~doc:"machine-readable output") in
   let folded =
     Arg.(value & opt (some string) None & info [ "folded" ] ~docv:"FILE"
            ~doc:"trace the run and write folded stacks (flamegraph.pl input)")
   in
   Cmd.v (Cmd.info "fleet" ~doc)
-    Term.(const fleet $ procs $ pages $ cycles $ wakes $ io $ touch $ backend_arg $ shards_arg
-          $ json $ folded)
+    Term.(const fleet $ fleet_config_arg $ shards_arg $ json $ folded)
 
 (* ----------------------------- serve ----------------------------- *)
 
@@ -584,7 +598,7 @@ let serve_cmd =
 
 (* ------------------------------ slo ------------------------------ *)
 
-let slo spec procs pages cycles wakes io touch backend (shards, domains) json =
+let slo spec cfg (shards, domains) json =
   let open Sentry_obs in
   let module F = Sentry_workloads.Fleet in
   match Slo.load ~path:spec with
@@ -592,17 +606,6 @@ let slo spec procs pages cycles wakes io touch backend (shards, domains) json =
       Printf.eprintf "slo: %s\n" msg;
       exit 2
   | Ok objectives ->
-      let cfg =
-        {
-          F.procs;
-          pages_per_proc = pages;
-          cycles;
-          touch_fraction = touch;
-          service_wakes = wakes;
-          io_sectors = io;
-          backend = resolve_backend backend;
-        }
-      in
       (* the gate runs over the run's merged registries: the
          one-machine fleet and serve without --domains, the default
          shard plan's (the same snapshot for every D) with it.  The
@@ -629,24 +632,11 @@ let slo_cmd =
     Arg.(value & opt string "slo.spec"
          & info [ "spec" ] ~docv:"FILE" ~doc:"objective spec: 'KEY [STAT] <=|>= THRESHOLD' lines")
   in
-  let procs = Arg.(value & opt int 8 & info [ "procs" ] ~docv:"N" ~doc:"sensitive processes in the fleet") in
-  let pages = Arg.(value & opt int 16 & info [ "pages" ] ~docv:"M" ~doc:"pages per medium tenant") in
-  let cycles = Arg.(value & opt int 3 & info [ "cycles" ] ~docv:"C" ~doc:"lock/unlock churn cycles") in
-  let wakes =
-    Arg.(value & opt int 1 & info [ "wakes" ] ~docv:"W" ~doc:"background service wakes per locked period")
-  in
-  let io =
-    Arg.(value & opt int 8 & info [ "io" ] ~docv:"SECTORS" ~doc:"dm-crypt sectors written+read per wake")
-  in
-  let touch =
-    Arg.(value & opt float 0.25 & info [ "touch" ] ~docv:"FRAC" ~doc:"fraction of pages faulted in after unlock")
-  in
   let json =
     Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc:"also write the report as JSON")
   in
   Cmd.v (Cmd.info "slo" ~doc)
-    Term.(const slo $ spec $ procs $ pages $ cycles $ wakes $ io $ touch $ backend_arg
-          $ shards_arg $ json)
+    Term.(const slo $ spec $ fleet_config_arg $ shards_arg $ json)
 
 let () =
   let doc = "Sentry: on-SoC protection against memory attacks (simulator)" in

@@ -12,7 +12,6 @@ type t = {
   pin : string;
   max_pin_attempts : int; (* wrong PINs before deep-lock *)
   track_taint : bool; (* allocate shadow memory + tag secret flows *)
-  trace : bool; (* record structured events in the observability ring *)
   journal : bool; (* crash-consistency journal for lock/unlock walks *)
 }
 
@@ -25,7 +24,6 @@ let default_tegra3 =
     pin = "1234";
     max_pin_attempts = 5;
     track_taint = false;
-    trace = false;
     journal = false;
   }
 
@@ -41,7 +39,6 @@ let default_nexus4 =
     pin = "1234";
     max_pin_attempts = 5;
     track_taint = false;
-    trace = false;
     journal = false;
   }
 

@@ -23,10 +23,6 @@ type t = {
   track_taint : bool;
       (** allocate shadow memory and tag secret flows so the analysis
           engine can verify invariants (off by default: zero cost) *)
-  trace : bool;
-      (** start the global observability recorder at install and point
-          its time source at the machine clock (off by default: hot
-          paths pay one ref test and record nothing) *)
   journal : bool;
       (** allocate a small iRAM journal and record lock/unlock walk
           progress through it, enabling [Sentry.recover] after a crash

@@ -78,20 +78,6 @@ let install (system : System.t) (config : Config.t) =
   let machine = system.System.machine in
   (* Shadow stores must exist before the first key write is tagged. *)
   if config.Config.track_taint then Sentry_soc.Machine.enable_taint machine;
-  (* The recorder timestamps clockless emitters (dm-crypt, the crypto
-     registry, this state machine) off the machine clock. *)
-  if config.Config.trace then begin
-    if not (Sentry_obs.Trace.on ()) then
-      Sentry_obs.Trace.install (Sentry_obs.Trace.Recorder.create ());
-    Sentry_obs.Trace.set_time_source (fun () ->
-        Sentry_soc.Clock.now (Sentry_soc.Machine.clock machine));
-    Sentry_obs.Trace.emit ~cat:Sentry_obs.Event.Lock ~subsystem:"core.sentry" "install"
-      ~args:
-        [
-          ("platform", Sentry_obs.Event.Str (Sentry_soc.Machine.config machine).Sentry_soc.Machine.name);
-          ("track_taint", Sentry_obs.Event.Bool config.Config.track_taint);
-        ]
-  end;
   let onsoc = Onsoc.of_config machine config ~arena_base:system.System.arena_base in
   Onsoc.protect_from_dma onsoc machine;
   let keys = Key_manager.create machine onsoc in

@@ -47,8 +47,22 @@ let dma_roundtrip system =
   | Ok _ | Error _ -> ());
   Frame_alloc.free system.System.frames frame
 
+(* Ensure a recorder, timestamp its clockless emitters (dm-crypt, the
+   crypto registry, the lock state machine) off the machine clock, and
+   open the stream with an "install" event, then install Sentry. *)
 let install_traced system platform =
-  Sentry.install system { (Config.default platform) with Config.trace = true }
+  let open Sentry_obs in
+  let machine = System.machine system in
+  let config = Config.default platform in
+  if not (Trace.on ()) then Trace.install (Trace.Recorder.create ());
+  Trace.set_time_source (fun () -> Clock.now (Machine.clock machine));
+  Trace.emit ~cat:Event.Lock ~subsystem:"core.sentry" "install"
+    ~args:
+      [
+        ("platform", Event.Str (Machine.config machine).Machine.name);
+        ("track_taint", Event.Bool config.Config.track_taint);
+      ];
+  Sentry.install system config
 
 let lock_cycle ~seed platform =
   let system = System.boot ~seed ~pid_base:1 platform in
@@ -109,8 +123,8 @@ let dm_crypt_io ~seed platform =
   dma_roundtrip system;
   { system; sentry }
 
-(** [run ?seed name platform] executes the scenario; the recorder is
-    started by [Sentry.install] if the caller has not already. *)
+(** [run ?seed name platform] executes the scenario; [install_traced]
+    starts a recorder if the caller has not already. *)
 let run ?(seed = default_seed) name platform =
   match name with
   | Lock_cycle -> lock_cycle ~seed platform

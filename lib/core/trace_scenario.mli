@@ -20,6 +20,6 @@ val describe : name -> string
 type result = { system : System.t; sentry : Sentry.t }
 
 (** [run ?seed name platform] boots a fresh system (PRNG fixed by
-    [seed], default [default_seed]) and drives the scenario with
-    [Config.trace] set, so [Sentry.install] ensures a recorder. *)
+    [seed], default [default_seed]) and drives the scenario, installing
+    a recorder first if the caller has not. *)
 val run : ?seed:int -> name -> Config.platform -> result

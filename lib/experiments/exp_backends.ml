@@ -20,9 +20,6 @@ open Sentry_kernel
 open Sentry_core
 open Sentry_workloads
 
-let backends = Backend.all_kinds
-let label = Backend.kind_name
-
 (* ----------------------- micro lock/fault ------------------------ *)
 
 (* One lock walk over a [pages]-page process: the simulated elapsed
@@ -68,13 +65,14 @@ let lock_crossover_pages () =
 
 (** The Fig-2/Fig-4 app cycle (MP3 profile — the smallest) under each
     backend. *)
-let app_race () = List.map (fun b -> (b, Exp_apps.run_app ~backend:b Apps.mp3)) backends
+let app_race () =
+  List.map (fun b -> (b, Exp_apps.run_app ~backend:b Apps.mp3)) Backend.all_kinds
 
 let fleet_cfg =
   { Fleet.default with Fleet.procs = 6; pages_per_proc = 8; cycles = 2 }
 
 let fleet_race () =
-  List.map (fun b -> (b, Fleet.run { fleet_cfg with Fleet.backend = b })) backends
+  List.map (fun b -> (b, Fleet.run { fleet_cfg with Fleet.backend = b })) Backend.all_kinds
 
 let serve_cfg =
   let module Sv = Sentry_serve.Server in
@@ -82,7 +80,7 @@ let serve_cfg =
 
 let serve_race () =
   let module Sv = Sentry_serve.Server in
-  List.map (fun b -> (b, Sv.run { serve_cfg with Sv.backend = b })) backends
+  List.map (fun b -> (b, Sv.run { serve_cfg with Sv.backend = b })) Backend.all_kinds
 
 (* ----------------------------- tables ---------------------------- *)
 
@@ -95,7 +93,7 @@ let run () =
     List.map
       (fun (b, (m : Exp_apps.metrics)) ->
         [
-          label b;
+          Backend.kind_name b;
           Printf.sprintf "%.3f s" m.Exp_apps.lock_s;
           Printf.sprintf "%.1f MB" m.Exp_apps.lock_mb;
           Printf.sprintf "%.3f s" m.Exp_apps.unlock_s;
@@ -112,7 +110,7 @@ let run () =
           | None -> "-"
         in
         [
-          label b;
+          Backend.kind_name b;
           Printf.sprintf "%.3f ms" (s.Fleet.sim_elapsed_ns /. 1e6);
           Printf.sprintf "%.1f us" (s.Fleet.unlock_to_first_touch_ns /. 1e3);
           p99;
@@ -124,7 +122,7 @@ let run () =
     List.map
       (fun (b, (s : Sv.stats)) ->
         [
-          label b;
+          Backend.kind_name b;
           string_of_int s.Sv.requests;
           string_of_int s.Sv.served;
           Printf.sprintf "%.3f" s.Sv.shed_rate;
@@ -152,8 +150,8 @@ let run () =
   in
   let fault_rows =
     List.map
-      (fun b -> [ label b; Printf.sprintf "%.1f us" (fault_elapsed_ns b /. 1e3) ])
-      backends
+      (fun b -> [ Backend.kind_name b; Printf.sprintf "%.1f us" (fault_elapsed_ns b /. 1e3) ])
+      Backend.all_kinds
   in
   [
     Table.make ~title:"Backends: MP3 app cycle (Fig 2/4 style, simulated)"

@@ -3,8 +3,6 @@
     server, plus the measured lock-size crossover between the batched
     CPU path and the MemShield-style offload queue. *)
 
-val backends : Sentry_core.Sentry.backend list
-
 (** Simulated elapsed time of one lock walk over a [pages]-page
     process under [backend]. *)
 val lock_elapsed_ns : Sentry_core.Sentry.backend -> pages:int -> float

@@ -170,31 +170,9 @@ let run_slice ~platform (cfg : config) ~seed ~pid_base ~first ~count ~metrics =
   (* the tenant pool, global indices — same footprint mix as the
      fleet workload so per-class tails are comparable *)
   let pool =
-    Array.init count (fun j ->
-        let i = first + j in
-        let name = Printf.sprintf "serve%03d" i in
-        let main_pages = Fleet.main_pages_for ~index:i ~pages_per_proc:cfg.pages_per_proc in
-        let proc = System.spawn system ~name ~bytes:(main_pages * Page.size) in
-        let aspace = proc.Process.aspace in
-        let main_region =
-          match Address_space.find_region aspace ~name:"main" with
-          | Some r -> r
-          | None -> assert false
-        in
-        let dma_pages = Fleet.dma_pages_for ~index:i ~pages_per_proc:cfg.pages_per_proc in
-        let regions =
-          if dma_pages = 0 then [ main_region ]
-          else
-            [
-              main_region;
-              Address_space.map_region aspace ~name:"dma" ~kind:Address_space.Dma
-                ~bytes:(dma_pages * Page.size);
-            ]
-        in
-        let pattern = Bytes.of_string (name ^ "-secret!") in
-        List.iter (fun r -> System.fill_region system proc r pattern) regions;
-        Sentry.mark_sensitive sentry proc;
-        (proc, main_region))
+    Array.of_list
+      (Fleet.spawn_tenants system sentry ~prefix:"serve" ~pages_per_proc:cfg.pages_per_proc ~first
+         ~count)
   in
   (* every shard regenerates the full schedule from the run seed (a
      pure function) and keeps only its own tenants — so the slice's
@@ -304,7 +282,7 @@ let run_slice ~platform (cfg : config) ~seed ~pid_base ~first ~count ~metrics =
       | Error _ -> failwith "Server.run: unlock failed");
       List.iter
         (fun (r : Arrivals.request) ->
-          let proc, region = pool.(r.Arrivals.tenant - first) in
+          let proc, region, _ = pool.(r.Arrivals.tenant - first) in
           Vm.touch system.System.vm proc ~vaddr:region.Address_space.vstart;
           incr faulted;
           incr served;
@@ -410,18 +388,6 @@ let run ?platform ?metrics (cfg : config) =
    only. *)
 let json (s : stats) =
   let open Sentry_obs in
-  let dist_json (cls, (d : dist)) =
-    ( cls,
-      Json_out.Obj
-        [
-          ("count", Json_out.Int d.count);
-          ("mean_ns", Json_out.Float d.mean_ns);
-          ("p50_ns", Json_out.Float d.p50_ns);
-          ("p99_ns", Json_out.Float d.p99_ns);
-          ("p999_ns", Json_out.Float d.p999_ns);
-          ("max_ns", Json_out.Float d.max_ns);
-        ] )
-  in
   Json_out.Obj
     [
       ("tenants", Json_out.Int s.config.tenants);
@@ -434,7 +400,7 @@ let json (s : stats) =
       ("batch_max", Json_out.Int s.config.batch_max);
       ("seed", Json_out.Int s.config.seed);
       ("soak", Json_out.Bool s.config.soak);
-      ("backend", Json_out.Str (Fleet.backend_label s.config.backend));
+      ("backend", Json_out.Str (Backend.kind_name s.config.backend));
       ("requests", Json_out.Int s.requests);
       ("served", Json_out.Int s.served);
       ("shed", Json_out.Int s.shed);
@@ -447,8 +413,9 @@ let json (s : stats) =
       ("pages_fixed", Json_out.Int s.pages_fixed);
       ("pages_faulted", Json_out.Int s.pages_faulted);
       ("shed_rate", Json_out.Float s.shed_rate);
-      ("unlock_to_first_touch_by_class", Json_out.Obj (List.map dist_json s.latency_by_class));
-      ("queue_wait_by_class", Json_out.Obj (List.map dist_json s.queue_wait_by_class));
+      ( "unlock_to_first_touch_by_class",
+        Json_out.Obj (List.map Fleet.latency_json s.latency_by_class) );
+      ("queue_wait_by_class", Json_out.Obj (List.map Fleet.latency_json s.queue_wait_by_class));
       ("sim_elapsed_ns", Json_out.Float s.sim_elapsed_ns);
       ("energy_j", Json_out.Float s.energy_j);
     ]

@@ -55,8 +55,6 @@ let default =
     backend = Sentry.Batched;
   }
 
-let backend_label = Backend.kind_name
-
 (* Tenant-class assignment by spawn index.  Every 4th process is large
    (and carries the DMA region); every 4k+3rd small; the rest medium.
    Indices are always global (fleet-wide), so a shard spawning tenants
@@ -152,14 +150,14 @@ let fingerprint_tenant page_crypt ~index (proc, _region, cls) =
     pte_md5 = Digest.to_hex (Digest.string (Buffer.contents ptes));
   }
 
-(* Spawn tenants [first .. first+count-1] (global indices: names,
-   classes and region sizes all come from the global index, so a
-   shard's tenants are identical to a one-shard run's). *)
-let spawn_slice system sentry (cfg : config) ~first ~count =
+(* Global indices: names, classes and region sizes all come from the
+   global index, so a shard's tenants are identical to a one-shard
+   run's. *)
+let spawn_tenants system sentry ~prefix ~pages_per_proc ~first ~count =
   List.init count (fun j ->
       let i = first + j in
-      let name = Printf.sprintf "fleet%03d" i in
-      let main_pages = main_pages_for ~index:i ~pages_per_proc:cfg.pages_per_proc in
+      let name = Printf.sprintf "%s%03d" prefix i in
+      let main_pages = main_pages_for ~index:i ~pages_per_proc in
       let proc = System.spawn system ~name ~bytes:(main_pages * Page.size) in
       let aspace = proc.Process.aspace in
       let main_region =
@@ -167,7 +165,7 @@ let spawn_slice system sentry (cfg : config) ~first ~count =
         | Some r -> r
         | None -> assert false
       in
-      let dma_pages = dma_pages_for ~index:i ~pages_per_proc:cfg.pages_per_proc in
+      let dma_pages = dma_pages_for ~index:i ~pages_per_proc in
       let regions =
         if dma_pages = 0 then [ main_region ]
         else
@@ -208,7 +206,7 @@ let record_latencies metrics ~backend samples =
     (fun (cls, ns) ->
       Sentry_obs.Metrics.observe
         (Sentry_obs.Metrics.histogram metrics ~subsystem:"workloads.fleet"
-           ~labels:[ ("backend", backend_label backend); ("tenant_class", cls) ]
+           ~labels:[ ("backend", Backend.kind_name backend); ("tenant_class", cls) ]
            "unlock_to_first_touch_ns")
         ns)
     samples
@@ -232,6 +230,19 @@ let summarize_by_class samples =
         } ))
     classes
 
+let latency_json (cls, l) =
+  let open Sentry_obs.Json_out in
+  ( cls,
+    Obj
+      [
+        ("count", Int l.count);
+        ("mean_ns", Float l.mean_ns);
+        ("p50_ns", Float l.p50_ns);
+        ("p99_ns", Float l.p99_ns);
+        ("p999_ns", Float l.p999_ns);
+        ("max_ns", Float l.max_ns);
+      ] )
+
 let validate (cfg : config) =
   if cfg.procs <= 0 || cfg.pages_per_proc <= 0 || cfg.cycles <= 0 then
     invalid_arg "Fleet.run: procs, pages_per_proc and cycles must be positive"
@@ -247,7 +258,9 @@ let run_slice ~platform (cfg : config) ~seed ~pid_base ~first ~count ~metrics =
   let machine = System.machine system in
   let sentry = Sentry.install system (Config.default platform) in
   Sentry.set_backend sentry cfg.backend;
-  let fleet = spawn_slice system sentry cfg ~first ~count in
+  let fleet =
+    spawn_tenants system sentry ~prefix:"fleet" ~pages_per_proc:cfg.pages_per_proc ~first ~count
+  in
   let susp = Suspend.create sentry in
   let dev =
     Block_dev.create machine ~kind:Block_dev.Ramdisk
@@ -439,7 +452,7 @@ let pp ppf (s : stats) =
     \  service wakes       %d (%d dm-crypt sectors)@\n\
     \  unlock->first touch %.1f us simulated (mean over %d tenant samples)"
     s.config.procs s.config.pages_per_proc
-    (backend_label s.config.backend)
+    (Backend.kind_name s.config.backend)
     s.pages_locked (s.lock_wall_s *. 1e3) s.lock_pages_per_s
     s.pages_unlocked_eager s.pages_faulted s.service_wakes_run
     s.io_sectors_done

@@ -29,10 +29,6 @@ type config = {
     batched. *)
 val default : config
 
-(** Stable label for a backend ("batched" / "offload" / "no-access");
-    alias of [Backend.kind_name]. *)
-val backend_label : Sentry.backend -> string
-
 (** Tenant class by (global) spawn index: every 4th process is
     ["large"] (2×M pages + a DMA region), every 4k+3rd ["small"] (M/2
     pages), the rest ["medium"] (M pages). *)
@@ -47,6 +43,22 @@ val main_pages_for : index:int -> pages_per_proc:int -> int
 (** DMA-region pages for the tenant at [index]: a quarter of
     [pages_per_proc] for large tenants (floor 1), 0 for the rest. *)
 val dma_pages_for : index:int -> pages_per_proc:int -> int
+
+(** [spawn_tenants system sentry ~prefix ~pages_per_proc ~first
+    ~count] spawns the tenants at global indices [first ..
+    first+count-1] in index order.  Tenant [i] is named
+    [prefix ^ "%03d" i], gets {!main_pages_for} pages in its ["main"]
+    region plus a {!dma_pages_for}-page ["dma"] region when non-zero,
+    has both filled with [name ^ "-secret!"], and is marked sensitive.
+    Returns [(proc, main region, tenant_class)] per tenant. *)
+val spawn_tenants :
+  System.t ->
+  Sentry.t ->
+  prefix:string ->
+  pages_per_proc:int ->
+  first:int ->
+  count:int ->
+  (Sentry_kernel.Process.t * Sentry_kernel.Address_space.region * string) list
 
 type latency = {
   count : int;
@@ -109,6 +121,10 @@ val record_latencies :
 (** Per-class latency summary of [(tenant_class, ns)] samples, sorted
     by class name. *)
 val summarize_by_class : (string * float) list -> (string * latency) list
+
+(** One [(tenant_class, latency)] row as a JSON object member: count,
+    mean and the p50/p99/p999/max tail, in ns. *)
+val latency_json : string * latency -> string * Sentry_obs.Json_out.t
 
 type sharded = {
   merged : stats;  (** deterministic fold over shard stats, in shard order *)

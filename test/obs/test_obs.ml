@@ -799,6 +799,43 @@ let test_chrome_export_of_scenario_parses () =
   | Json.Obj _ -> ()
   | _ -> Alcotest.fail "chrome trace must be a JSON object"
 
+(* md5 of each canned scenario's JSONL event stream, pinned per
+   platform: the scenario's recorder install, its clock time source and
+   the leading "install" event (platform, track_taint) are part of the
+   stream.  Both entry paths must produce it: a caller-installed
+   recorder, and none (the scenario installs one and leaves it
+   installed). *)
+let scenario_jsonl_pins =
+  [
+    (Sentry_core.Trace_scenario.Lock_cycle, `Tegra3, "a8e896bfbc41624afc51458198a66770");
+    (Sentry_core.Trace_scenario.Lock_cycle, `Nexus4, "bb17d58965658a7753f340a0ca2ae280");
+    (Sentry_core.Trace_scenario.Lock_cycle, `Future, "818b901c5ad418366c93f68c9783b7d7");
+    (Sentry_core.Trace_scenario.Dm_crypt_io, `Tegra3, "084c0bfa1d63c129fb02b3d60322a511");
+    (Sentry_core.Trace_scenario.Dm_crypt_io, `Nexus4, "63a27aed2f62c22d478b52df460f7ea8");
+    (Sentry_core.Trace_scenario.Dm_crypt_io, `Future, "9ef5af275d17b15c42daf7789808954f");
+  ]
+
+let test_scenario_jsonl_pinned () =
+  let md5 evs = Digest.to_hex (Digest.string (Export.jsonl evs)) in
+  List.iter
+    (fun (name, platform, pin) ->
+      let label =
+        Printf.sprintf "%s/%s" (Sentry_core.Trace_scenario.name_to_string name)
+          (match platform with `Tegra3 -> "tegra3" | `Nexus4 -> "nexus4" | `Future -> "future")
+      in
+      let evs, _ = run_scenario name platform in
+      Alcotest.(check string) (label ^ " caller recorder") pin (md5 evs);
+      checkb "untraced before" false (Trace.on ());
+      ignore (Sentry_core.Trace_scenario.run name platform);
+      let own =
+        match Trace.installed () with
+        | Some r -> md5 (Trace.Recorder.events r)
+        | None -> "no recorder left installed"
+      in
+      Trace.uninstall ();
+      Alcotest.(check string) (label ^ " own recorder") pin own)
+    scenario_jsonl_pins
+
 (* --------------------- ambient slot is per-domain ------------------ *)
 
 (* The ambient recorder lives in [Domain.DLS]: a freshly spawned
@@ -886,5 +923,6 @@ let () =
           Alcotest.test_case "covers required events" `Quick test_scenario_covers_required_events;
           Alcotest.test_case "metrics report" `Quick test_scenario_metrics_report;
           Alcotest.test_case "chrome export parses" `Quick test_chrome_export_of_scenario_parses;
+          Alcotest.test_case "jsonl pinned" `Quick test_scenario_jsonl_pinned;
         ] );
     ]
