@@ -124,20 +124,6 @@ let collect ?recorder sentry =
           ("elapsed_ns", r.Sentry.elapsed_ns);
         ]
   | None -> ());
-  (* Host-side GC pressure.  Unlike every other subsystem these gauges
-     describe the simulator process, not the simulated SoC: they are
-     wall-clock-world readings, excluded from the bit-identity
-     contracts the differential tests enforce, and exist so the bench
-     harness can watch allocation on the lock/unlock fast path. *)
-  let gc = Gc.quick_stat () in
-  set m ~subsystem:"host.gc"
-    [
-      ("minor_words", gc.Gc.minor_words);
-      ("major_words", gc.Gc.major_words);
-      ("promoted_words", gc.Gc.promoted_words);
-      ("minor_collections", f gc.Gc.minor_collections);
-      ("major_collections", f gc.Gc.major_collections);
-    ];
   let ts =
     match recorder with
     | Some r -> Trace.Recorder.stats r

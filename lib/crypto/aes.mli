@@ -11,8 +11,9 @@ val expand : Bytes.t -> key
     block; [src] and [dst] may alias. *)
 val encrypt_block : key -> Bytes.t -> int -> Bytes.t -> int -> unit
 
-(** Inverse cipher (direct order, forward schedule applied backwards —
-    no separate decryption schedule is stored). *)
+(** Equivalent inverse cipher (FIPS-197 §5.3.5) over the key's
+    host-side decryption schedule [Aes_key.inv_words]: four table
+    lookups per column per round, as for [encrypt_block]. *)
 val decrypt_block : key -> Bytes.t -> int -> Bytes.t -> int -> unit
 
 (** [cbc_encrypt_into k ~iv ?iv_off src src_off dst dst_off nblocks]
@@ -27,7 +28,8 @@ val cbc_encrypt_into :
 
 (** [cbc_decrypt_into k ~iv ?iv_off buf off nblocks] decrypts
     [nblocks] contiguous blocks of [buf] {e in place} in CBC mode —
-    the unlock twin of [cbc_encrypt_into]. *)
+    the unlock twin of [cbc_encrypt_into], with the same unrolled
+    AES-128 round structure and per-block cost. *)
 val cbc_decrypt_into : key -> iv:Bytes.t -> ?iv_off:int -> Bytes.t -> int -> int -> unit
 
 (** One-shot block APIs (fresh output buffer). *)

@@ -1,4 +1,5 @@
-(** AES key schedule (FIPS-197 §5.2) for 128/192/256-bit keys. *)
+(** AES key schedule (FIPS-197 §5.2) for 128/192/256-bit keys, and
+    the equivalent inverse cipher's decryption schedule (§5.3.5). *)
 
 type size = Aes_128 | Aes_192 | Aes_256
 
@@ -16,6 +17,7 @@ type t = {
   size : size;
   nr : int;
   words : int array; (* 4*(nr+1) round-key words, big-endian packed *)
+  inv_words : int array; (* decryption schedule of the equivalent inverse cipher *)
 }
 
 let sub_word w =
@@ -23,9 +25,32 @@ let sub_word w =
   (s 24 lsl 24) lor (s 16 lsl 16) lor (s 8 lsl 8) lor s 0
 
 let rot_word w = ((w lsl 8) lor (w lsr 24)) land 0xffffffff
+let ror w n = ((w lsr n) lor (w lsl (32 - n))) land 0xffffffff
 
-(** [expand key] computes the full schedule from a raw 16/24/32-byte
-    key. *)
+(* InvMixColumns of one column word: row [i]'s byte contributes
+   [td_words] of it rotated right by [8i] bits. *)
+let inv_mix_column w =
+  let td = Aes_tables.td_words in
+  td.((w lsr 24) land 0xff)
+  lxor ror td.((w lsr 16) land 0xff) 8
+  lxor ror td.((w lsr 8) land 0xff) 16
+  lxor ror td.(w land 0xff) 24
+
+(* FIPS-197 §5.3.5: the round keys in reverse order, with
+   InvMixColumns applied to every round key but the first and last,
+   so the inverse cipher can run InvSubBytes/InvShiftRows/InvMixColumns
+   as one table lookup per byte, in the order the forward cipher runs
+   its rounds. *)
+let inverse_schedule nr w =
+  Array.init
+    (4 * (nr + 1))
+    (fun i ->
+      let r = i / 4 in
+      let e = w.((4 * (nr - r)) + (i mod 4)) in
+      if r = 0 || r = nr then e else inv_mix_column e)
+
+(** [expand key] computes the full schedule, and its inverse, from a
+    raw 16/24/32-byte key. *)
 let expand key =
   let size = size_of_bytes (Bytes.length key) in
   let nk = nk size and nr = rounds size in
@@ -47,7 +72,7 @@ let expand key =
     in
     w.(i) <- w.(i - nk) lxor temp
   done;
-  { size; nr; words = w }
+  { size; nr; words = w; inv_words = inverse_schedule nr w }
 
 (** Round key [r] as 16 bytes (4 words). *)
 let round_key t r =

@@ -1,6 +1,6 @@
-(** AES key schedule (FIPS-197 §5.2) for 128/192/256-bit keys, plus
-    the schedule-structure recognizer used by cold-boot key
-    recovery. *)
+(** AES key schedule (FIPS-197 §5.2) for 128/192/256-bit keys, the
+    equivalent inverse cipher's decryption schedule (§5.3.5), and the
+    schedule-structure recognizer used by cold-boot key recovery. *)
 
 type size = Aes_128 | Aes_192 | Aes_256
 
@@ -14,9 +14,16 @@ type t = {
   size : size;
   nr : int;
   words : int array;  (** 4*(nr+1) round-key words, big-endian packed *)
+  inv_words : int array;
+      (** The equivalent inverse cipher's schedule (FIPS-197 §5.3.5):
+          [words]' rounds in reverse order, with InvMixColumns applied
+          to rounds 1..nr-1.  Host-only, for the fast cipher's decrypt
+          kernel: [serialize] and the instrumented cipher never see
+          it, so it never enters simulated memory. *)
 }
 
-(** [expand key] computes the full schedule from a raw key. *)
+(** [expand key] computes the full schedule, and [inv_words], from a
+    raw key. *)
 val expand : Bytes.t -> t
 
 (** Round key [r] as 16 bytes. *)

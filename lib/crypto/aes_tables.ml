@@ -6,7 +6,10 @@
     ("2 S-box, 512 bytes") and the 40-byte Rcon array.  None of these
     contents is secret, but the {e order} in which entries are read
     during a block operation leaks key material to a bus monitor —
-    they are the cipher's access-protected state. *)
+    they are the cipher's access-protected state.  The word-packed and
+    rotated copies below ([te_words*], [td_words], [tdi_words*]) feed
+    only the host-side fast cipher [Aes]; only the serialised forms at
+    the end of this file are placed in simulated memory. *)
 
 let sbox = Array.init 256 Gf256.sbox_entry
 
@@ -54,9 +57,16 @@ let ror8 w = ((w lsr 8) lor ((w land 0xff) lsl 24)) land 0xffffffff
 let te_words_r8 = Array.map ror8 te_words
 let te_words_r16 = Array.map ror8 te_words_r8
 let te_words_r24 = Array.map ror8 te_words_r16
-let td_words_r8 = Array.map ror8 td_words
-let td_words_r16 = Array.map ror8 td_words_r8
-let td_words_r24 = Array.map ror8 td_words_r16
+
+(* Equivalent-inverse-cipher tables (FIPS-197 §5.3.5): entry [x] is
+   the InvMixColumns column of InvSubBytes(x), i.e. [td_words] indexed
+   through the inverse S-box, so one lookup does both steps.  Host-only
+   like the rotated encryption tables: the instrumented cipher keeps
+   [td_bytes] in simulated memory and never reads these. *)
+let tdi_words = Array.map (fun x -> td_words.(x)) inv_sbox
+let tdi_words_r8 = Array.map ror8 tdi_words
+let tdi_words_r16 = Array.map ror8 tdi_words_r8
+let tdi_words_r24 = Array.map ror8 tdi_words_r16
 
 (** Serialised forms used to place the tables in simulated memory for
     the instrumented cipher.  Entry [x] occupies bytes [4x..4x+3]. *)

@@ -83,6 +83,142 @@ let test_cbc_into_rejects_bad_iv () =
   Alcotest.check_raises "short iv" (Invalid_argument "Mode.cbc_encrypt_into: bad IV") (fun () ->
       Mode.cbc_encrypt_into c ~iv:(Bytes.create 8) ~src:buf ~src_off:0 ~dst:buf ~dst_off:0 ~len:32)
 
+(* -------------------- AES against a table-free oracle -------------- *)
+
+(* [Mode] is built on [Aes.decrypt_block] itself, so the differentials
+   above cannot catch a wrong inverse cipher that is wrong the same way
+   in both.  [Aes_ct] shares no table, no decryption schedule and no
+   round code with [Aes]: it is the independent oracle. *)
+
+(* [Aes_ct] block by block: ECB, and CBC derived from it by XORing
+   each block with the previous ciphertext block (the IV for the
+   first). *)
+let ct_ecb_decrypt key data =
+  let out = Bytes.create (Bytes.length data) in
+  for j = 0 to (Bytes.length data / 16) - 1 do
+    Aes_ct.decrypt_block key data (16 * j) out (16 * j)
+  done;
+  out
+
+let cbc_of_ecb ~iv data ecb =
+  Bytes.mapi
+    (fun o c ->
+      let prev = if o < 16 then Bytes.get iv o else Bytes.get data (o - 16) in
+      Char.chr (Char.code c lxor Char.code prev))
+    ecb
+
+let ct_cbc_encrypt key ~iv data =
+  let n = Bytes.length data in
+  let out = Bytes.create n and prev = Bytes.copy iv in
+  for j = 0 to (n / 16) - 1 do
+    for b = 0 to 15 do
+      Bytes.set prev b
+        (Char.chr (Char.code (Bytes.get prev b) lxor Char.code (Bytes.get data ((16 * j) + b))))
+    done;
+    Aes_ct.encrypt_block key prev 0 out (16 * j);
+    Bytes.blit out (16 * j) prev 0 16
+  done;
+  out
+
+(* A random key of each size, 0-300 blocks of random data at a random
+   offset inside a larger buffer, and a random IV at a random offset
+   inside its own buffer. *)
+let oracle_case =
+  let open QCheck in
+  let gen =
+    Gen.(
+      let* klen = oneofl [ 16; 24; 32 ] in
+      let* key = string_size (return klen) in
+      let* nblocks = int_range 0 300 in
+      let* data = string_size (return (16 * nblocks)) in
+      let* off = int_range 0 40 in
+      let* iv_off = int_range 0 24 in
+      let* iv_buf = string_size (return (iv_off + 16 + 8)) in
+      return (key, data, off, iv_off, iv_buf))
+  in
+  make
+    ~print:(fun (key, data, off, iv_off, _) ->
+      Printf.sprintf "%d-bit key, %d blocks, off %d, iv_off %d" (8 * String.length key)
+        (String.length data / 16) off iv_off)
+    gen
+
+(* Embed [data] at [off] in a buffer with 8 guard bytes after it. *)
+let embed data off =
+  let n = Bytes.length data in
+  let buf = Bytes.make (off + n + 8) '\xa5' in
+  Bytes.blit data 0 buf off n;
+  buf
+
+(* Every byte of [buf] outside [off, off+len) is still the fill byte. *)
+let guards_intact buf off len =
+  let ok = ref true in
+  Bytes.iteri (fun i c -> if (i < off || i >= off + len) && c <> '\xa5' then ok := false) buf;
+  !ok
+
+let qcheck_oracle =
+  [
+    QCheck.Test.make ~name:"cbc_decrypt_into and decrypt_block = chained Aes_ct" ~count:40
+      oracle_case (fun (key, data, off, iv_off, iv_buf) ->
+        let key = Bytes.of_string key and data = Bytes.of_string data in
+        let iv_buf = Bytes.of_string iv_buf in
+        let fast = Aes.expand key and ct = Aes_ct.expand key in
+        let n = Bytes.length data and nblocks = Bytes.length data / 16 in
+        let want_blocks = ct_ecb_decrypt ct data in
+        let want = cbc_of_ecb ~iv:(Bytes.sub iv_buf iv_off 16) data want_blocks in
+        let buf = embed data off in
+        Aes.cbc_decrypt_into fast ~iv:iv_buf ~iv_off buf off nblocks;
+        let blocks = embed data off in
+        for j = 0 to nblocks - 1 do
+          let o = off + (16 * j) in
+          Aes.decrypt_block fast blocks o blocks o
+        done;
+        Bytes.equal want (Bytes.sub buf off n)
+        && guards_intact buf off n
+        && Bytes.equal want_blocks (Bytes.sub blocks off n)
+        && guards_intact blocks off n);
+    QCheck.Test.make ~name:"cbc_encrypt_into = chained Aes_ct" ~count:20 oracle_case
+      (fun (key, data, off, iv_off, iv_buf) ->
+        let key = Bytes.of_string key and data = Bytes.of_string data in
+        let iv_buf = Bytes.of_string iv_buf in
+        let n = Bytes.length data in
+        let want = ct_cbc_encrypt (Aes_ct.expand key) ~iv:(Bytes.sub iv_buf iv_off 16) data in
+        let buf = embed data off in
+        Aes.cbc_encrypt_into (Aes.expand key) ~iv:iv_buf ~iv_off buf off buf off (n / 16);
+        Bytes.equal want (Bytes.sub buf off n) && guards_intact buf off n);
+  ]
+
+(* The decryption schedule, computed here from the forward schedule
+   with InvMixColumns written out in [Gf256.mul] (no table): round [r]
+   is forward round [nr - r], with InvMixColumns on rounds 1..nr-1. *)
+let test_inverse_schedule () =
+  let inv_mix w =
+    let b i = (w lsr (24 - (8 * i))) land 0xff in
+    let row c0 c1 c2 c3 =
+      Gf256.mul c0 (b 0) lxor Gf256.mul c1 (b 1) lxor Gf256.mul c2 (b 2) lxor Gf256.mul c3 (b 3)
+    in
+    (row 14 11 13 9 lsl 24) lor (row 9 14 11 13 lsl 16) lor (row 13 9 14 11 lsl 8)
+    lor row 11 13 9 14
+  in
+  let prng = Prng.create ~seed:0x1d in
+  List.iter
+    (fun klen ->
+      for _ = 1 to 8 do
+        let k = Aes_key.expand (Prng.bytes prng klen) in
+        let nr = k.Aes_key.nr in
+        Alcotest.(check int) "schedule length" (4 * (nr + 1)) (Array.length k.Aes_key.inv_words);
+        for r = 0 to nr do
+          for c = 0 to 3 do
+            let fwd = k.Aes_key.words.((4 * (nr - r)) + c) in
+            let want = if r = 0 || r = nr then fwd else inv_mix fwd in
+            Alcotest.(check int)
+              (Printf.sprintf "%d-bit key, round %d word %d" (8 * klen) r c)
+              want
+              k.Aes_key.inv_words.((4 * r) + c)
+          done
+        done
+      done)
+    [ 16; 24; 32 ]
+
 (* --------------------- on-SoC bulk differential ------------------- *)
 
 let boot () = Machine.create ~seed:33 (Machine.tegra3 ~dram_size:(4 * Units.mib) ())
@@ -173,6 +309,21 @@ let test_cbc_into_allocation_ceiling () =
   if per_page > 256.0 then
     Alcotest.failf "cbc_encrypt_into allocated %.1f minor words per page (ceiling 256)" per_page
 
+(* The unlock path's page kernel: a warm in-place 4 KiB decrypt keeps
+   its state in registers and its schedule in the key, so it allocates
+   nothing at all. *)
+let test_cbc_decrypt_allocation_ceiling () =
+  let k = Aes.expand key in
+  let buf = payload 4096 in
+  Aes.cbc_decrypt_into k ~iv buf 0 256;
+  let mw0 = Gc.minor_words () in
+  for _ = 1 to 64 do
+    Aes.cbc_decrypt_into k ~iv buf 0 256
+  done;
+  let words = Gc.minor_words () -. mw0 in
+  if words > 0.0 then
+    Alcotest.failf "Aes.cbc_decrypt_into allocated %.0f minor words over 64 pages (ceiling 0)" words
+
 let () =
   Alcotest.run "sentry_crypto_fastpath"
     [
@@ -191,6 +342,12 @@ let () =
           Alcotest.test_case "bulk roundtrip" `Quick test_bulk_roundtrip;
           Alcotest.test_case "set_key refreshes cipher" `Quick test_set_key_refreshes_cached_cipher;
         ] );
+      ( "oracle",
+        Alcotest.test_case "inverse schedule" `Quick test_inverse_schedule
+        :: List.map QCheck_alcotest.to_alcotest qcheck_oracle );
       ( "allocation",
-        [ Alcotest.test_case "cbc into ceiling" `Quick test_cbc_into_allocation_ceiling ] );
+        [
+          Alcotest.test_case "cbc into ceiling" `Quick test_cbc_into_allocation_ceiling;
+          Alcotest.test_case "cbc decrypt page ceiling" `Quick test_cbc_decrypt_allocation_ceiling;
+        ] );
     ]

@@ -269,6 +269,9 @@ let () =
       ( "rendered-pins",
         [
           Alcotest.test_case "fig1" `Quick (pin "fig1" "5b69b3a641fdabb4fd1ff37f4f0f1c5f");
+          Alcotest.test_case "fig2" `Slow (pin "fig2" "30d373f75b68fc93668d3bfa5b419d69");
+          Alcotest.test_case "fig3" `Slow (pin "fig3" "c3e443aa2fb2cb2793fb998b3bea689e");
+          Alcotest.test_case "fig9" `Slow (pin "fig9" "d430b3dda7349d62adfcd1c324077484");
           Alcotest.test_case "table2" `Slow (pin "table2" "194736706afa2750d5fa5d4f46cb4be6");
           Alcotest.test_case "table3" `Slow (pin "table3" "69c933118f9e7f97f5dddeeeeabbc7b7");
           Alcotest.test_case "fig7" `Slow (pin "fig7" "e052ea569f6f972cddfb0c62d2b89568");

@@ -791,7 +791,13 @@ let test_scenario_metrics_report () =
   checkb "events recorded" true (List.assoc "obs.trace/events_emitted" flat > 0.0);
   (* keys are sorted for stable, diffable reports *)
   let keys = List.map fst flat in
-  checkb "sorted keys" true (keys = List.sort compare keys)
+  checkb "sorted keys" true (keys = List.sort compare keys);
+  (* every key describes the simulated run, none the host process, so
+     a second run of the same scenario reports exactly the same *)
+  checkb "no host keys" false
+    (List.exists (fun k -> String.length k >= 5 && String.sub k 0 5 = "host.") keys);
+  let _, again = run_scenario Sentry_core.Trace_scenario.Lock_cycle `Tegra3 in
+  checkb "same report on a second run" true (flat = again)
 
 let test_chrome_export_of_scenario_parses () =
   let evs, _ = run_scenario Sentry_core.Trace_scenario.Dm_crypt_io `Tegra3 in
