@@ -105,8 +105,9 @@ let run_json ~path ~trials ~slo_spec ids =
      unlock and pool included), so on an N-core host speedup_vs_d1
      should approach min(D, N); on a single core it stays flat at ~1.0.
      Rows with more domains than host cores measure oversubscription,
-     not scaling, and say so.  The lock walk's own rate is the fleet
-     section's lock_pages_per_s. *)
+     not scaling, and say so.  Each row also carries the lock walk's own
+     rate, lock_pages_per_s: pages locked over the summed lock-pass
+     time, beside the wall rate. *)
   let fleet_domains =
     let module F = Sentry_workloads.Fleet in
     let module Shard = Sentry_workloads.Shard in
@@ -121,8 +122,10 @@ let run_json ~path ~trials ~slo_spec ids =
         if d = 1 then baseline := rate;
         let speedup = rate /. !baseline in
         let shards = List.length sh.F.shards.Shard.plan in
-        Printf.printf "  fleet_domains d=%d shards=%d %.0f pages/wall-s (%.2fx vs d=1)%s\n%!" d
-          shards rate speedup
+        let lock_rate = sh.F.merged.F.lock_pages_per_s in
+        Printf.printf
+          "  fleet_domains d=%d shards=%d %.0f pages/wall-s (%.2fx vs d=1), lock %.0f pages/s%s\n%!"
+          d shards rate speedup lock_rate
           (if d > host_cores then " oversubscribed" else "");
         Json_out.Obj
           [
@@ -132,6 +135,7 @@ let run_json ~path ~trials ~slo_spec ids =
             ("wall_s", Json_out.Float wall_s);
             ("pages_per_wall_s", Json_out.Float rate);
             ("speedup_vs_d1", Json_out.Float speedup);
+            ("lock_pages_per_s", Json_out.Float lock_rate);
             ("host_cores", Json_out.Int host_cores);
             ("oversubscribed", Json_out.Bool (d > host_cores));
           ])

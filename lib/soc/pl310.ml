@@ -24,7 +24,9 @@
     one tag word, [tags.(slot) = (tag lsl 2) lor (dirty lsl 1) lor
     valid].  A line's bytes are defined once it has been filled; no
     path reads an invalid line's bytes, so [data] is allocated
-    uninitialised. *)
+    uninitialised.  One occupancy word per way, [occ.(w)], has bit [b]
+    set when block [b] of the way's sets may hold a valid line, so
+    maintenance visits occupied blocks only. *)
 
 type stats = {
   mutable hits : int;
@@ -49,6 +51,8 @@ type t = {
   meter : Energy.meter; (* pre-resolved "l2" energy cell *)
   data : Bytes.t; (* ways * way_size line bytes, slot-major *)
   tags : int array; (* one tag word per slot *)
+  occ : int array; (* per way: bit b set when set block b may hold a valid line *)
+  block_shift : int; (* log2 sets per occupancy block: 32 blocks per way, at least 1 set each *)
   mutable shadow : Bytes.t option; (* per-byte line taint, [data]'s layout *)
   mutable lockdown : int; (* bit w set: way w receives no allocations *)
   mutable flush_mask : int; (* bit w set: maintenance ops skip way w *)
@@ -92,6 +96,8 @@ let create ?(ways = 8) ?(way_size = 128 * Sentry_util.Units.kib) ?(line_size = 3
     meter = Energy.meter energy ~category:"l2";
     data = Bytes.create (ways * way_size);
     tags = Array.make (ways * sets) 0;
+    occ = Array.make ways 0;
+    block_shift = max 0 (log2 sets - 5);
     shadow = None;
     lockdown = 0;
     flush_mask = 0;
@@ -193,8 +199,7 @@ let way_of t addr = lookup t addr
 (* The observed write-back and fill: the same per-line state machine
    as the run loop's inline miss path, but through the [Dram] call
    envelope (bus transaction with taint and monitor snapshot) and with
-   trace events and the write-back hook.  Maintenance ops use
-   [write_back] whatever the observers. *)
+   trace events and the write-back hook. *)
 let write_back t w set =
   let slot = (w * t.sets) + set in
   let word = t.tags.(slot) in
@@ -233,11 +238,31 @@ let fill t w set base =
   | Some s -> Dram.blit_shadow_into t.dram base t.line_size s off
   | None -> ());
   t.tags.((w * t.sets) + set) <- (tag_of_addr t base lsl 2) lor valid_bit;
+  t.occ.(w) <- t.occ.(w) lor (1 lsl (set lsr t.block_shift));
   t.last_way.(set) <- w;
   Clock.advance t.clock t.fill_ns;
   if Sentry_obs.Trace.on () then
     trace t "line-fill"
       ~args:[ ("way", Sentry_obs.Event.Int w); ("addr", Sentry_obs.Event.Int base) ]
+
+(* [write_back] without observers, for the walk's miss path and the
+   maintenance loop: the line in [slot] (set [set], tag word [word]) and
+   its labels go straight into the DRAM store and [dshadow] (the DRAM
+   shadow, read once by the caller), with the same counters, energy and
+   clock charge.  Tags only come from in-range fills, so [Dram.backing]
+   finds the chunk zeroed.  The caller clears the dirty bit. *)
+let[@inline] write_back_unobserved t dshadow slot set word =
+  let line_size = t.line_size and dbase = t.dbase in
+  let wb = ((word lsr 2) lsl t.tag_shift) lor (set lsl t.set_shift) in
+  let loff = slot lsl t.set_shift in
+  Bytes.unsafe_blit t.data loff (Dram.backing t.dram wb line_size) (wb - dbase) line_size;
+  (match (dshadow, t.shadow) with
+  | Some ds, Some s -> Bytes.unsafe_blit s loff ds (wb - dbase) line_size
+  | Some ds, None -> Taint.fill ds (wb - dbase) line_size Taint.Public
+  | None, _ -> ());
+  Bus.account t.bus Bus.Write line_size;
+  Clock.advance t.clock Calib.dram_line_ns;
+  t.stats.writebacks <- t.stats.writebacks + 1
 
 let bypass t ~write ~taint addr buf buf_off len =
   if Sentry_obs.Trace.on () then
@@ -268,8 +293,9 @@ let check_view name buf ~off ~len =
    are one flag, read once per call and tested once per miss: with
    tracing on, a write-back hook set or a bus monitor attached, misses
    go through [write_back]/[fill]/[bypass], which emit the events;
-   otherwise the miss is inlined, with bus accounting only (the same
-   counters and energy).  Array and bytes accesses are unsafe: set and
+   otherwise the fill and bypass are inlined and the write-back is
+   [write_back_unobserved], with bus accounting only (the same counters
+   and energy).  Array and bytes accesses are unsafe: set and
    way indices are masked or register-bounded, line offsets bounded by
    the chunk computation, the caller's view by [check_view], and DRAM
    offsets by [Dram.backing].
@@ -286,6 +312,7 @@ let walk t ~write ~taint buf buf_off addr len =
     Sentry_obs.Trace.on () || t.on_writeback <> None || Bus.monitored t.bus
   in
   let data = t.data and tags = t.tags and shadow = t.shadow in
+  let occ = t.occ and block_shift = t.block_shift in
   let rr = t.rr and last_way = t.last_way and stats = t.stats in
   let clock = t.clock and meter = t.meter and bus = t.bus and dram = t.dram in
   let line_size = t.line_size and set_shift = t.set_shift and tag_shift = t.tag_shift in
@@ -377,17 +404,8 @@ let walk t ~write ~taint buf buf_off addr len =
             let slot = (w * sets) + set in
             let loff = slot lsl set_shift in
             let word = Array.unsafe_get tags slot in
-            if word land (valid_bit lor dirty_bit) = valid_bit lor dirty_bit then begin
-              let wb = ((word lsr 2) lsl tag_shift) lor (set lsl set_shift) in
-              Bytes.unsafe_blit data loff (Dram.backing dram wb line_size) (wb - dbase) line_size;
-              (match (dshadow, shadow) with
-              | Some ds, Some s -> Bytes.unsafe_blit s loff ds (wb - dbase) line_size
-              | Some ds, None -> Taint.fill ds (wb - dbase) line_size Taint.Public
-              | None, _ -> ());
-              Bus.account bus Bus.Write line_size;
-              Clock.advance clock Calib.dram_line_ns;
-              stats.writebacks <- stats.writebacks + 1
-            end;
+            if word land (valid_bit lor dirty_bit) = valid_bit lor dirty_bit then
+              write_back_unobserved t dshadow slot set word;
             let base = a land lnot line_mask in
             Bytes.unsafe_blit !store (base - dbase) data loff line_size;
             Bus.account bus Bus.Read line_size;
@@ -396,6 +414,7 @@ let walk t ~write ~taint buf buf_off addr len =
             | Some s, None -> Taint.fill s loff line_size Taint.Public
             | None, _ -> ());
             Array.unsafe_set tags slot key;
+            Array.unsafe_set occ w (Array.unsafe_get occ w lor (1 lsl (set lsr block_shift)));
             Array.unsafe_set last_way set w;
             Clock.advance clock fill_ns
           end
@@ -476,25 +495,51 @@ let invalidate t w set =
   let slot = (w * t.sets) + set in
   t.tags.(slot) <- t.tags.(slot) land lnot valid_bit
 
-let clean_invalidate_way t w =
-  (* flushing a locked way is the §4.2 hazard: record it loudly *)
-  if Sentry_obs.Trace.on () && t.lockdown land (1 lsl w) <> 0 then
-    trace t "locked-way-flush" ~args:[ ("way", Sentry_obs.Event.Int w) ];
-  for set = 0 to t.sets - 1 do
-    write_back t w set;
-    invalidate t w set
-  done;
-  Clock.advance t.clock Calib.pl310_op_ns
+(* Clean and invalidate every way not in [skip], for both flushes.
+   Slots go way-major, sets ascending, through the occupied blocks only:
+   a clear bit means no valid line, which a full scan would not charge
+   either, so clock and energy see the same adds in the same order.  The
+   observer flag is read once, as in [walk].  A way's word is cleared
+   only once the way is clean; skipped ways keep theirs. *)
+let clean_invalidate_ways t skip =
+  let observed =
+    Sentry_obs.Trace.on () || t.on_writeback <> None || Bus.monitored t.bus
+  in
+  let tags = t.tags and occ = t.occ and sets = t.sets and block_shift = t.block_shift in
+  let dshadow = Dram.backing_shadow t.dram in
+  for w = 0 to t.ways - 1 do
+    if skip land (1 lsl w) = 0 then begin
+      (* flushing a locked way is the §4.2 hazard: record it loudly *)
+      if Sentry_obs.Trace.on () && t.lockdown land (1 lsl w) <> 0 then
+        trace t "locked-way-flush" ~args:[ ("way", Sentry_obs.Event.Int w) ];
+      let bits = occ.(w) in
+      for b = 0 to (sets lsr block_shift) - 1 do
+        if bits land (1 lsl b) <> 0 then
+          for set = b lsl block_shift to ((b + 1) lsl block_shift) - 1 do
+            let slot = (w * sets) + set in
+            let word = Array.unsafe_get tags slot in
+            if word land valid_bit <> 0 then begin
+              if word land dirty_bit <> 0 then
+                if observed then write_back t w set
+                else write_back_unobserved t dshadow slot set word;
+              Array.unsafe_set tags slot (word land lnot (valid_bit lor dirty_bit))
+            end
+          done
+      done;
+      occ.(w) <- 0;
+      Clock.advance t.clock Calib.pl310_op_ns
+    end
+  done
 
 (** [flush_masked t] — the Sentry-patched kernel flush: cleans and
     invalidates every way {e not} excluded by the flush mask, and
     leaves the lockdown register alone. *)
 let flush_masked t =
-  let start_ns = Clock.now t.clock in
-  for w = 0 to t.ways - 1 do
-    if t.flush_mask land (1 lsl w) = 0 then clean_invalidate_way t w
-  done;
-  if Sentry_obs.Trace.on () then
+  (* the start time is read only when traced: [Clock.now] returns a boxed float *)
+  let traced = Sentry_obs.Trace.on () in
+  let start_ns = if traced then Clock.now t.clock else 0.0 in
+  clean_invalidate_ways t t.flush_mask;
+  if traced then
     trace t "flush-masked" ~ts:start_ns
       ~phase:(Sentry_obs.Event.Complete (Clock.now t.clock -. start_ns))
       ~args:[ ("skip_mask", Sentry_obs.Event.Int t.flush_mask) ]
@@ -505,11 +550,10 @@ let flush_masked t =
     running it with secrets in a locked way leaks them to DRAM.
     Sentry replaces every call site of this with [flush_masked]. *)
 let flush_all_stock t =
-  let start_ns = Clock.now t.clock in
-  for w = 0 to t.ways - 1 do
-    clean_invalidate_way t w
-  done;
-  if Sentry_obs.Trace.on () then begin
+  let traced = Sentry_obs.Trace.on () in
+  let start_ns = if traced then Clock.now t.clock else 0.0 in
+  clean_invalidate_ways t 0;
+  if traced then begin
     trace t "flush-all-stock" ~ts:start_ns
       ~phase:(Sentry_obs.Event.Complete (Clock.now t.clock -. start_ns))
       ~args:[ ("dropped_lockdown", Sentry_obs.Event.Int t.lockdown) ];
@@ -543,6 +587,7 @@ let invalidate_range t addr len =
     boot (§4.3). *)
 let reset t =
   Array.fill t.tags 0 (Array.length t.tags) 0;
+  Array.fill t.occ 0 t.ways 0;
   Bytes.fill t.data 0 (Bytes.length t.data) '\000';
   Option.iter (fun s -> Taint.fill s 0 (Bytes.length s) Taint.Public) t.shadow;
   t.lockdown <- 0;

@@ -105,7 +105,13 @@ val clear_writeback_hook : t -> unit
     Used by analysis passes searching the cache for key material. *)
 val iter_resident : t -> (way:int -> addr:int -> Bytes.t -> off:int -> unit) -> unit
 
-(** {2 Maintenance} *)
+(** {2 Maintenance}
+
+    Both flushes visit, in each way they clean, only the blocks of sets
+    that may hold a valid line (32 blocks per way), so their host cost
+    scales with occupied blocks, not with the cache's slots; the
+    simulated charges are those of a full scan.  Unobserved, they
+    allocate nothing. *)
 
 (** Sentry-patched flush: clean+invalidate every way not excluded by
     the flush mask; lockdown preserved. *)

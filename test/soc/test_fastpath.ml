@@ -314,6 +314,71 @@ let test_cold_run_allocation_ceiling () =
   if per_call > 8.0 then
     Alcotest.failf "cold 4 KB run allocated %.1f minor words per call (ceiling 8)" per_call
 
+(* The masked flush allocates nothing either, whether it writes back
+   eight dirty pages or finds the L2 clean. *)
+let test_flush_allocation_ceiling () =
+  let m = mk () in
+  let l2 = Machine.l2 m in
+  let base = (Machine.dram_region m).Memmap.base in
+  let buf = Bytes.create 4096 in
+  let dirty () =
+    for i = 0 to 7 do
+      Machine.write_run_from m (base + (i * 4096)) buf ~off:0 ~len:4096
+    done
+  in
+  let flush_words ~dirtied =
+    let words = ref 0 in
+    for _ = 1 to 64 do
+      if dirtied then dirty ();
+      let mw0 = Gc.minor_words () in
+      Pl310.flush_masked l2;
+      words := !words + int_of_float (Gc.minor_words () -. mw0)
+    done;
+    float_of_int !words /. 64.0
+  in
+  let wb0 = (Pl310.stats l2).Pl310.writebacks in
+  let dirtied = flush_words ~dirtied:true in
+  checki "every dirty line written back" (64 * 8 * 128) ((Pl310.stats l2).Pl310.writebacks - wb0);
+  let clean = flush_words ~dirtied:false in
+  List.iter
+    (fun (what, per_call) ->
+      if per_call > 1.0 then
+        Alcotest.failf "flush_masked (%s) allocated %.1f minor words per call (ceiling 1)" what
+          per_call)
+    [ ("8 dirty pages", dirtied); ("clean L2", clean) ]
+
+(* Lines filled into a way the flush mask skips must survive that
+   flush and still be cleaned by the next one once the mask is lifted:
+   skipping a way may not forget which of its sets hold lines. *)
+let test_masked_way_flushed_later () =
+  let m = mk () in
+  let l2 = Machine.l2 m in
+  let base = (Machine.dram_region m).Memmap.base in
+  (* one page in each of three occupancy blocks of way 0 *)
+  let addrs = [ base; base + (40 * Units.kib); base + (100 * Units.kib) ] in
+  Pl310.set_lockdown l2 0xfe (* every allocation lands in way 0 *);
+  Pl310.set_flush_mask l2 0b1;
+  List.iteri (fun i a -> Machine.write m a (payload 4096 (Char.chr (Char.code 'p' + i)))) addrs;
+  let wb0 = (Pl310.stats l2).Pl310.writebacks in
+  Pl310.flush_masked l2;
+  checki "the masked flush writes nothing back" wb0 (Pl310.stats l2).Pl310.writebacks;
+  List.iter
+    (fun a -> Alcotest.(check (option int)) "line survives the masked flush" (Some 0) (Pl310.way_of l2 a))
+    addrs;
+  Pl310.set_flush_mask l2 0;
+  Pl310.flush_masked l2;
+  checki "every dirty line written back" (3 * 128) ((Pl310.stats l2).Pl310.writebacks - wb0);
+  let valid = ref 0 in
+  Pl310.iter_resident l2 (fun ~way:_ ~addr:_ _ ~off:_ -> incr valid);
+  checki "no valid line remains" 0 !valid;
+  let raw = Dram.raw (Machine.dram m) in
+  List.iteri
+    (fun i a ->
+      check_bytes "DRAM holds the written-back page"
+        (payload 4096 (Char.chr (Char.code 'p' + i)))
+        (Bytes.sub raw (a - base) 4096))
+    addrs
+
 (* --------------- reference-model differential (qcheck) -------------- *)
 
 (* [Pl310] against [Ref_pl310], the per-line-record controller it
@@ -335,6 +400,7 @@ type op =
   | Reset
   | Enable_taint
   | Hook of bool
+  | Monitor of bool
 
 let pp_op = function
   | Read (o, n) -> Printf.sprintf "read %d+%d" o n
@@ -350,12 +416,15 @@ let pp_op = function
   | Reset -> "reset"
   | Enable_taint -> "enable_taint"
   | Hook b -> Printf.sprintf "hook %b" b
+  | Monitor b -> Printf.sprintf "monitor %b" b
 
 let ref_dram_size = 128 * Units.kib
 
 let gen_case =
   let open QCheck.Gen in
-  let* ways, way_size = oneofl [ (4, Units.kib); (8, 2 * Units.kib) ] in
+  (* 8 x 8 KiB has 256 sets, 8 per occupancy block; the smaller
+     geometries have at most 2 *)
+  let* ways, way_size = oneofl [ (4, Units.kib); (8, 2 * Units.kib); (8, 8 * Units.kib) ] in
   let full = (1 lsl ways) - 1 in
   let mask = frequency [ (3, int_bound full); (1, return full); (1, return 0) ] in
   let level = oneofl [ Taint.Public; Taint.Ciphertext; Taint.Secret_cleartext ] in
@@ -386,6 +455,7 @@ let gen_case =
         (1, return Reset);
         (1, return Enable_taint);
         (1, map (fun b -> Hook b) bool);
+        (1, map (fun b -> Monitor b) bool);
       ]
   in
   let+ ops = list_size (int_range 1 80) op in
@@ -419,6 +489,10 @@ let reference_differential (ways, way_size, ops) =
   in
   let base = (Dram.region a.dram).Memmap.base in
   let log_a = ref [] and log_b = ref [] in
+  (* bus transactions the attached monitors saw during the current op *)
+  let txns_a = ref [] and txns_b = ref [] in
+  let detach = ref None in
+  let txn_view (x : Bus.transaction) = (x.Bus.op, x.Bus.addr, Bytes.to_string x.Bus.data, x.Bus.taint) in
   let touched = ref [] in
   let line a = a land lnot 31 in
   let touch o n = touched := line (base + o) :: line (base + o + n - 1) :: !touched in
@@ -462,9 +536,22 @@ let reference_differential (ways, way_size, ops) =
               log_b := (way, addr, locked) :: !log_b);
           true
       | Hook false -> Pl310.clear_writeback_hook l2; Ref_pl310.clear_writeback_hook rf; true
+      | Monitor true ->
+          if !detach = None then begin
+            let da = Bus.attach_monitor a.bus (fun x -> txns_a := txn_view x :: !txns_a) in
+            let db = Bus.attach_monitor b.bus (fun x -> txns_b := txn_view x :: !txns_b) in
+            detach := Some (fun () -> da (); db ())
+          end;
+          true
+      | Monitor false ->
+          Option.iter (fun f -> f ()) !detach;
+          detach := None;
+          true
     in
-    if not (ok && same_scalars a l2 b rf) then
-      QCheck.Test.fail_reportf "diverged at %s" (pp_op op)
+    if not (ok && same_scalars a l2 b rf && !txns_a = !txns_b) then
+      QCheck.Test.fail_reportf "diverged at %s" (pp_op op);
+    txns_a := [];
+    txns_b := []
   in
   List.iter step ops;
   let line_state addr =
@@ -508,7 +595,11 @@ let () =
             test_dirty_allocator_reads_zero;
           Alcotest.test_case "untouched shadow reads public" `Quick test_untouched_shadow_public;
         ] );
-      ("reference model", [ test_reference_model ]);
+      ( "reference model",
+        [
+          test_reference_model;
+          Alcotest.test_case "masked way flushed later" `Quick test_masked_way_flushed_later;
+        ] );
       ( "aliasing",
         [
           Alcotest.test_case "write-back snapshots" `Quick test_writeback_no_alias;
@@ -519,5 +610,6 @@ let () =
           Alcotest.test_case "warm path ceiling" `Quick test_warm_path_allocation_ceiling;
           Alcotest.test_case "create ceiling" `Quick test_create_allocation_ceiling;
           Alcotest.test_case "cold run ceiling" `Quick test_cold_run_allocation_ceiling;
+          Alcotest.test_case "flush ceiling" `Quick test_flush_allocation_ceiling;
         ] );
     ]
