@@ -221,7 +221,7 @@ let cbc_encrypt_u10 rk ~iv ~iv_off src src_off dst dst_off nblocks =
 (** [cbc_encrypt_into k ~iv ~iv_off src src_off dst dst_off nblocks]
     encrypts [nblocks] contiguous blocks in CBC mode with the chain
     held in registers.  [src] and [dst] may alias at equal offsets. *)
-let cbc_encrypt_into (k : key) ~iv ?(iv_off = 0) src src_off dst dst_off nblocks =
+let cbc_encrypt_into (k : key) ~iv ~iv_off src src_off dst dst_off nblocks =
   check_cbc "Aes.cbc_encrypt_into" ~iv ~iv_off src src_off dst dst_off nblocks;
   let rk = k.Aes_key.words in
   if k.Aes_key.nr = 10 then cbc_encrypt_u10 rk ~iv ~iv_off src src_off dst dst_off nblocks
@@ -286,7 +286,7 @@ let cbc_decrypt_u10 dk ~iv ~iv_off buf off nblocks =
 
 (** [cbc_decrypt_into k ~iv ~iv_off buf off nblocks] decrypts
     [nblocks] contiguous blocks of [buf] in place in CBC mode. *)
-let cbc_decrypt_into (k : key) ~iv ?(iv_off = 0) buf off nblocks =
+let cbc_decrypt_into (k : key) ~iv ~iv_off buf off nblocks =
   check_cbc "Aes.cbc_decrypt_into" ~iv ~iv_off buf off buf off nblocks;
   let dk = k.Aes_key.inv_words in
   if k.Aes_key.nr = 10 then cbc_decrypt_u10 dk ~iv ~iv_off buf off nblocks

@@ -16,21 +16,24 @@ val encrypt_block : key -> Bytes.t -> int -> Bytes.t -> int -> unit
     lookups per column per round, as for [encrypt_block]. *)
 val decrypt_block : key -> Bytes.t -> int -> Bytes.t -> int -> unit
 
-(** [cbc_encrypt_into k ~iv ?iv_off src src_off dst dst_off nblocks]
-    encrypts [nblocks] contiguous 16-byte blocks in CBC mode with the
-    chain held in scalar registers (no per-block buffer traffic); the
-    AES-128 round structure is fully unrolled.  This is the batched
-    lock pipeline's page kernel.  [src] and [dst] may alias at equal
-    offsets.  Output is bit-identical to chaining [encrypt_block]
-    by hand (and is differentially tested against [Mode]). *)
+(** [cbc_encrypt_into k ~iv ~iv_off src src_off dst dst_off nblocks]
+    encrypts [nblocks] contiguous 16-byte blocks in CBC mode, chained
+    from the 16-byte IV at [iv_off] in [iv], with the chain held in
+    scalar registers (no per-block buffer traffic); the AES-128 round
+    structure is fully unrolled.  This is the batched lock pipeline's
+    page kernel.  [src] and [dst] may alias at equal offsets.  Output
+    is bit-identical to chaining [encrypt_block] by hand (and is
+    differentially tested against [Mode]).  [iv_off] is required, not
+    optional: an optional argument would box its [Some] on every call
+    from another module. *)
 val cbc_encrypt_into :
-  key -> iv:Bytes.t -> ?iv_off:int -> Bytes.t -> int -> Bytes.t -> int -> int -> unit
+  key -> iv:Bytes.t -> iv_off:int -> Bytes.t -> int -> Bytes.t -> int -> int -> unit
 
-(** [cbc_decrypt_into k ~iv ?iv_off buf off nblocks] decrypts
+(** [cbc_decrypt_into k ~iv ~iv_off buf off nblocks] decrypts
     [nblocks] contiguous blocks of [buf] {e in place} in CBC mode —
     the unlock twin of [cbc_encrypt_into], with the same unrolled
     AES-128 round structure and per-block cost. *)
-val cbc_decrypt_into : key -> iv:Bytes.t -> ?iv_off:int -> Bytes.t -> int -> int -> unit
+val cbc_decrypt_into : key -> iv:Bytes.t -> iv_off:int -> Bytes.t -> int -> int -> unit
 
 (** One-shot block APIs (fresh output buffer). *)
 val encrypt_block_copy : key -> Bytes.t -> Bytes.t

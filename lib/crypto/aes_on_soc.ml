@@ -114,7 +114,7 @@ let decrypt t ~iv data = transform t ~dir:`Decrypt ~iv data
    kernel works in place and the encrypt kernel lets [src]/[dst] alias
    only at equal offsets, so any other layout blits the input into
    [dst] first and transforms it there. *)
-let kernel t ~(dir : [ `Encrypt | `Decrypt ]) ~iv ~iv_off ~src ~src_off ~dst ~dst_off ~len =
+let run_kernel t ~(dir : [ `Encrypt | `Decrypt ]) ~iv ~iv_off ~src ~src_off ~dst ~dst_off ~len =
   let nblocks = len / 16 in
   match dir with
   | `Encrypt when src != dst || src_off = dst_off ->
@@ -125,6 +125,95 @@ let kernel t ~(dir : [ `Encrypt | `Decrypt ]) ~iv ~iv_off ~src ~src_off ~dst ~ds
   | `Decrypt ->
       if src != dst || src_off <> dst_off then Bytes.blit src src_off dst dst_off len;
       Aes.cbc_decrypt_into t.fast_key ~iv ~iv_off dst dst_off nblocks
+
+(* ---------------------- page transform memo ----------------------- *)
+
+(* Whole-page transforms this domain has just computed, kept so that a
+   page locked and unlocked again with its contents unchanged costs a
+   compare and a copy instead of a CBC pass.  Under one key schedule
+   and IV, CBC maps cleartext pages to ciphertext pages one to one, so
+   one entry (key, IV, cleartext, ciphertext) answers both "encrypt
+   the cleartext" and "decrypt the ciphertext".  A lookup hits only on
+   the same key schedule object ([set_key] replaces it), equal IV
+   bytes and an equal input page, compared in full: a hit writes
+   exactly the bytes the kernel would.  Only host compute is reused;
+   the modeled charge, trace span and every simulated byte are the
+   caller's, as before.  The memo is host memory outside the simulated
+   machine, like [fast_key].
+
+   It is domain-local ([Domain.DLS]) rather than per instance: a fleet
+   call boots a system per shard, and 128 KiB per instance would add up
+   in peak RSS.  Its slots are allocated on a domain's first page
+   transform. *)
+
+let memo_page = 4096
+let memo_slots = 16
+
+type entry = {
+  mutable owner : Aes.key; (* [no_key] while the entry is empty or being refilled *)
+  iv_bytes : Bytes.t;
+  clear : Bytes.t;
+  cipher : Bytes.t;
+  mutable used : int; (* LRU stamp *)
+}
+
+type memo = { entries : entry array; no_key : Aes.key; mutable tick : int }
+
+let memo_key : memo Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      (* a schedule no instance holds: [==] never matches it *)
+      let no_key = Aes.expand (Bytes.make 16 '\000') in
+      let entry _ =
+        {
+          owner = no_key;
+          iv_bytes = Bytes.create 16;
+          clear = Bytes.create memo_page;
+          cipher = Bytes.create memo_page;
+          used = 0;
+        }
+      in
+      { entries = Array.init memo_slots entry; no_key; tick = 0 })
+
+(* The kernel for a whole page, through the memo.  At most one entry
+   holds a given key and IV: a miss refills that entry if there is
+   one, else the least recently used.  The input goes into the entry
+   before the kernel runs, since the kernel may transform in place. *)
+let memo_kernel t ~(dir : [ `Encrypt | `Decrypt ]) ~iv ~iv_off ~src ~src_off ~dst ~dst_off =
+  let m = Domain.DLS.get memo_key in
+  let entries = m.entries and key = t.fast_key in
+  m.tick <- m.tick + 1;
+  let same = ref (-1) and lru = ref 0 in
+  for i = 0 to memo_slots - 1 do
+    let e = entries.(i) in
+    if e.owner == key && Sentry_util.Bytes_util.equal_view e.iv_bytes 0 iv iv_off 16 then same := i
+    else if e.used < entries.(!lru).used then lru := i
+  done;
+  let e = entries.(if !same >= 0 then !same else !lru) in
+  let input = match dir with `Encrypt -> e.clear | `Decrypt -> e.cipher in
+  let output = match dir with `Encrypt -> e.cipher | `Decrypt -> e.clear in
+  e.used <- m.tick;
+  if !same >= 0 && Sentry_util.Bytes_util.equal_view input 0 src src_off memo_page then
+    Bytes.blit output 0 dst dst_off memo_page
+  else begin
+    e.owner <- m.no_key;
+    Bytes.blit src src_off input 0 memo_page;
+    run_kernel t ~dir ~iv ~iv_off ~src ~src_off ~dst ~dst_off ~len:memo_page;
+    Bytes.blit dst dst_off output 0 memo_page;
+    Bytes.blit iv iv_off e.iv_bytes 0 16;
+    e.owner <- key
+  end
+
+(* Host compute for [len] bytes: whole pages through the memo, any
+   other length (512 B sectors) straight to the kernel, as is a view
+   outside its buffer, so that [Aes] rejects it as before. *)
+let kernel t ~dir ~iv ~iv_off ~src ~src_off ~dst ~dst_off ~len =
+  if
+    len = memo_page && src_off >= 0
+    && src_off + len <= Bytes.length src
+    && dst_off >= 0
+    && dst_off + len <= Bytes.length dst
+  then memo_kernel t ~dir ~iv ~iv_off ~src ~src_off ~dst ~dst_off
+  else run_kernel t ~dir ~iv ~iv_off ~src ~src_off ~dst ~dst_off ~len
 
 (* The modeled on-SoC cost of transforming [len] bytes, charged inside
    the IRQ bracket — exactly the window interrupts stay masked (§6.2) —

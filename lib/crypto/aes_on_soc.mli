@@ -27,7 +27,17 @@ val encrypt : t -> iv:Bytes.t -> Bytes.t -> Bytes.t
 val decrypt : t -> iv:Bytes.t -> Bytes.t -> Bytes.t
 
 (** Bulk path for the pager: native transform (bit-identical) with the
-    modeled on-SoC cost charged inside the IRQ bracket. *)
+    modeled on-SoC cost charged inside the IRQ bracket.
+
+    On every [bulk*] entry point, the host compute of a whole 4 KiB
+    page may be reused: a transform under the same key schedule and
+    IV, of an input equal in full to one this domain has just
+    transformed (in either direction), copies the remembered output
+    instead of running the kernel.  The output bytes are the same
+    either way, and the charge never is reused: the modeled cost, the
+    IRQ bracket and the trace span are paid on every call.  Other
+    lengths (512 B sectors) and the instrumented [encrypt]/[decrypt]
+    always compute. *)
 val bulk : t -> dir:[ `Encrypt | `Decrypt ] -> iv:Bytes.t -> Bytes.t -> Bytes.t
 
 (** Scatter-gather bulk path: transform the [len]-byte view of [src]
@@ -36,7 +46,8 @@ val bulk : t -> dir:[ `Encrypt | `Decrypt ] -> iv:Bytes.t -> Bytes.t -> Bytes.t
     on-SoC cost charged inside the IRQ bracket — no allocation.
     [src]/[dst] may be the same buffer, at any offsets; any layout
     but in place at one offset copies the input into [dst] first.
-    [bulk] is implemented on top; identical cost and trace. *)
+    [bulk] is implemented on top; identical cost and trace.  A whole
+    page may reuse host compute, never the charge (see [bulk]). *)
 val bulk_into :
   t ->
   dir:[ `Encrypt | `Decrypt ] ->
@@ -50,7 +61,7 @@ val bulk_into :
 
 (** [bulk_into] with the 16-byte IV at [iv_off] inside [iv], so a
     batch can reuse one IV buffer; same checks, kernel, charge and
-    trace span. *)
+    trace span, and the same reuse of a whole page's host compute. *)
 val bulk_fused_into :
   t ->
   dir:[ `Encrypt | `Decrypt ] ->
@@ -67,7 +78,8 @@ val bulk_fused_into :
     [bulk_fused_into] with no [Perf.charge] and no IRQ bracket, for
     engine models ([Offload_engine]) that account simulated
     time/energy themselves while ciphertext must stay bit-identical
-    to the CPU path. *)
+    to the CPU path.  A whole page may reuse host compute, as on the
+    charged paths. *)
 val bulk_fused_raw :
   t ->
   dir:[ `Encrypt | `Decrypt ] ->

@@ -245,6 +245,23 @@ let fill t w set base =
     trace t "line-fill"
       ~args:[ ("way", Sentry_obs.Event.Int w); ("addr", Sentry_obs.Event.Int base) ]
 
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+(* Copy [len] bytes between two distinct buffers, views in range (the
+   caller's bounds).  A whole 32-byte line moves as four 64-bit loads
+   and stores, inline, instead of a [caml_blit_bytes] call: the walk
+   copies one line per access, so the call was most of a line's
+   cost. *)
+let[@inline] copy_line src soff dst doff len =
+  if len = 32 then begin
+    set64u dst doff (get64u src soff);
+    set64u dst (doff + 8) (get64u src (soff + 8));
+    set64u dst (doff + 16) (get64u src (soff + 16));
+    set64u dst (doff + 24) (get64u src (soff + 24))
+  end
+  else Bytes.unsafe_blit src soff dst doff len
+
 (* [write_back] without observers, for the walk's miss path and the
    maintenance loop: the line in [slot] (set [set], tag word [word]) and
    its labels go straight into the DRAM store and [dshadow] (the DRAM
@@ -255,9 +272,9 @@ let[@inline] write_back_unobserved t dshadow slot set word =
   let line_size = t.line_size and dbase = t.dbase in
   let wb = ((word lsr 2) lsl t.tag_shift) lor (set lsl t.set_shift) in
   let loff = slot lsl t.set_shift in
-  Bytes.unsafe_blit t.data loff (Dram.backing t.dram wb line_size) (wb - dbase) line_size;
+  copy_line t.data loff (Dram.backing t.dram wb line_size) (wb - dbase) line_size;
   (match (dshadow, t.shadow) with
-  | Some ds, Some s -> Bytes.unsafe_blit s loff ds (wb - dbase) line_size
+  | Some ds, Some s -> copy_line s loff ds (wb - dbase) line_size
   | Some ds, None -> Taint.fill ds (wb - dbase) line_size Taint.Public
   | None, _ -> ());
   Bus.account t.bus Bus.Write line_size;
@@ -407,10 +424,10 @@ let walk t ~write ~taint buf buf_off addr len =
             if word land (valid_bit lor dirty_bit) = valid_bit lor dirty_bit then
               write_back_unobserved t dshadow slot set word;
             let base = a land lnot line_mask in
-            Bytes.unsafe_blit !store (base - dbase) data loff line_size;
+            copy_line !store (base - dbase) data loff line_size;
             Bus.account bus Bus.Read line_size;
             (match (shadow, dshadow) with
-            | Some s, Some ds -> Bytes.unsafe_blit ds (base - dbase) s loff line_size
+            | Some s, Some ds -> copy_line ds (base - dbase) s loff line_size
             | Some s, None -> Taint.fill s loff line_size Taint.Public
             | None, _ -> ());
             Array.unsafe_set tags slot key;
@@ -426,11 +443,11 @@ let walk t ~write ~taint buf buf_off addr len =
       let slot = (w * sets) + set in
       let loff = (slot lsl set_shift) + off_in_line in
       if write then begin
-        Bytes.unsafe_blit buf bo data loff chunk;
+        copy_line buf bo data loff chunk;
         (match shadow with Some s -> Taint.fill s loff chunk taint | None -> ());
         Array.unsafe_set tags slot (Array.unsafe_get tags slot lor dirty_bit)
       end
-      else Bytes.unsafe_blit data loff buf bo chunk
+      else copy_line data loff buf bo chunk
     end;
     pos := a + chunk;
     boff := bo + chunk;

@@ -85,6 +85,32 @@ let equal_ct a b =
     !acc = 0
   end
 
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+(** [equal_view a a_off b b_off len] is true when the [len]-byte views
+    of [a] at [a_off] and of [b] at [b_off] hold the same bytes.  Both
+    views are checked once; the compare then runs eight bytes at a
+    time, stopping at the first word that differs, and allocates
+    nothing.  Not constant time: for host-side buffers only. *)
+let equal_view a a_off b b_off len =
+  if len < 0 || a_off < 0 || b_off < 0 || a_off + len > Bytes.length a
+     || b_off + len > Bytes.length b
+  then invalid_arg "Bytes_util.equal_view: bad view";
+  (* loops, not local recursive functions: those would be closures,
+     allocated on every call *)
+  let words_end = len land lnot 7 in
+  let i = ref 0 in
+  while !i < words_end && (get64u a (a_off + !i) : int64) = get64u b (b_off + !i) do
+    i := !i + 8
+  done;
+  if !i < words_end then false
+  else begin
+    while !i < len && Bytes.unsafe_get a (a_off + !i) = Bytes.unsafe_get b (b_off + !i) do
+      incr i
+    done;
+    !i = len
+  end
+
 (** [is_zero b] is true when every byte of [b] is ['\000']. *)
 let is_zero b =
   let n = Bytes.length b in

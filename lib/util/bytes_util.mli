@@ -24,5 +24,12 @@ val xor_into : src:Bytes.t -> dst:Bytes.t -> unit
 (** Constant-time equality (length leak only). *)
 val equal_ct : Bytes.t -> Bytes.t -> bool
 
+(** [equal_view a a_off b b_off len] — do the [len]-byte views of [a]
+    at [a_off] and [b] at [b_off] hold the same bytes?  A word-wise
+    compare that stops at the first difference and allocates nothing;
+    not constant time.
+    @raise Invalid_argument on a view outside its buffer. *)
+val equal_view : Bytes.t -> int -> Bytes.t -> int -> int -> bool
+
 val is_zero : Bytes.t -> bool
 val zero : Bytes.t -> unit

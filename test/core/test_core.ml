@@ -502,6 +502,104 @@ let test_sentry_backend_switch_guarded () =
   Sentry.set_backend sentry Sentry.Offload;
   checkb "switch allowed while unlocked" true (Sentry.backend sentry = Sentry.Offload)
 
+(* ------------------------- page transform memo --------------------- *)
+
+(* The host cipher reuses the output of page transforms it has just
+   computed (an exact memo in [Aes_on_soc]).  End to end, the DRAM
+   ciphertext must still be what a memo-free cipher writes: lock,
+   unlock, fault every page in, change one byte of one page, lock
+   again; then lose power mid-lock, recover (which re-keys), and lock
+   once more. *)
+let test_page_memo_end_to_end () =
+  let system = System.boot `Nexus4 ~seed:44 in
+  let sentry = install ~config:(Config.default `Nexus4) system in
+  let machine = System.machine system in
+  let proc, region = spawn_filled system ~bytes:(32 * Units.kib) in
+  Sentry.mark_sensitive sentry proc;
+  let pid = proc.Process.pid in
+  let ptes () = Address_space.region_ptes proc.Process.aspace region in
+  let dram = Machine.dram machine in
+  let dram_page (pte : Page_table.pte) =
+    Bytes.sub (Dram.raw dram) (pte.Page_table.frame - (Dram.region dram).Memmap.base) Page.size
+  in
+  let vaddr vpn = vpn * Page.size in
+  let unlock () =
+    match Sentry.unlock sentry ~pin:"1234" with Ok _ -> () | Error _ -> Alcotest.fail "unlock"
+  in
+  (* every page's cleartext, read through the VM (faulting it in) *)
+  let read_all () =
+    List.map
+      (fun (vpn, _) -> (vpn, Vm.read system.System.vm proc ~vaddr:(vaddr vpn) ~len:Page.size))
+      (ptes ())
+  in
+  (* the ciphertext a memo-free cipher writes for [clear] at [vpn] *)
+  let expected vpn clear =
+    let k = Sentry_crypto.Aes.expand (Key_manager.volatile_key (Sentry.key_manager sentry)) in
+    let iv = Page_crypt.iv (Sentry.page_crypt sentry) ~pid ~vpn in
+    let out = Bytes.copy clear in
+    Sentry_crypto.Aes.cbc_encrypt_into k ~iv ~iv_off:0 out 0 out 0 (Page.size / 16);
+    out
+  in
+  let check_locked label clears =
+    List.iter
+      (fun (vpn, pte) ->
+        checkb (Printf.sprintf "%s: page %d encrypted" label vpn) true pte.Page_table.encrypted;
+        check_bytes
+          (Printf.sprintf "%s: page %d ciphertext" label vpn)
+          (expected vpn (List.assoc vpn clears))
+          (dram_page pte))
+      (ptes ())
+  in
+  let clears = read_all () in
+  checki "8 pages" 8 (List.length clears);
+  ignore (Sentry.lock sentry);
+  check_locked "first lock" clears;
+  let first = List.map (fun (vpn, pte) -> (vpn, dram_page pte)) (ptes ()) in
+  unlock ();
+  check_bytes "faulted-in cleartext" (snd (List.hd clears)) (snd (List.hd (read_all ())));
+  let changed_vpn, _ = List.nth (ptes ()) 3 in
+  Vm.write system.System.vm proc ~vaddr:(vaddr changed_vpn + 100) (Bytes.of_string "!");
+  let clears' = read_all () in
+  ignore (Sentry.lock sentry);
+  check_locked "second lock" clears';
+  List.iter
+    (fun (vpn, pte) ->
+      if vpn <> changed_vpn then
+        check_bytes (Printf.sprintf "unchanged page %d keeps its ciphertext" vpn)
+          (List.assoc vpn first) (dram_page pte))
+    (ptes ());
+  (* power loss after the second page of the next lock, then recovery
+     with a fresh volatile key *)
+  unlock ();
+  ignore (read_all ());
+  let module Injector = Sentry_faults.Injector in
+  Injector.activate
+    (Injector.create
+       (Sentry_faults.Plan.make ~name:"memo"
+          [
+            Sentry_faults.Plan.trigger ~point:Injector.Points.page_encrypted
+              ~kind:Sentry_faults.Fault.Power_loss ~at:(Sentry_faults.Plan.Nth 2);
+          ]));
+  (match Sentry.lock sentry with
+  | (_ : Encrypt_on_lock.stats) -> Alcotest.fail "lock survived the injected power loss"
+  | exception Injector.Injected _ -> ());
+  Injector.deactivate ();
+  Machine.reboot machine (Machine.Hard_reset 2.0);
+  (match Sentry.recover sentry with
+  | Some r -> checkb "rekeyed" true r.Sentry.rekeyed
+  | None -> Alcotest.fail "recover must see the interrupted lock");
+  (* the pages encrypted under the lost key are gone; write the old
+     cleartext back and lock under the new key *)
+  unlock ();
+  List.iter (fun (vpn, clear) -> Vm.write system.System.vm proc ~vaddr:(vaddr vpn) clear) clears';
+  ignore (Sentry.lock sentry);
+  check_locked "lock after recovery" clears';
+  List.iter
+    (fun (vpn, pte) ->
+      if Bytes.equal (List.assoc vpn first) (dram_page pte) then
+        Alcotest.failf "page %d kept its ciphertext under the lost key" vpn)
+    (ptes ())
+
 (* ---------------------------- Background -------------------------- *)
 
 let boot_background ?(budget = 256 * Units.kib) ?(bytes = 512 * Units.kib) () =
@@ -805,6 +903,7 @@ let () =
           Alcotest.test_case "backend switch guarded" `Quick
             test_sentry_backend_switch_guarded;
         ] );
+      ("page_memo", [ Alcotest.test_case "end to end" `Quick test_page_memo_end_to_end ]);
       ( "background",
         [
           Alcotest.test_case "reads correct data" `Quick test_background_reads_correct_data;

@@ -315,14 +315,175 @@ let test_cbc_into_allocation_ceiling () =
 let test_cbc_decrypt_allocation_ceiling () =
   let k = Aes.expand key in
   let buf = payload 4096 in
-  Aes.cbc_decrypt_into k ~iv buf 0 256;
+  Aes.cbc_decrypt_into k ~iv ~iv_off:0 buf 0 256;
   let mw0 = Gc.minor_words () in
   for _ = 1 to 64 do
-    Aes.cbc_decrypt_into k ~iv buf 0 256
+    Aes.cbc_decrypt_into k ~iv ~iv_off:0 buf 0 256
   done;
   let words = Gc.minor_words () -. mw0 in
   if words > 0.0 then
     Alcotest.failf "Aes.cbc_decrypt_into allocated %.0f minor words over 64 pages (ceiling 0)" words
+
+(* ------------------------ page transform memo ---------------------- *)
+
+(* [Aes_on_soc] reuses the host output of whole-page transforms it has
+   just computed.  A random sequence of page transforms, both entry
+   points and both directions, with inputs drawn from a small pool (and
+   from the previous output) so that repeats hit, 2-3 IVs, in-place,
+   disjoint and shifted views at random offsets, and re-keys in
+   between: every output must be the bytes [Aes.cbc_*_into] computes on
+   a copy under the current key. *)
+
+let memo_keys = [| key; Bytes.of_string "another 16b key!"; Bytes.of_string "third sixteen b." |]
+let memo_ivs = [| iv; Bytes.make 16 '\x00'; Bytes.init 16 (fun i -> Char.chr (0xf0 - i)) |]
+
+let memo_pool =
+  let prng = Prng.create ~seed:0x3e in
+  Array.init 4 (fun _ -> Prng.bytes prng 4096)
+
+type memo_op =
+  | Rekey of int
+  | Page of {
+      fused : bool;  (** [bulk_fused_into] (IV inside a larger buffer), else [bulk_into] *)
+      dir : [ `Encrypt | `Decrypt ];
+      input : int;  (** index into [memo_pool], or -1 for the previous output *)
+      iv_ix : int;
+      layout : [ `In_place | `Disjoint | `Shifted ];
+      src_off : int;
+      dst_off : int;
+    }
+
+let memo_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, map (fun k -> Rekey k) (int_bound (Array.length memo_keys - 1)));
+        ( 8,
+          let* fused = bool in
+          let* dir = oneofl [ `Encrypt; `Decrypt ] in
+          let* input = int_range (-1) (Array.length memo_pool - 1) in
+          let* iv_ix = int_bound (Array.length memo_ivs - 1) in
+          let* layout = oneofl [ `In_place; `Disjoint; `Shifted ] in
+          let* src_off = int_bound 48 in
+          let* dst_off = int_bound 48 in
+          return (Page { fused; dir; input; iv_ix; layout; src_off; dst_off }) );
+      ])
+
+let print_memo_op = function
+  | Rekey k -> Printf.sprintf "rekey %d" k
+  | Page { fused; dir; input; iv_ix; layout; src_off; dst_off } ->
+      Printf.sprintf "%s %s input %d iv %d %s src_off %d dst_off %d"
+        (if fused then "fused" else "bulk_into")
+        (match dir with `Encrypt -> "encrypt" | `Decrypt -> "decrypt")
+        input iv_ix
+        (match layout with `In_place -> "in place" | `Disjoint -> "disjoint" | `Shifted -> "shifted")
+        src_off dst_off
+
+let memo_case =
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map print_memo_op ops))
+    QCheck.Gen.(list_size (int_range 1 40) memo_op_gen)
+
+let reference_page ~key ~dir ~iv data =
+  let k = Aes.expand key and out = Bytes.copy data in
+  (match dir with
+  | `Encrypt -> Aes.cbc_encrypt_into k ~iv ~iv_off:0 out 0 out 0 256
+  | `Decrypt -> Aes.cbc_decrypt_into k ~iv ~iv_off:0 out 0 256);
+  out
+
+(* Run [ops] on one instance; the first wrong output fails the case. *)
+let run_memo_ops ops =
+  let m = boot () in
+  let a = mk_aes m in
+  let cur = ref key and last = ref memo_pool.(0) in
+  List.for_all
+    (function
+      | Rekey k ->
+          cur := memo_keys.(k);
+          Aes_on_soc.set_key a !cur;
+          true
+      | Page { fused; dir; input; iv_ix; layout; src_off; dst_off } ->
+          let data = if input < 0 then !last else memo_pool.(input) in
+          let iv = memo_ivs.(iv_ix) in
+          let want = reference_page ~key:!cur ~dir ~iv data in
+          let src = Bytes.make (4096 + 64) '\xa5' in
+          Bytes.blit data 0 src src_off 4096;
+          let dst, dst_off =
+            match layout with
+            | `In_place -> (src, src_off)
+            | `Disjoint -> (Bytes.make (4096 + 64) '\xa5', dst_off)
+            | `Shifted -> (src, dst_off)
+          in
+          (if fused then begin
+             let iv_buf = Bytes.make 48 '\x11' in
+             Bytes.blit iv 0 iv_buf (dst_off land 31) 16;
+             Aes_on_soc.bulk_fused_into a ~dir ~iv:iv_buf ~iv_off:(dst_off land 31) ~src ~src_off
+               ~dst ~dst_off ~len:4096
+           end
+           else Aes_on_soc.bulk_into a ~dir ~iv ~src ~src_off ~dst ~dst_off ~len:4096);
+          let got = Bytes.sub dst dst_off 4096 in
+          last := got;
+          Bytes.equal want got
+          && (layout <> `Disjoint || guards_intact dst dst_off 4096))
+    ops
+
+let qcheck_memo =
+  [ QCheck.Test.make ~name:"memoised page transforms = Aes.cbc_*_into" ~count:150 memo_case run_memo_ops ]
+
+(* A hit must charge exactly what a miss does: the memo skips host
+   compute only.  The memo is domain-local, so the same second call
+   run on a fresh domain misses; both machines must end with the same
+   bytes, simulated clock and energy. *)
+let test_memo_hit_charges_as_miss () =
+  let data = payload 4096 in
+  let twice ~second =
+    let m = boot () in
+    let a = mk_aes m in
+    let dst = Bytes.create 4096 in
+    let call () =
+      Aes_on_soc.bulk_into a ~dir:`Encrypt ~iv ~src:data ~src_off:0 ~dst ~dst_off:0 ~len:4096
+    in
+    call ();
+    second call;
+    (dst, Machine.now m, Energy.total (Machine.energy m))
+  in
+  let hit_dst, hit_clock, hit_energy = twice ~second:(fun call -> call ()) in
+  let miss_dst, miss_clock, miss_energy =
+    twice ~second:(fun call -> Domain.join (Domain.spawn call))
+  in
+  check_bytes "same ciphertext" miss_dst hit_dst;
+  checkf "same simulated clock" miss_clock hit_clock;
+  checkf "same energy" miss_energy hit_energy
+
+(* The memo's lookup, hit copy and miss refill allocate nothing once a
+   domain's slots exist: 64 warm page transforms through the uncharged
+   entry point (the charge's IRQ bracket is measured elsewhere), all
+   hits (a fixed input into another buffer) or all misses (in place,
+   so every input is new), allocate 0 minor words in either
+   direction. *)
+let test_memo_allocation_ceiling () =
+  let m = boot () in
+  let a = mk_aes m in
+  let src = payload 4096 and dst = Bytes.create 4096 and buf = payload 4096 in
+  List.iter
+    (fun dir ->
+      let name = match dir with `Encrypt -> "encrypt" | `Decrypt -> "decrypt" in
+      List.iter
+        (fun (runs, src, dst) ->
+          let page () =
+            Aes_on_soc.bulk_fused_raw a ~dir ~iv ~iv_off:0 ~src ~src_off:0 ~dst ~dst_off:0
+              ~len:4096
+          in
+          page ();
+          let mw0 = Gc.minor_words () in
+          for _ = 1 to 64 do
+            page ()
+          done;
+          let words = Gc.minor_words () -. mw0 in
+          if words > 0.0 then
+            Alcotest.failf "%s %s: %.0f minor words over 64 pages (ceiling 0)" name runs words)
+        [ ("all hits", src, dst); ("all misses", buf, buf) ])
+    [ `Encrypt; `Decrypt ]
 
 let () =
   Alcotest.run "sentry_crypto_fastpath"
@@ -349,5 +510,9 @@ let () =
         [
           Alcotest.test_case "cbc into ceiling" `Quick test_cbc_into_allocation_ceiling;
           Alcotest.test_case "cbc decrypt page ceiling" `Quick test_cbc_decrypt_allocation_ceiling;
+          Alcotest.test_case "page memo ceiling" `Quick test_memo_allocation_ceiling;
         ] );
+      ( "page memo",
+        Alcotest.test_case "hit charges as miss" `Quick test_memo_hit_charges_as_miss
+        :: List.map QCheck_alcotest.to_alcotest qcheck_memo );
     ]

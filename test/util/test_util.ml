@@ -137,6 +137,14 @@ let test_equal_ct () =
   checkb "diff" false (Bytes_util.equal_ct (Bytes.of_string "abc") (Bytes.of_string "abd"));
   checkb "len" false (Bytes_util.equal_ct (Bytes.of_string "abc") (Bytes.of_string "ab"))
 
+let test_equal_view_bad_view () =
+  let b = Bytes.make 16 'a' in
+  List.iter
+    (fun (a_off, b_off, len) ->
+      Alcotest.check_raises "bad view" (Invalid_argument "Bytes_util.equal_view: bad view")
+        (fun () -> ignore (Bytes_util.equal_view b a_off b b_off len)))
+    [ (-1, 0, 4); (0, -1, 4); (0, 0, -1); (13, 0, 4); (0, 9, 8) ]
+
 let test_zero_is_zero () =
   let b = Bytes.of_string "junk" in
   checkb "not zero" false (Bytes_util.is_zero b);
@@ -273,6 +281,19 @@ let qcheck_tests =
       (pair (string_of_size Gen.(0 -- 20)) (string_of_size Gen.(0 -- 20)))
       (fun (a, b) ->
         Bytes_util.equal_ct (Bytes.of_string a) (Bytes.of_string b) = (a = b));
+    (* views at offsets 0-7 of a shared 0-40 byte body, one byte
+       flipped or not: word and tail compares, misaligned loads *)
+    Test.make ~name:"equal_view agrees with Bytes.equal on the views" ~count:500
+      (quad (string_of_size Gen.(0 -- 40)) (int_range 0 7) (int_range 0 7) (int_range (-1) 39))
+      (fun (body, a_off, b_off, flip) ->
+        let len = String.length body in
+        let a = Bytes.make (a_off + len + 3) 'x' and b = Bytes.make (b_off + len) 'y' in
+        Bytes.blit_string body 0 a a_off len;
+        Bytes.blit_string body 0 b b_off len;
+        if flip >= 0 && flip < len then
+          Bytes.set b (b_off + flip) (Char.chr (Char.code body.[flip] lxor 0x10));
+        Bytes_util.equal_view a a_off b b_off len
+        = Bytes.equal (Bytes.sub a a_off len) (Bytes.sub b b_off len));
     Test.make ~name:"count_pattern after fill_pattern = slots" ~count:100
       (pair (int_range 1 16) (int_range 1 256))
       (fun (pn, n) ->
@@ -408,6 +429,7 @@ let () =
           Alcotest.test_case "find at end" `Quick test_find_at_end;
           Alcotest.test_case "xor_into" `Quick test_xor_into;
           Alcotest.test_case "equal_ct" `Quick test_equal_ct;
+          Alcotest.test_case "equal_view bad view" `Quick test_equal_view_bad_view;
           Alcotest.test_case "zero/is_zero" `Quick test_zero_is_zero;
         ] );
       ( "stats",
