@@ -208,19 +208,25 @@ let run_json ~path ~trials ~slo_spec ids =
       ]
   in
   (* per-tenant-class latency SLOs over one default fleet run — the
-     same objectives the CI gate enforces via `sentry_cli slo`.  The
-     spec file is optional so bench still runs from any directory. *)
+     same objectives over the same registries as the CI gate's
+     `sentry_cli slo` (the one-shard plan).  The spec file is optional
+     so bench still runs from any directory. *)
   let slo =
     match Slo.load ~path:slo_spec with
     | Error msg ->
         Printf.printf "  slo: no spec (%s); section omitted\n%!" msg;
         Json_out.Null
     | Ok objectives ->
-        let metrics = Metrics.create () in
-        ignore (Sentry_workloads.Fleet.run ~metrics Sentry_workloads.Fleet.default);
+        let module F = Sentry_workloads.Fleet in
+        let module Sv = Sentry_serve.Server in
+        let module Shard = Sentry_workloads.Shard in
+        let fleet = F.run_sharded ~shards:1 ~domains:1 F.default in
         (* serve rides along in the same snapshot: the spec's
            queue-wait / shed-rate objectives need its keys *)
-        ignore (Sentry_serve.Server.run ~metrics Sentry_serve.Server.default);
+        let serve = Sv.run_sharded ~shards:1 ~domains:1 Sv.default in
+        let metrics =
+          Metrics.merge fleet.F.shards.Shard.merged_metrics serve.Sv.shards.Shard.merged_metrics
+        in
         let report = Slo.evaluate objectives (Metrics.flat metrics) in
         Printf.printf "  slo: %d objective(s), %d violation(s)\n%!"
           (List.length report.Slo.outcomes) report.Slo.violations;

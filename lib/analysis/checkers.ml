@@ -143,10 +143,10 @@ module Dma_window_excludes_iram = struct
     | Transition _ | On_demand -> (
         let m = machine sentry in
         let iram = Machine.iram m in
-        match Iram.shadow iram with
+        match Sram.shadow iram with
         | None -> []
         | Some sh ->
-            let base = (Iram.region iram).Memmap.base in
+            let base = (Sram.region iram).Memmap.base in
             let tz = Machine.trustzone m in
             Taint.runs sh ~level:secret
             |> List.filter_map (fun (off, len) ->

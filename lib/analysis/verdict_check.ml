@@ -40,7 +40,7 @@ let analyzer_safe ~(storage : Verdict.storage) ~(attack : Verdict.attack) =
         | None -> false
       in
       let in_iram =
-        match Iram.shadow (Machine.iram machine) with
+        match Sram.shadow (Machine.iram machine) with
         | Some sh -> Taint.fuzzy_window sh ~level:secret ~len ~min_match:decay_tolerance
         | None -> false
       in
@@ -60,7 +60,7 @@ let analyzer_safe ~(storage : Verdict.storage) ~(attack : Verdict.attack) =
       let dram = Machine.dram machine and iram = Machine.iram machine in
       not
         (reachable (Dram.shadow dram) (Dram.region dram).Memmap.base
-        || reachable (Iram.shadow iram) (Iram.region iram).Memmap.base)
+        || reachable (Sram.shadow iram) (Sram.region iram).Memmap.base)
   | Verdict.Bus_monitoring_attack ->
       (* Replicate [Verdict.safe]'s victim access pattern and watch the
          taint of every bus transaction instead of its payload. *)

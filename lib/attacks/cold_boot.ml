@@ -36,7 +36,7 @@ let image machine variant =
   let iram = Machine.iram machine in
   {
     dram = Memdump.of_bytes ~label:"DRAM" ~base:(Dram.region dram).Memmap.base (Dram.snapshot dram);
-    iram = Memdump.of_bytes ~label:"iRAM" ~base:(Iram.region iram).Memmap.base (Iram.snapshot iram);
+    iram = Memdump.of_bytes ~label:"iRAM" ~base:(Sram.region iram).Memmap.base (Sram.snapshot iram);
   }
 
 (** Scan an already-captured image for AES key schedules. *)

@@ -17,27 +17,14 @@ let dump machine =
   if not (Fuse.jtag_enabled (Machine.fuse machine)) then Jtag_disabled
   else begin
     let dram = Machine.dram machine in
-    let iram = Machine.iram machine in
-    let dumps =
-      [
-        Memdump.of_bytes ~label:"DRAM-via-JTAG" ~base:(Dram.region dram).Memmap.base
-          (Dram.snapshot dram);
-        Memdump.of_bytes ~label:"iRAM-via-JTAG" ~base:(Iram.region iram).Memmap.base
-          (Iram.snapshot iram);
-      ]
+    let sram label s =
+      Memdump.of_bytes ~label ~base:(Sram.region s).Memmap.base (Sram.snapshot s)
     in
-    let dumps =
-      match Machine.pinned machine with
-      | Some pm ->
-          dumps
-          @ [
-              Memdump.of_bytes ~label:"pinned-via-JTAG"
-                ~base:(Pinned_mem.region pm).Memmap.base
-                (Bytes.copy (Pinned_mem.raw pm));
-            ]
-      | None -> dumps
-    in
-    Dumped dumps
+    Dumped
+      (Memdump.of_bytes ~label:"DRAM-via-JTAG" ~base:(Dram.region dram).Memmap.base
+         (Dram.snapshot dram)
+      :: sram "iRAM-via-JTAG" (Machine.iram machine)
+      :: Option.to_list (Option.map (sram "pinned-via-JTAG") (Machine.pinned machine)))
   end
 
 (** [succeeds machine ~secret] — does the probe recover the secret? *)

@@ -17,7 +17,7 @@ let of_config machine (config : Config.t) ~arena_base =
   | Config.Use_pinned -> (
       match Machine.pinned machine with
       | Some pm ->
-          let region = Pinned_mem.region pm in
+          let region = Sram.region pm in
           Pinned_storage
             (Iram_alloc.create_range ~base:region.Memmap.base ~limit:(Memmap.limit region))
       | None -> invalid_arg "Onsoc: platform has no pinned on-SoC memory")

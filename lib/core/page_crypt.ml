@@ -130,7 +130,7 @@ let transform_item ~(backend : Backend.kind) t ~(dir : [ `Encrypt | `Decrypt ])
     { pid; vpn; frame } =
   trace_frame t (match dir with `Encrypt -> "encrypt-frame" | `Decrypt -> "decrypt-frame") ~pid
     ~vpn ~frame;
-  Machine.read_run_into t.machine frame t.page_buf ~off:0 ~len:Page.size;
+  Machine.read_into t.machine frame t.page_buf ~off:0 ~len:Page.size;
   (match dir with
   | `Encrypt -> t.bytes_encrypted <- t.bytes_encrypted + Page.size
   | `Decrypt -> t.bytes_decrypted <- t.bytes_decrypted + Page.size);
@@ -146,7 +146,7 @@ let transform_item ~(backend : Backend.kind) t ~(dir : [ `Encrypt | `Decrypt ])
         ~dst:t.page_buf ~dst_off:0 ~len:Page.size);
   let level = match dir with `Encrypt -> Taint.Ciphertext | `Decrypt -> Taint.Secret_cleartext in
   Machine.with_taint t.machine level (fun () ->
-      Machine.write_run_from t.machine frame t.page_buf ~off:0 ~len:Page.size)
+      Machine.write_from t.machine frame t.page_buf ~off:0 ~len:Page.size)
 
 (* The [Offload] queue is polled for completion once, after the last
    page of a batch: the fixed per-command latency is amortized over

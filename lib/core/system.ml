@@ -21,16 +21,12 @@ type t = {
   crypto_api : Sentry_crypto.Crypto_api.t;
   arena_base : int;
   mutable procs : Sentry_kernel.Process.t list;
-  mutable next_pid : int option;
-      (* [Some n]: this system owns its pid space and the next spawn
-         gets [n] ([boot ~pid_base]).  [None]: pids come off the
-         process-global atomic allocator (legacy single-machine
-         behavior). *)
+  mutable next_pid : int; (* this system's pid space: the next spawn's pid *)
 }
 
 let arena_ways = 7 (* slots reserved; locking budget is configured lower *)
 
-let boot ?(seed = 0x5e17) ?dram_size ?pid_base (platform : Config.platform) =
+let boot ?(seed = 0x5e17) ?dram_size ?(pid_base = 1) (platform : Config.platform) =
   let conf =
     match platform with
     | `Tegra3 -> Machine.tegra3 ?dram_size ()
@@ -72,14 +68,9 @@ let spawn ?(kind = Sentry_kernel.Address_space.Normal) t ~name ~bytes =
   let aspace = Sentry_kernel.Address_space.create t.machine ~frames:t.frames in
   ignore (Sentry_kernel.Address_space.map_region aspace ~name:"main" ~kind ~bytes);
   let kstack = Sentry_kernel.Frame_alloc.alloc t.frames in
-  let pid =
-    match t.next_pid with
-    | Some n ->
-        t.next_pid <- Some (n + 1);
-        Some n
-    | None -> None
-  in
-  let proc = Sentry_kernel.Process.create ?pid ~name ~aspace ~kstack () in
+  let pid = t.next_pid in
+  t.next_pid <- pid + 1;
+  let proc = Sentry_kernel.Process.create ~pid ~name ~aspace ~kstack () in
   t.procs <- proc :: t.procs;
   Sentry_kernel.Sched.admit t.sched proc;
   proc

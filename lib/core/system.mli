@@ -14,20 +14,17 @@ type t = {
   arena_base : int;
       (** way-aligned top-of-DRAM region reserved for [Locked_cache] *)
   mutable procs : Sentry_kernel.Process.t list;
-  mutable next_pid : int option;
-      (** [Some n] when this system owns its pid space ([boot
-          ~pid_base]): the next [spawn] gets pid [n].  [None]: pids
-          come off the process-global allocator. *)
+  mutable next_pid : int;  (** the pid the next [spawn] gets *)
 }
 
 (** [boot ?seed ?dram_size ?pid_base platform] creates a machine,
     carves the DRAM layout (kernel reserve | general frames |
-    locked-cache arena) and starts the kernel services.  With
-    [~pid_base:n] the system owns a private pid space starting at [n]
-    (successive spawns get [n], [n+1], …, untouched by any other
-    system or domain) — pids feed the per-page ESSIV IVs, so sharded
-    harnesses use disjoint deterministic bases per shard.  Without it,
-    pids come off the process-global allocator as before. *)
+    locked-cache arena) and starts the kernel services.  Every system
+    owns its pid space: successive spawns get [pid_base] (default 1),
+    [pid_base + 1], …, untouched by any other system or domain.  Pids
+    feed the per-page ESSIV IVs, so a system's ciphertext never
+    depends on what else the OS process ran; sharded harnesses give
+    each shard a disjoint base. *)
 val boot : ?seed:int -> ?dram_size:int -> ?pid_base:int -> Config.platform -> t
 
 val machine : t -> Machine.t

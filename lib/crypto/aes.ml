@@ -310,6 +310,19 @@ let cbc_decrypt_into (k : key) ~iv ~iv_off buf off nblocks =
     done
   end
 
+(** CBC over the whole of [data] into a fresh buffer, through the
+    kernels above: the host compute of the stock cipher and the
+    accelerator model. *)
+let cbc k ~(dir : [ `Encrypt | `Decrypt ]) ~iv data =
+  let n = Bytes.length data in
+  if n mod 16 <> 0 then invalid_arg "Aes.cbc: data not a multiple of the block size";
+  if Bytes.length iv <> 16 then invalid_arg "Aes.cbc: bad IV";
+  let out = Bytes.copy data in
+  (match dir with
+  | `Encrypt -> cbc_encrypt_into k ~iv ~iv_off:0 out 0 out 0 (n / 16)
+  | `Decrypt -> cbc_decrypt_into k ~iv ~iv_off:0 out 0 (n / 16));
+  out
+
 (** Convenience one-shot block API (fresh output buffer). *)
 let encrypt_block_copy k src =
   let dst = Bytes.create 16 in

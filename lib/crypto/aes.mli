@@ -35,6 +35,12 @@ val cbc_encrypt_into :
     AES-128 round structure and per-block cost. *)
 val cbc_decrypt_into : key -> iv:Bytes.t -> iv_off:int -> Bytes.t -> int -> int -> unit
 
+(** [cbc k ~dir ~iv data] — CBC over all of [data] into a fresh
+    buffer with the kernels above.
+    @raise Invalid_argument unless [data] is block-aligned and [iv]
+    is 16 bytes. *)
+val cbc : key -> dir:[ `Encrypt | `Decrypt ] -> iv:Bytes.t -> Bytes.t -> Bytes.t
+
 (** One-shot block APIs (fresh output buffer). *)
 val encrypt_block_copy : key -> Bytes.t -> Bytes.t
 

@@ -13,7 +13,7 @@ type t = {
   machine : Machine.t;
   ctx_base : int; (* DRAM address of the cipher context *)
   mutable block : Aes_block.t option;
-  mutable key : Bytes.t option;
+  mutable schedule : Aes.key option; (* host-side, for the bulk path *)
   variant : Perf.variant;
   uncached : bool;
 }
@@ -25,7 +25,7 @@ type t = {
 let create ?(uncached = false) machine ~ctx_base ~variant =
   if not (Machine.in_dram machine ctx_base) then
     invalid_arg "Generic_aes.create: context must be in DRAM";
-  { machine; ctx_base; block = None; key = None; variant; uncached }
+  { machine; ctx_base; block = None; schedule = None; variant; uncached }
 
 let accessor t =
   if t.uncached then Accessor.machine_uncached t.machine ~base:t.ctx_base
@@ -35,7 +35,7 @@ let set_key t key =
   (* Key expansion writes the full schedule into DRAM — exactly what
      the cold-boot key-schedule scanner looks for. *)
   t.block <- Some (Aes_block.init (accessor t) ~key);
-  t.key <- Some (Bytes.copy key)
+  t.schedule <- Some (Aes.expand key)
 
 let require_block t =
   match t.block with
@@ -54,14 +54,11 @@ let encrypt_instrumented t ~iv data =
 (** Bulk path: native transform + modeled cost; registers still carry
     key material (unprotected), and the schedule is still in DRAM. *)
 let bulk t ~(dir : [ `Encrypt | `Decrypt ]) ~iv data =
-  let key = match t.key with Some k -> k | None -> failwith "Generic_aes: no key" in
+  let k = match t.schedule with Some k -> k | None -> failwith "Generic_aes: no key" in
   let b = require_block t in
   Cpu.load_regs (Machine.cpu t.machine) (b.Aes_block.acc.Accessor.load 0 64);
   Perf.charge t.machine t.variant ~bytes:(Bytes.length data);
-  let c = Mode.of_key (Aes.expand key) in
-  match dir with
-  | `Encrypt -> Mode.cbc_encrypt c ~iv data
-  | `Decrypt -> Mode.cbc_decrypt c ~iv data
+  Aes.cbc k ~dir ~iv data
 
 (** Register with a [Crypto_api] at the stock (low) priority. *)
 let register t api =

@@ -50,10 +50,7 @@ let transform t ~(dir : [ `Encrypt | `Decrypt ]) ~iv data =
   Clock.advance (Machine.clock t.machine) (seconds *. Sentry_util.Units.s);
   Energy.charge (Machine.energy t.machine) ~category:"aes-hw"
     (float_of_int bytes *. Perf.j_per_byte (Perf.Hw_accelerated (if t.awake then `Awake else `Downscaled)));
-  let c = Mode.of_key k in
-  match dir with
-  | `Encrypt -> Mode.cbc_encrypt c ~iv data
-  | `Decrypt -> Mode.cbc_decrypt c ~iv data
+  Aes.cbc k ~dir ~iv data
 
 let encrypt t ~iv data = transform t ~dir:`Encrypt ~iv data
 let decrypt t ~iv data = transform t ~dir:`Decrypt ~iv data

@@ -43,7 +43,7 @@ let run () =
   let data = Vm.read system.System.vm proc ~vaddr ~len:16 in
   let p = pte () in
   let way =
-    match Pl310.way_of (Machine.l2 machine) p.Page_table.frame with
+    match Pl310.lookup (Machine.l2 machine) p.Page_table.frame with
     | Some w -> string_of_int w
     | None -> "none (BUG)"
   in

@@ -19,7 +19,7 @@ let fresh ~seed =
   let system = System.boot `Future ~seed in
   let machine = System.machine system in
   let pm = Option.get (Machine.pinned machine) in
-  Machine.write machine (Pinned_mem.region pm).Memmap.base secret;
+  Machine.write machine (Sram.region pm).Memmap.base secret;
   (system, machine)
 
 let security_matrix () =
@@ -38,7 +38,7 @@ let security_matrix () =
           let _, machine = fresh ~seed:3 in
           let monitor = Bus_monitor.attach machine in
           let pm = Option.get (Machine.pinned machine) in
-          ignore (Machine.read machine (Pinned_mem.region pm).Memmap.base 32);
+          ignore (Machine.read machine (Sram.region pm).Memmap.base 32);
           let seen = Bus_monitor.saw_secret monitor ~secret in
           Bus_monitor.detach monitor;
           seen);

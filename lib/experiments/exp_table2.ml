@@ -14,7 +14,7 @@ let trial variant ~seed =
   let machine = Machine.create ~seed (Machine.tegra3 ~dram_size:(16 * Units.mib) ()) in
   (* the experiment process fills all of DRAM and iRAM *)
   Bytes_util.fill_pattern (Dram.raw (Machine.dram machine)) pattern;
-  Bytes_util.fill_pattern (Iram.raw (Machine.iram machine)) pattern;
+  Bytes_util.fill_pattern (Sram.raw (Machine.iram machine)) pattern;
   let img = Cold_boot.image machine variant in
   ( Memdump.remanence_ratio img.Cold_boot.iram ~pattern,
     Memdump.remanence_ratio img.Cold_boot.dram ~pattern )

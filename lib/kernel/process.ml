@@ -21,16 +21,7 @@ type t = {
   mutable faults : int;
 }
 
-(* The default pid space is OS-process-global (it mimics a kernel's
-   pid space); the [Atomic.t] keeps allocation race-free across
-   Domains.  Interleaved cross-domain allocation is still
-   nondeterministic, though — and pids feed the per-page ESSIV IVs —
-   so deterministic harnesses pass an explicit [?pid] (from a private
-   base, via [System.boot ~pid_base]) and never touch this counter. *)
-let next_pid = Atomic.make 1
-
-let create ?pid ~name ~aspace ~kstack () =
-  let pid = match pid with Some p -> p | None -> Atomic.fetch_and_add next_pid 1 in
+let create ~pid ~name ~aspace ~kstack () =
   {
     pid;
     name;

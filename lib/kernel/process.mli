@@ -16,13 +16,9 @@ type t = {
   mutable faults : int;
 }
 
-(** [create ?pid ~name ~aspace ~kstack ()] — an explicit [pid]
-    bypasses the global allocator entirely; deterministic harnesses
-    pass one (via [System.boot ~pid_base]) because pids feed the
-    per-page ESSIV IVs.  Without it the pid comes off the OS-process
-    global atomic counter, which never collides across domains but
-    does interleave. *)
-val create : ?pid:int -> name:string -> aspace:Address_space.t -> kstack:int -> unit -> t
+(** [create ~pid ~name ~aspace ~kstack ()] — the pid comes from the
+    owning [System]'s pid space; it feeds the per-page ESSIV IVs. *)
+val create : pid:int -> name:string -> aspace:Address_space.t -> kstack:int -> unit -> t
 
 val mark_sensitive : t -> unit
 val pp : Format.formatter -> t -> unit

@@ -68,6 +68,7 @@ let known_subsystems =
     "soc.dma";
     "soc.cpu";
     "soc.iram";
+    "soc.pinned";
     "soc.dram";
     "kernel.vm";
     "kernel.sched";

@@ -123,11 +123,11 @@ let validate (cfg : config) =
 let request_pages ~pages_per_proc (r : Arrivals.request) =
   1 + Fleet.dma_pages_for ~index:r.Arrivals.tenant ~pages_per_proc
 
-(** Record one run's samples and counters into a metrics registry —
-    the labeled fan-in sharded runs [Metrics.merge].  The shed-rate
-    gauge is deliberately {e not} recorded here: a rate does not merge
-    by last-writer-wins, so callers set it once over merged counts
-    via {!set_shed_rate}. *)
+(** Record one shard's samples and counters into its registry — the
+    labeled fan-in [Shard.run] merges.  The shed-rate gauge is
+    deliberately {e not} recorded here: a rate does not merge by
+    last-writer-wins, so [run_sharded] sets it once over merged
+    counts. *)
 let record_into metrics (s : stats) =
   let hist name samples =
     List.iter
@@ -152,12 +152,6 @@ let record_into metrics (s : stats) =
   count "crashes_injected_total" s.crashes_injected;
   count "recoveries_total" s.recoveries;
   count "audit_findings_total" s.audit_findings
-
-(** Set the [serve/shed_rate] gauge (stamped at [ts]) from final
-    counts — called once per merged registry, never per shard. *)
-let set_shed_rate metrics ~ts rate =
-  Sentry_obs.Metrics.set_at (Sentry_obs.Metrics.gauge metrics ~subsystem:"serve" "shed_rate") ~ts
-    rate
 
 (* One slice: serve the sub-stream of the global schedule whose
    tenants fall in [first, first+count).  Everything simulated lives
@@ -369,17 +363,13 @@ let run_sharded ?(platform = `Tegra3) ?shards ~domains (cfg : config) =
       (run_slice ~platform cfg)
   in
   let merged = merge_stats cfg shards.Shard.results in
-  set_shed_rate shards.Shard.merged_metrics ~ts:merged.sim_elapsed_ns merged.shed_rate;
+  (* the shed-rate gauge, set once over the merged counts *)
+  Sentry_obs.Metrics.set_at
+    (Sentry_obs.Metrics.gauge shards.Shard.merged_metrics ~subsystem:"serve" "shed_rate")
+    ~ts:merged.sim_elapsed_ns merged.shed_rate;
   { merged; shards }
 
-let run ?platform ?metrics (cfg : config) =
-  let s = (run_sharded ?platform ~shards:1 ~domains:1 cfg).merged in
-  Option.iter
-    (fun m ->
-      record_into m s;
-      set_shed_rate m ~ts:s.sim_elapsed_ns s.shed_rate)
-    metrics;
-  s
+let run ?platform (cfg : config) = (run_sharded ?platform ~shards:1 ~domains:1 cfg).merged
 
 (* Machine-readable stats: only simulated / deterministic fields, so
    the document is bit-identical across domain counts (the D=1 vs D=4

@@ -82,10 +82,10 @@ type sharded = {
 val run_sharded : ?platform:Config.platform -> ?shards:int -> domains:int -> config -> sharded
 
 (** [run cfg] — the one-shard plan: [(run_sharded ~shards:1 ~domains:1
-    cfg).merged], run in the calling domain.  With [?metrics], samples,
-    counters and the shed-rate gauge land in the registry.
+    cfg).merged], run in the calling domain.  Samples, counters and the
+    shed-rate gauge land in {!run_sharded}'s merged registry.
     @raise Invalid_argument on an invalid config. *)
-val run : ?platform:Config.platform -> ?metrics:Sentry_obs.Metrics.t -> config -> stats
+val run : ?platform:Config.platform -> config -> stats
 
 (** Machine-readable stats: simulated / deterministic fields only (no
     host wall time), so serialized documents are bit-identical across

@@ -14,7 +14,7 @@ type error = Denied | Bad_address | Faulted
 
 type t = {
   dram : Dram.t;
-  iram : Iram.t;
+  iram : Sram.t;
   tz : Trustzone.t;
   clock : Clock.t;
   energy : Energy.t;
@@ -71,7 +71,7 @@ let faulted t point ~addr ~len =
 
 let target t addr len =
   if Dram.contains t.dram addr && Dram.contains t.dram (addr + len - 1) then Some `Dram
-  else if Iram.contains t.iram addr && Iram.contains t.iram (addr + len - 1) then Some `Iram
+  else if Sram.contains t.iram addr && Sram.contains t.iram (addr + len - 1) then Some `Iram
   else None
 
 (** [read t ~addr ~len] — a device-initiated read of physical memory.
@@ -94,10 +94,10 @@ let read t ~addr ~len =
     | Some `Iram ->
         charge t len;
         trace_xfer t "device-read" ~addr ~len ~target:`Iram;
-        notify_read t ~addr ~len ~taint:(Iram.taint_range t.iram addr len);
+        notify_read t ~addr ~len ~taint:(Sram.taint_range t.iram addr len);
         (* iRAM DMA stays on-SoC: no bus transaction, but the data
            still leaves through the peripheral. *)
-        Ok (Bytes.sub (Iram.raw t.iram) (addr - (Iram.region t.iram).Memmap.base) len)
+        Ok (Bytes.sub (Sram.raw t.iram) (addr - (Sram.region t.iram).Memmap.base) len)
 
 (** [write t ~addr b] — a device-initiated write (e.g. an incoming
     network buffer, or a code-injection attempt). *)
@@ -119,5 +119,5 @@ let write t ~addr b =
     | Some `Iram ->
         charge t len;
         trace_xfer t "device-write" ~addr ~len ~target:`Iram;
-        Bytes.blit b 0 (Iram.raw t.iram) (addr - (Iram.region t.iram).Memmap.base) len;
-        Ok (Iram.set_taint t.iram addr len Taint.Public)
+        Bytes.blit b 0 (Sram.raw t.iram) (addr - (Sram.region t.iram).Memmap.base) len;
+        Ok (Sram.set_taint t.iram addr len Taint.Public)

@@ -11,7 +11,7 @@ type error =
 type t
 
 val create :
-  dram:Dram.t -> iram:Iram.t -> tz:Trustzone.t -> clock:Clock.t -> energy:Energy.t -> t
+  dram:Dram.t -> iram:Sram.t -> tz:Trustzone.t -> clock:Clock.t -> energy:Energy.t -> t
 
 (** Device-initiated read of physical memory: DRAM as it is (stale or
     not), iRAM unless denied. *)

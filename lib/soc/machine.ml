@@ -59,13 +59,13 @@ type t = {
   prng : Prng.t;
   bus : Bus.t;
   dram : Dram.t;
-  iram : Iram.t;
+  iram : Sram.t;
   l2 : Pl310.t;
   fuse : Fuse.t;
   tz : Trustzone.t;
   dma : Dma.t;
   cpu : Cpu.t;
-  pinned : Pinned_mem.t option;
+  pinned : Sram.t option;
   byte_scratch : Bytes.t; (* 1-byte buffer backing read_byte/write_byte *)
   mutable boots : int;
   mutable ambient_taint : Taint.level; (* label applied to CPU stores *)
@@ -77,7 +77,10 @@ let create ?(seed = 0x5e17) conf =
   let prng = Prng.create ~seed in
   let bus = Bus.create ~clock ~energy in
   let dram = Dram.create ~bus ~clock ~prng ~size:conf.dram_size in
-  let iram = Iram.create ~clock ~energy ~size:conf.iram_size in
+  let iram =
+    Sram.create ~clock ~energy ~name:"iram" ~base:Memmap.iram_base ~size:conf.iram_size
+      ~firmware_reserved:Memmap.iram_firmware_reserved
+  in
   let l2 = Pl310.create ~dram ~clock ~energy () in
   let fuse = Fuse.create ~prng in
   let tz = Trustzone.create ~fuse in
@@ -85,7 +88,9 @@ let create ?(seed = 0x5e17) conf =
   let cpu = Cpu.create ~clock in
   let pinned =
     if conf.has_pinned_memory then
-      Some (Pinned_mem.create ~clock ~energy ~size:Memmap.default_pinned_size)
+      Some
+        (Sram.create ~clock ~energy ~name:"pinned" ~base:Memmap.pinned_base
+           ~size:Memmap.default_pinned_size ~firmware_reserved:0)
     else None
   in
   {
@@ -123,7 +128,7 @@ let pinned t = t.pinned
 let now t = Clock.now t.clock
 
 let dram_region t = Dram.region t.dram
-let iram_region t = Iram.region t.iram
+let iram_region t = Sram.region t.iram
 
 (* --------------------------- taint ------------------------------- *)
 
@@ -132,8 +137,8 @@ let iram_region t = Iram.region t.iram
 let enable_taint t =
   Pl310.enable_taint t.l2;
   (* Pl310.enable_taint covers DRAM *)
-  Iram.enable_taint t.iram;
-  Option.iter Pinned_mem.enable_taint t.pinned
+  Sram.enable_taint t.iram;
+  Option.iter Sram.enable_taint t.pinned
 
 let taint_enabled t = Pl310.taint_enabled t.l2
 
@@ -152,18 +157,20 @@ let ambient_taint t = t.ambient_taint
 (* ------------------------- CPU memory ops ------------------------ *)
 
 let in_dram t addr = Dram.contains t.dram addr
-let in_iram t addr = Iram.contains t.iram addr
+
+(* The on-SoC bank that may hold [addr]: the pinned bank when it
+   does, else iRAM (callers still check [Sram.contains]). *)
+let sram_at t addr =
+  match t.pinned with Some p when Sram.contains p addr -> p | Some _ | None -> t.iram
 
 (** Taint join over a physical range, seen through the cache for DRAM
     addresses.  [Public] when tracking is off or the address is
     unmapped. *)
 let taint_of t addr len =
   if in_dram t addr then Pl310.taint_range t.l2 addr len
-  else if in_iram t addr then Iram.taint_range t.iram addr len
   else
-    match t.pinned with
-    | Some p when Pinned_mem.contains p addr -> Pinned_mem.taint_range p addr len
-    | Some _ | None -> Taint.Public
+    let s = sram_at t addr in
+    if Sram.contains s addr then Sram.taint_range s addr len else Taint.Public
 
 exception Bus_fault of int
 
@@ -172,11 +179,9 @@ exception Bus_fault of int
     allocation. *)
 let read_into t addr buf ~off ~len =
   if in_dram t addr then Pl310.read_into t.l2 addr buf ~off ~len
-  else if in_iram t addr then Iram.read_into t.iram addr buf ~off ~len
   else
-    match t.pinned with
-    | Some p when Pinned_mem.contains p addr -> Pinned_mem.read_into p addr buf ~off ~len
-    | Some _ | None -> raise (Bus_fault addr)
+    let s = sram_at t addr in
+    if Sram.contains s addr then Sram.read_into s addr buf ~off ~len else raise (Bus_fault addr)
 
 (** Cached CPU read of [len] bytes at physical [addr]. *)
 let read t addr len =
@@ -192,18 +197,15 @@ let write_from t addr buf ~off ~len =
      reset here models a crash between arbitrary kernel stores *)
   Sentry_faults.Injector.fire Sentry_faults.Injector.Points.machine_write;
   if in_dram t addr then Pl310.write_from t.l2 ~taint:t.ambient_taint addr buf ~off ~len
-  else if in_iram t addr then Iram.write_from t.iram ~level:t.ambient_taint addr buf ~off ~len
   else
-    match t.pinned with
-    | Some p when Pinned_mem.contains p addr ->
-        Pinned_mem.write_from p ~level:t.ambient_taint addr buf ~off ~len
-    | Some _ | None -> raise (Bus_fault addr)
+    let s = sram_at t addr in
+    if Sram.contains s addr then Sram.write_from s ~level:t.ambient_taint addr buf ~off ~len
+    else raise (Bus_fault addr)
 
 (** Cached CPU write; bytes are labelled with the ambient taint. *)
 let write t addr b = write_from t addr b ~off:0 ~len:(Bytes.length b)
 
-(** Batched-pipeline page-run read.  The L2 has one access path, so
-    this is [read_into]. *)
+(** Page-run read alias of [read_into].  The L2 has one access path. *)
 let read_run_into = read_into
 
 (** Page-run write twin of [read_run_into]: [write_from]. *)
@@ -275,7 +277,7 @@ let reboot t kind =
   Cpu.zero_regs t.cpu;
   Cpu.enable_irqs t.cpu;
   (* the pinned memory's boot ROM runs unconditionally on every reset *)
-  Option.iter Pinned_mem.boot_rom_clear t.pinned;
+  Option.iter Sram.clear t.pinned;
   (match kind with
   | Warm ->
       (* Kernel image + early boot allocations clobber low DRAM. *)
@@ -290,12 +292,12 @@ let reboot t kind =
       Dram.set_powered t.dram false;
       Dram.power_cycle t.dram ~off_s:0.2;
       Dram.set_powered t.dram true;
-      Iram.firmware_clear t.iram;
+      Sram.clear t.iram;
       Pl310.reset t.l2
   | Hard_reset off_s ->
       Dram.set_powered t.dram false;
       Dram.power_cycle t.dram ~off_s;
       Dram.set_powered t.dram true;
-      Iram.firmware_clear t.iram;
+      Sram.clear t.iram;
       Pl310.reset t.l2);
   Clock.advance t.clock (2.0 *. Units.s)

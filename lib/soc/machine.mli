@@ -31,7 +31,7 @@ val energy : t -> Energy.t
 val prng : t -> Prng.t
 val bus : t -> Bus.t
 val dram : t -> Dram.t
-val iram : t -> Iram.t
+val iram : t -> Sram.t
 val l2 : t -> Pl310.t
 val fuse : t -> Fuse.t
 val trustzone : t -> Trustzone.t
@@ -39,7 +39,7 @@ val dma : t -> Dma.t
 val cpu : t -> Cpu.t
 
 (** The pin-on-SoC memory, on platforms that have it. *)
-val pinned : t -> Pinned_mem.t option
+val pinned : t -> Sram.t option
 
 (** Current simulated time (ns). *)
 val now : t -> float
@@ -47,7 +47,6 @@ val now : t -> float
 val dram_region : t -> Memmap.region
 val iram_region : t -> Memmap.region
 val in_dram : t -> int -> bool
-val in_iram : t -> int -> bool
 
 (** {2 Taint tracking}
 
@@ -89,8 +88,8 @@ val read_into : t -> int -> Bytes.t -> off:int -> len:int -> unit
 
 val write_from : t -> int -> Bytes.t -> off:int -> len:int -> unit
 
-(** Page-run names used by the batched lock/unlock pipeline.  The L2
-    has one access path, so these are [read_into] / [write_from]. *)
+(** Page-run aliases of [read_into] / [write_from], kept for the
+    benchmark's callers.  The L2 has one access path. *)
 val read_run_into : t -> int -> Bytes.t -> off:int -> len:int -> unit
 
 val write_run_from : t -> int -> Bytes.t -> off:int -> len:int -> unit

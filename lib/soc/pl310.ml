@@ -192,10 +192,6 @@ let lookup t addr =
 
 let resident t addr = lookup_way t addr >= 0
 
-(** Way that holds [addr], if any — exposed for tests validating the
-    warming protocol. *)
-let way_of t addr = lookup t addr
-
 (* The observed write-back and fill: the same per-line state machine
    as the run loop's inline miss path, but through the [Dram] call
    envelope (bus transaction with taint and monitor snapshot) and with

@@ -59,7 +59,6 @@ val set_flush_mask : t -> int -> unit
 val lookup : t -> int -> int option
 
 val resident : t -> int -> bool
-val way_of : t -> int -> int option
 
 (** {2 CPU access path}
 

@@ -1,32 +1,44 @@
-(** On-SoC internal SRAM (iRAM).
+(** One bank of on-SoC SRAM: the iRAM of today's parts (256 KB on a
+    Tegra 3-class SoC, §4.4) or the §10 "pin-on-SoC" memory of the
+    hypothetical future platform.  Both are the same hardware model:
+    CPU accesses never cross the external bus, so a bus monitor cannot
+    observe them, and a reset that zeroes the array leaves nothing for
+    a cold-boot image.
 
-    256 KB on a Tegra 3-class part.  CPU accesses to iRAM never cross
-    the external bus, so a bus monitor cannot observe them.  The
-    platform firmware zeroes iRAM on every cold (power-on) boot, which
-    is what makes it cold-boot safe (Table 2); a warm OS reboot leaves
-    it intact.  With respect to DMA, iRAM behaves like ordinary memory:
-    it is only protected if TrustZone is configured to deny DMA windows
-    over it (§4.4). *)
+    What differs between the two banks is policy, and stays with its
+    owners: [Machine.reboot] decides which reset clears which bank
+    (the firmware zeroes iRAM on power-on only, the pinned memory's
+    immutable boot ROM on every reset), and [Dma] / [Onsoc] decide who
+    may DMA it (iRAM is ordinary memory to a DMA engine unless
+    TrustZone denies the window; the pinned bank is not decodable by
+    DMA at all).  The one hardware difference is the firmware scratch
+    area: the iRAM firmware keeps its runtime state in the low
+    [Memmap.iram_firmware_reserved] bytes, and overwriting them
+    crashes the platform (§4.5). *)
 
 open Sentry_util
 
 type t = {
+  name : string; (* energy category; "soc." ^ name is the trace subsystem *)
+  subsystem : string;
   region : Memmap.region;
   data : Bytes.t;
   clock : Clock.t;
   energy : Energy.t;
-  (* Firmware scribbles its own runtime state over the reserved low
-     64 KB; overwriting that region crashes the platform (§4.5). *)
+  firmware_limit : int; (* writes below this address crash the firmware *)
   mutable firmware_ok : bool;
   mutable shadow : Bytes.t option; (* taint labels, one per data byte *)
 }
 
-let create ~clock ~energy ~size =
+let create ~clock ~energy ~name ~base ~size ~firmware_reserved =
   {
-    region = Memmap.region ~base:Memmap.iram_base ~size;
+    name;
+    subsystem = "soc." ^ name;
+    region = Memmap.region ~base ~size;
     data = Bytes.make size '\000';
     clock;
     energy;
+    firmware_limit = base + firmware_reserved;
     firmware_ok = true;
     shadow = None;
   }
@@ -47,22 +59,21 @@ let set_taint t addr len level =
 let shadow t = t.shadow
 
 let region t = t.region
-let size t = t.region.Memmap.size
 let contains t addr = Memmap.contains t.region addr
 
 let check t addr len =
   if not (contains t addr && (len = 0 || contains t (addr + len - 1))) then
-    invalid_arg (Printf.sprintf "Iram: access out of range 0x%x+%d" addr len)
+    invalid_arg (Printf.sprintf "Sram %s: access out of range 0x%x+%d" t.name addr len)
 
 let charge t len =
   let lines = (len + 31) / 32 in
   Clock.advance t.clock (float_of_int lines *. Calib.iram_line_ns);
-  Energy.charge t.energy ~category:"iram" (float_of_int len *. Calib.onsoc_byte_j)
+  Energy.charge t.energy ~category:t.name (float_of_int len *. Calib.onsoc_byte_j)
 
 let trace t name ~addr ~len =
   if Sentry_obs.Trace.on () then
-    Sentry_obs.Trace.emit ~ts:(Clock.now t.clock) ~cat:Sentry_obs.Event.Mem ~subsystem:"soc.iram"
-      name
+    Sentry_obs.Trace.emit ~ts:(Clock.now t.clock) ~cat:Sentry_obs.Event.Mem
+      ~subsystem:t.subsystem name
       ~args:[ ("addr", Sentry_obs.Event.Int addr); ("bytes", Sentry_obs.Event.Int len) ]
 
 (** Read straight into [buf] at [off], no allocation. *)
@@ -80,7 +91,7 @@ let write_from t ?(level = Taint.Public) addr buf ~off ~len =
   Bytes.blit buf off t.data (Memmap.offset t.region addr) len;
   set_taint t addr len level;
   (* Clobbering the firmware scratch area takes the platform down. *)
-  if addr < t.region.Memmap.base + Memmap.iram_firmware_reserved then t.firmware_ok <- false
+  if addr < t.firmware_limit then t.firmware_ok <- false
 
 let firmware_ok t = t.firmware_ok
 
@@ -89,12 +100,12 @@ let raw t = t.data
 
 let snapshot t = Bytes.copy t.data
 
-(** Firmware behaviour at power-on reset: zero everything.  SRAM has
+(** Zero the whole bank, as the reset that owns it does.  SRAM has
     remanence too (and decays more slowly than DRAM, [Cakir et al.]),
-    but the firmware zeroing runs before any attacker code, so the
-    post-boot observable content is all-zero — exactly the paper's
-    Table 2 measurement. *)
-let firmware_clear t =
+    but the zeroing runs before any attacker code, so the post-boot
+    observable content is all-zero — exactly the paper's Table 2
+    measurement. *)
+let clear t =
   trace t "firmware-clear" ~addr:t.region.Memmap.base ~len:(Bytes.length t.data);
   Bytes_util.zero t.data;
   (match t.shadow with

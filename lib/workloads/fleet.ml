@@ -196,21 +196,6 @@ let service_io dm ~io_sectors ~wake =
   done;
   2 * io_sectors
 
-(** Record first-touch samples into a metrics registry under
-    [workloads.fleet/unlock_to_first_touch_ns{backend=…,tenant_class=…}]
-    — the labeled-histogram fan-in a sharded fleet run merges.  Kept
-    separate from [run] so per-shard registries can be fed from raw
-    samples. *)
-let record_latencies metrics ~backend samples =
-  List.iter
-    (fun (cls, ns) ->
-      Sentry_obs.Metrics.observe
-        (Sentry_obs.Metrics.histogram metrics ~subsystem:"workloads.fleet"
-           ~labels:[ ("backend", Backend.kind_name backend); ("tenant_class", cls) ]
-           "unlock_to_first_touch_ns")
-        ns)
-    samples
-
 let summarize_by_class samples =
   let classes = List.sort_uniq String.compare (List.map fst samples) in
   List.map
@@ -352,7 +337,15 @@ let run_slice ~platform (cfg : config) ~seed ~pid_base ~first ~count ~metrics =
       0 fleet
   in
   let samples = List.rev !samples in
-  record_latencies metrics ~backend:cfg.backend samples;
+  (* the shard registry's labeled histograms, which [Shard.run] merges *)
+  List.iter
+    (fun (cls, ns) ->
+      Sentry_obs.Metrics.observe
+        (Sentry_obs.Metrics.histogram metrics ~subsystem:"workloads.fleet"
+           ~labels:[ ("backend", Backend.kind_name cfg.backend); ("tenant_class", cls) ]
+           "unlock_to_first_touch_ns")
+        ns)
+    samples;
   let fingerprints =
     List.mapi (fun j t -> fingerprint_tenant (Sentry.page_crypt sentry) ~index:(first + j) t) fleet
   in
@@ -438,10 +431,8 @@ let run_sharded ?(platform = `Tegra3) ?(seed = 7) ?shards ?faults ~domains (cfg 
     shards;
   }
 
-let run ?platform ?seed ?metrics (cfg : config) =
-  let s = (run_sharded ?platform ?seed ~shards:1 ~domains:1 cfg).merged in
-  Option.iter (fun m -> record_latencies m ~backend:cfg.backend s.first_touch_samples) metrics;
-  s
+let run ?platform ?seed (cfg : config) =
+  (run_sharded ?platform ?seed ~shards:1 ~domains:1 cfg).merged
 
 let pp ppf (s : stats) =
   Fmt.pf ppf

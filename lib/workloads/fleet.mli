@@ -111,13 +111,6 @@ type fingerprint = {
   pte_md5 : string;
 }
 
-(** Feed first-touch samples into a registry as the labeled histogram
-    [workloads.fleet/unlock_to_first_touch_ns{backend=…,tenant_class=…}].
-    Exposed so per-shard registries can be built from raw samples and
-    [Metrics.merge]d. *)
-val record_latencies :
-  Sentry_obs.Metrics.t -> backend:Sentry.backend -> (string * float) list -> unit
-
 (** Per-class latency summary of [(tenant_class, ns)] samples, sorted
     by class name. *)
 val summarize_by_class : (string * float) list -> (string * latency) list
@@ -160,8 +153,9 @@ val run_sharded :
     [cfg.cycles] rounds of suspend → service wakes (dm-crypt I/O) →
     unlock → per-tenant first-touch sampling → touch churn.  Simulated
     outputs are backend-independent across the crypto backends; host
-    wall-clock is what [cfg.backend] changes.  With [?metrics],
-    first-touch samples are recorded via {!record_latencies}.
+    wall-clock is what [cfg.backend] changes.  The first-touch
+    samples land in the shard registry of {!run_sharded}, as the
+    [workloads.fleet/unlock_to_first_touch_ns] histograms.
 
     This is the one-shard plan: [(run_sharded ~shards:1 ~domains:1
     cfg).merged], run in the calling domain.  When the caller traces,
@@ -169,12 +163,7 @@ val run_sharded :
     recorder, which only {!run_sharded} returns.
     @raise Invalid_argument on non-positive [procs], [pages_per_proc]
     or [cycles]. *)
-val run :
-  ?platform:Config.platform ->
-  ?seed:int ->
-  ?metrics:Sentry_obs.Metrics.t ->
-  config ->
-  stats
+val run : ?platform:Config.platform -> ?seed:int -> config -> stats
 
 val pp : Format.formatter -> stats -> unit
 

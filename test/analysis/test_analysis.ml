@@ -108,7 +108,7 @@ let test_root_key_in_unlocked_way () =
   Machine.write m (addr + line) key;
   Machine.write m (addr + (4 * line) - 3) key (* straddles two lines *);
   let way =
-    match Pl310.way_of l2 (addr + line) with
+    match Pl310.lookup l2 (addr + line) with
     | Some w -> w
     | None -> Alcotest.fail "planted line not resident"
   in

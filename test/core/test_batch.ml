@@ -394,9 +394,9 @@ let test_batch_allocation_ceiling () =
 
 (* -------------- run-granule memory path differential -------------- *)
 
-(* [Machine.read_run_into]/[write_run_from] (the batch engine's
-   memory path) against the per-chunk generic path on twin machines:
-   same data, same clock, same L2 statistics. *)
+(* [Machine.read_run_into]/[write_run_from] (whole-page runs, as the
+   batch engine reads and writes frames) against the per-chunk generic
+   path on twin machines: same data, same clock, same L2 statistics. *)
 let test_run_path_differential () =
   let mk () =
     let m = Machine.create ~seed:17 (Machine.tegra3 ~dram_size:(4 * Units.mib) ()) in

@@ -81,7 +81,7 @@ let test_locked_cache_pages_resident_in_locked_way () =
   (* every line of the page must be resident in a locked way *)
   let l2 = Machine.l2 machine in
   for i = 0 to 127 do
-    match Pl310.way_of l2 (page + (i * 32)) with
+    match Pl310.lookup l2 (page + (i * 32)) with
     | Some w -> checkb "way locked" true (Pl310.lockdown l2 land (1 lsl w) <> 0)
     | None -> Alcotest.fail "line not resident"
   done
@@ -164,7 +164,7 @@ let test_onsoc_iram_flavor () =
       ~arena_base:system.System.arena_base
   in
   let addr = Onsoc.alloc onsoc ~bytes:64 in
-  checkb "in iram" true (Machine.in_iram (System.machine system) addr);
+  checkb "in iram" true (Sram.contains (Machine.iram (System.machine system)) addr);
   Onsoc.free onsoc addr
 
 let test_onsoc_locked_flavor () =
@@ -704,7 +704,7 @@ let qcheck_tests =
             && Pl310.lockdown l2 land (1 lsl (Pl310.ways l2 - 1)) = 0
             && List.for_all
                  (fun page ->
-                   match Pl310.way_of l2 page with
+                   match Pl310.lookup l2 page with
                    | Some w -> Pl310.lockdown l2 land (1 lsl w) <> 0
                    | None -> false)
                  !live)
@@ -825,20 +825,49 @@ let qcheck_tests =
 
 (* --------------------------- pid spaces ---------------------------- *)
 
-(* [boot ~pid_base] gives a system a private pid space (pids feed the
-   per-page ESSIV IVs, so sharded fleets need disjoint deterministic
-   ranges); systems booted without it keep drawing from the global
-   allocator, unperturbed by private-space spawns. *)
+(* [boot ~pid_base] starts a system's pid space at the given base
+   (pids feed the per-page ESSIV IVs, so sharded fleets need disjoint
+   deterministic ranges); spawns in another system never perturb it. *)
 let test_system_pid_base_private_space () =
-  let global_sys = System.boot `Tegra3 ~seed:1 in
-  let g0 = System.spawn global_sys ~name:"g0" ~bytes:Page.size in
+  let other = System.boot `Tegra3 ~seed:1 in
+  let g0 = System.spawn other ~name:"g0" ~bytes:Page.size in
   let owned = System.boot `Tegra3 ~seed:2 ~pid_base:100 in
   let a = System.spawn owned ~name:"a" ~bytes:Page.size in
   let b = System.spawn owned ~name:"b" ~bytes:Page.size in
   checki "first pid is the base" 100 a.Process.pid;
   checki "pids consecutive" 101 b.Process.pid;
-  let g1 = System.spawn global_sys ~name:"g1" ~bytes:Page.size in
-  checki "global allocator untouched by the private space" (g0.Process.pid + 1) g1.Process.pid
+  let g1 = System.spawn other ~name:"g1" ~bytes:Page.size in
+  checki "other system untouched by the private space" (g0.Process.pid + 1) g1.Process.pid
+
+(* Without [~pid_base] every system's pids start at 1, so two systems
+   booted alike in one OS process lock their first process to the same
+   ciphertext: a run's DRAM never depends on what the process spawned
+   before it. *)
+let test_system_pids_start_at_one () =
+  let lock_first_process () =
+    let system = boot ~seed:3 () in
+    let sentry = install system in
+    let proc, region = spawn_filled system ~bytes:(4 * Page.size) in
+    Sentry.mark_sensitive sentry proc;
+    ignore (Sentry.lock sentry);
+    let dram = Machine.dram (System.machine system) in
+    let frames =
+      List.map
+        (fun (_, (pte : Page_table.pte)) ->
+          checkb "encrypted" true pte.Page_table.encrypted;
+          Bytes.sub (Dram.raw dram) (pte.Page_table.frame - (Dram.region dram).Memmap.base)
+            Page.size)
+        (Address_space.region_ptes proc.Process.aspace region)
+    in
+    checkb "no cleartext in DRAM" false (dram_holds system pattern);
+    (proc.Process.pid, frames)
+  in
+  let pid_a, frames_a = lock_first_process () in
+  let pid_b, frames_b = lock_first_process () in
+  checki "first system's pid" 1 pid_a;
+  checki "second system's pid" 1 pid_b;
+  checki "4 frames" 4 (List.length frames_a);
+  List.iter2 (check_bytes "identical ciphertext") frames_a frames_b
 
 let () =
   Alcotest.run "sentry_core"
@@ -884,7 +913,10 @@ let () =
         ] );
       ("share_policy", [ Alcotest.test_case "policy" `Quick test_share_policy ]);
       ( "pid_space",
-        [ Alcotest.test_case "pid_base private space" `Quick test_system_pid_base_private_space ] );
+        [
+          Alcotest.test_case "pid_base private space" `Quick test_system_pid_base_private_space;
+          Alcotest.test_case "pids start at 1 per system" `Quick test_system_pids_start_at_one;
+        ] );
       ( "sentry",
         [
           Alcotest.test_case "lock encrypts, unlock restores" `Quick

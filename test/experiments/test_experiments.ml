@@ -19,7 +19,7 @@ let remanence variant ~seed =
   let machine = Machine.create ~seed (Machine.tegra3 ~dram_size:(8 * Units.mib) ()) in
   let pat = Bytes.of_string "\xde\xad\xbe\xef\x13\x37\xc0\xde" in
   Bytes_util.fill_pattern (Dram.raw (Machine.dram machine)) pat;
-  Bytes_util.fill_pattern (Iram.raw (Machine.iram machine)) pat;
+  Bytes_util.fill_pattern (Sram.raw (Machine.iram machine)) pat;
   let img = Cold_boot.image machine variant in
   ( Memdump.remanence_ratio img.Cold_boot.iram ~pattern:pat,
     Memdump.remanence_ratio img.Cold_boot.dram ~pattern:pat )

@@ -483,7 +483,7 @@ let test_killing_sensitive_app_while_locked () =
 let test_pinned_memory_basics () =
   let m = Machine.create ~seed:41 (Machine.future ~dram_size:(4 * Units.mib) ()) in
   let pm = Option.get (Machine.pinned m) in
-  let base = (Pinned_mem.region pm).Memmap.base in
+  let base = (Sram.region pm).Memmap.base in
   Machine.write m base (Bytes.of_string "pinned!!");
   check_bytes "roundtrip" (Bytes.of_string "pinned!!") (Machine.read m base 8);
   (* no bus traffic *)
@@ -498,7 +498,7 @@ let test_pinned_memory_basics () =
   (* boot ROM erases on every reset, warm included *)
   Machine.write m base secret;
   Machine.reboot m Machine.Warm;
-  checkb "erased on warm reboot" true (Bytes_util.is_zero (Pinned_mem.raw pm));
+  checkb "erased on warm reboot" true (Bytes_util.is_zero (Sram.raw pm));
   checkb "tegra has none" true (Machine.pinned (Machine.create (Machine.tegra3 ())) = None)
 
 let test_pinned_config_gating () =

@@ -15,10 +15,14 @@ let boot ?(dram_size = 8 * Units.mib) ?(seed = 1) () =
   let frames = Frame_alloc.create machine ~region in
   (machine, frames)
 
+(* Distinct pids, as a [System]'s pid space would hand out. *)
+let last_pid = ref 0
+
 let make_proc machine frames ~bytes =
   let aspace = Address_space.create machine ~frames in
   ignore (Address_space.map_region aspace ~name:"main" ~kind:Address_space.Normal ~bytes);
-  Process.create ~name:"test" ~aspace ~kstack:(Frame_alloc.alloc frames) ()
+  incr last_pid;
+  Process.create ~pid:!last_pid ~name:"test" ~aspace ~kstack:(Frame_alloc.alloc frames) ()
 
 (* ------------------------------ Page ------------------------------ *)
 

@@ -810,15 +810,16 @@ let test_chrome_export_of_scenario_parses () =
    the leading "install" event (platform, track_taint) are part of the
    stream.  Both entry paths must produce it: a caller-installed
    recorder, and none (the scenario installs one and leaves it
-   installed). *)
+   installed).  On the future platform the stream includes the pinned
+   bank's [soc.pinned] events. *)
 let scenario_jsonl_pins =
   [
     (Sentry_core.Trace_scenario.Lock_cycle, `Tegra3, "a8e896bfbc41624afc51458198a66770");
     (Sentry_core.Trace_scenario.Lock_cycle, `Nexus4, "bb17d58965658a7753f340a0ca2ae280");
-    (Sentry_core.Trace_scenario.Lock_cycle, `Future, "818b901c5ad418366c93f68c9783b7d7");
+    (Sentry_core.Trace_scenario.Lock_cycle, `Future, "3dc1fc5e326bf81469f967e44b6aaef8");
     (Sentry_core.Trace_scenario.Dm_crypt_io, `Tegra3, "084c0bfa1d63c129fb02b3d60322a511");
     (Sentry_core.Trace_scenario.Dm_crypt_io, `Nexus4, "63a27aed2f62c22d478b52df460f7ea8");
-    (Sentry_core.Trace_scenario.Dm_crypt_io, `Future, "9ef5af275d17b15c42daf7789808954f");
+    (Sentry_core.Trace_scenario.Dm_crypt_io, `Future, "dc89d0c5492ab4b59a6ecb4e6c2966e6");
   ]
 
 let test_scenario_jsonl_pinned () =

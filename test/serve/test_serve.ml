@@ -222,9 +222,9 @@ let test_soak_preserves_service () =
     "same per-class sample counts" (class_counts a) (class_counts b)
 
 let test_metrics_recorded () =
-  let metrics = Sentry_obs.Metrics.create () in
-  let s = Server.run ~metrics fast in
-  let flat = Sentry_obs.Metrics.flat metrics in
+  let sh = Server.run_sharded ~shards:1 ~domains:1 fast in
+  let s = sh.Server.merged in
+  let flat = Sentry_obs.Metrics.flat sh.Server.shards.Sentry_workloads.Shard.merged_metrics in
   let get k =
     match List.assoc_opt k flat with
     | Some v -> v

@@ -363,7 +363,7 @@ let test_masked_way_flushed_later () =
   Pl310.flush_masked l2;
   checki "the masked flush writes nothing back" wb0 (Pl310.stats l2).Pl310.writebacks;
   List.iter
-    (fun a -> Alcotest.(check (option int)) "line survives the masked flush" (Some 0) (Pl310.way_of l2 a))
+    (fun a -> Alcotest.(check (option int)) "line survives the masked flush" (Some 0) (Pl310.lookup l2 a))
     addrs;
   Pl310.set_flush_mask l2 0;
   Pl310.flush_masked l2;
@@ -555,7 +555,7 @@ let reference_differential (ways, way_size, ops) =
   in
   List.iter step ops;
   let line_state addr =
-    (Pl310.way_of l2 addr, Pl310.peek_line l2 addr, Pl310.taint_range l2 addr 32)
+    (Pl310.lookup l2 addr, Pl310.peek_line l2 addr, Pl310.taint_range l2 addr 32)
   and ref_state addr =
     (Ref_pl310.way_of rf addr, Ref_pl310.peek_line rf addr, Ref_pl310.taint_range rf addr 32)
   in

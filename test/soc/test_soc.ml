@@ -130,14 +130,40 @@ let test_iram_no_bus_traffic () =
 let test_iram_firmware_clear () =
   let m = fresh () in
   Machine.write m (iram_base m + 0x8000) (Bytes.of_string "secret");
-  Iram.firmware_clear (Machine.iram m);
-  checkb "zeroed" true (Bytes_util.is_zero (Iram.raw (Machine.iram m)))
+  Sram.clear (Machine.iram m);
+  checkb "zeroed" true (Bytes_util.is_zero (Sram.raw (Machine.iram m)))
 
 let test_iram_firmware_region_crash () =
   let m = fresh () in
-  checkb "ok before" true (Iram.firmware_ok (Machine.iram m));
+  checkb "ok before" true (Sram.firmware_ok (Machine.iram m));
   Machine.write m (iram_base m + 0x100) (Bytes.of_string "oops");
-  checkb "crashed" false (Iram.firmware_ok (Machine.iram m))
+  checkb "crashed" false (Sram.firmware_ok (Machine.iram m))
+
+(* iRAM and the §10 pinned memory are one SRAM model: the same access
+   sequence costs the same simulated time and energy on either bank,
+   charged to the bank's own category.  Only iRAM reserves firmware
+   scratch (its low 64 KiB). *)
+let test_sram_bank_parity () =
+  let m = Machine.create ~seed:1 (Machine.future ~dram_size:(4 * Units.mib) ()) in
+  let iram = Machine.iram m and pinned = Option.get (Machine.pinned m) in
+  let energy = Machine.energy m in
+  let run bank category =
+    let base = (Sram.region bank).Memmap.base + 0x100 in
+    let t0 = Machine.now m and e0 = Energy.category energy category in
+    List.iter
+      (fun len ->
+        Machine.write m (base + len) (Bytes.make len 'x');
+        ignore (Machine.read m (base + (2 * len)) len))
+      [ 1; 31; 32; 33; 100; 4096 ];
+    (Machine.now m -. t0, Energy.category energy category -. e0)
+  in
+  let iram_ns, iram_j = run iram "iram" in
+  let pinned_ns, pinned_j = run pinned "pinned" in
+  checkb "charged" true (iram_ns > 0.0 && iram_j > 0.0);
+  Alcotest.(check (float 0.0)) "same clock ns" iram_ns pinned_ns;
+  Alcotest.(check (float 0.0)) "same energy, own category" iram_j pinned_j;
+  checkb "iram firmware crashed" false (Sram.firmware_ok iram);
+  checkb "pinned reserves no firmware area" true (Sram.firmware_ok pinned)
 
 (* ------------------------------ Bus ------------------------------- *)
 
@@ -241,7 +267,7 @@ let test_l2_warming_targets_single_way () =
     Machine.write m (base + (i * 32)) (Bytes.make 32 '\xff')
   done;
   for i = 0 to 63 do
-    Alcotest.(check (option int)) "in way 3" (Some 3) (Pl310.way_of l2 (base + (i * 32)))
+    Alcotest.(check (option int)) "in way 3" (Some 3) (Pl310.lookup l2 (base + (i * 32)))
   done
 
 let test_l2_locked_way_never_written_back () =
@@ -471,7 +497,7 @@ let test_machine_reboot_reflash_clears_iram () =
   let m = fresh () in
   Machine.write m (iram_base m + 0x8000) (Bytes.of_string "leaving!");
   Machine.reboot m Machine.Reflash;
-  checkb "iram zeroed" true (Bytes_util.is_zero (Iram.raw (Machine.iram m)))
+  checkb "iram zeroed" true (Bytes_util.is_zero (Sram.raw (Machine.iram m)))
 
 let test_machine_reboot_resets_cache () =
   let m = fresh () in
@@ -584,6 +610,7 @@ let () =
           Alcotest.test_case "no bus traffic" `Quick test_iram_no_bus_traffic;
           Alcotest.test_case "firmware clear" `Quick test_iram_firmware_clear;
           Alcotest.test_case "firmware region crash" `Quick test_iram_firmware_region_crash;
+          Alcotest.test_case "iram and pinned bank parity" `Quick test_sram_bank_parity;
         ] );
       ( "bus",
         [

@@ -223,18 +223,23 @@ let test_fleet_latency_by_class () =
 
 (* The acceptance bar for shard harvest: feeding the same samples
    through N shard registries and [Metrics.merge]ing them must
-   reproduce the single global registry bit-for-bit, key for key.
+   reproduce the one-shard run's registry bit-for-bit, key for key.
    (Holds while each histogram fits the exact reservoir — 16 samples
    here, capacity 256.) *)
 let test_fleet_sharded_metrics_merge_exactly () =
   let module Metrics = Sentry_obs.Metrics in
-  let global = Metrics.create () in
-  let s = Fleet.run ~metrics:global small_fleet in
+  let run = Fleet.run_sharded ~shards:1 ~domains:1 small_fleet in
+  let global = run.Fleet.shards.Shard.merged_metrics in
   let shards = Array.init 3 (fun _ -> Metrics.create ()) in
   List.iteri
-    (fun i sample ->
-      Fleet.record_latencies shards.(i mod 3) ~backend:small_fleet.Fleet.backend [ sample ])
-    s.Fleet.first_touch_samples;
+    (fun i (cls, ns) ->
+      Metrics.observe
+        (Metrics.histogram shards.(i mod 3) ~subsystem:"workloads.fleet"
+           ~labels:
+             [ ("backend", Backend.kind_name small_fleet.Fleet.backend); ("tenant_class", cls) ]
+           "unlock_to_first_touch_ns")
+        ns)
+    run.Fleet.merged.Fleet.first_touch_samples;
   let merged = Metrics.merge (Metrics.merge shards.(0) shards.(1)) shards.(2) in
   checkb "sharded merge == global registry" true (Metrics.flat merged = Metrics.flat global);
   (* and shard order must not matter *)
