@@ -66,7 +66,7 @@ let spill_demo () =
   let key_material = Bytes.of_string "0123456789abcdef0123456789abcdef" in
   (* make the victim the running task, then preempt it mid-cipher *)
   Sentry_kernel.Sched.tick system.System.sched;
-  Cpu.load_regs (Machine.cpu machine) key_material;
+  Cpu.load_regs (Machine.cpu machine) ~taint:Taint.Public key_material;
   Sentry_kernel.Sched.tick system.System.sched;
   let on_stack =
     Bytes_util.contains
@@ -76,7 +76,7 @@ let spill_demo () =
   Printf.printf "  generic cipher: key material on the kernel stack after a tick: %b\n" on_stack;
   (* AES_On_SoC bracket: the same preemption cannot fire *)
   Cpu.with_irqs_off (Machine.cpu machine) (fun () ->
-      Cpu.load_regs (Machine.cpu machine) key_material;
+      Cpu.load_regs (Machine.cpu machine) ~taint:Taint.Public key_material;
       Sentry_kernel.Sched.tick system.System.sched (* masked: no-op *));
   Printf.printf "  registers after onsoc_enable_irq(): all zero: %b\n"
     (Bytes_util.is_zero (Cpu.regs_snapshot (Machine.cpu machine)))

@@ -35,11 +35,9 @@ let iter_lockable (system : System.t) ~sensitive f =
       List.iter
         (fun region ->
           if Share_policy.should_encrypt ~all_procs:system.System.procs region then
-            List.iter
-              (fun (vpn, pte) ->
+            Address_space.iter_region_ptes aspace region (fun vpn pte ->
                 f proc vpn pte;
                 pte.Page_table.young <- false)
-              (Address_space.region_ptes aspace region)
           else skipped := !skipped + region.Address_space.npages)
         (Address_space.regions aspace))
     sensitive;

@@ -25,7 +25,9 @@ type t = {
   mutable fast_key : Aes.key; (* host-side key schedule for the bulk kernel *)
   scratch : Mode.scratch; (* reusable CBC chaining buffers *)
   chain : Bytes.t; (* batch-to-batch chaining block for [transform] *)
+  head : Bytes.t; (* the key schedule head, read into registers under the bracket *)
   variant : Perf.variant;
+  mutable rate : Perf.rate option; (* resolved at the first charge *)
 }
 
 let storage t = t.storage
@@ -58,7 +60,9 @@ let create machine ~storage ~base ~key =
     fast_key = Aes.expand key;
     scratch = Mode.make_scratch ();
     chain = Bytes.create 16;
+    head = Bytes.create 64;
     variant;
+    rate = None;
   }
 
 (** Run [f] with sensitive state live in CPU registers, under the IRQ
@@ -70,7 +74,12 @@ let with_protected_registers t ~sensitive f =
       Cpu.load_regs cpu ~taint:Taint.Secret_cleartext sensitive;
       f ())
 
-let key_schedule_head t = t.block.Aes_block.acc.Accessor.load 0 64
+(* The first 64 bytes of the on-SoC context (the key schedule head),
+   read through the machine into [t.head]: the same simulated access,
+   and charge, as an accessor load, without a fresh buffer. *)
+let key_schedule_head t =
+  Machine.read_into t.machine t.base t.head ~off:0 ~len:64;
+  t.head
 
 (* Block operations run in batches sized so interrupts stay off for
    roughly the paper's measured 160 us window. *)
@@ -215,17 +224,36 @@ let kernel t ~dir ~iv ~iv_off ~src ~src_off ~dst ~dst_off ~len =
   then memo_kernel t ~dir ~iv ~iv_off ~src ~src_off ~dst ~dst_off
   else run_kernel t ~dir ~iv ~iv_off ~src ~src_off ~dst ~dst_off ~len
 
+(* The instance's [Perf.rate], resolved at its first charge (resolving
+   creates the "aes" energy category). *)
+let rate t =
+  match t.rate with
+  | Some r -> r
+  | None ->
+      let r = Perf.rate t.machine t.variant in
+      t.rate <- Some r;
+      r
+
 (* The modeled on-SoC cost of transforming [len] bytes, charged inside
    the IRQ bracket — exactly the window interrupts stay masked (§6.2) —
    with the bulk trace span.  The host-side kernel has no simulated
-   effect, so it runs outside the bracket. *)
+   effect, so it runs outside the bracket.  The bracket is spelled out
+   rather than run through [with_protected_registers]'s closure: the
+   key schedule head is read and the rate resolved before it (either
+   may raise), and nothing inside it raises, so interrupts always come
+   back on without a [Fun.protect]. *)
 let charge t ~(dir : [ `Encrypt | `Decrypt ]) ~len =
-  let start_ns = Clock.now (Machine.clock t.machine) in
-  with_protected_registers t ~sensitive:(key_schedule_head t) (fun () ->
-      Perf.charge t.machine t.variant ~bytes:len);
+  let clock = Machine.clock t.machine and cpu = Machine.cpu t.machine in
+  let rate = rate t in
+  let start_ns = clock.Clock.now_ns in
+  let head = key_schedule_head t in
+  Cpu.onsoc_disable_irq cpu;
+  Cpu.load_regs cpu ~taint:Taint.Secret_cleartext head;
+  Perf.charge_at rate ~bytes:len;
+  Cpu.onsoc_enable_irq cpu;
   if Sentry_obs.Trace.on () then
     Sentry_obs.Trace.span ~cat:Sentry_obs.Event.Crypto ~subsystem:"crypto.aes_on_soc" ~start_ns
-      ~end_ns:(Clock.now (Machine.clock t.machine))
+      ~end_ns:clock.Clock.now_ns
       ~args:
         [
           ("storage", Sentry_obs.Event.Str (storage_name t.storage));
@@ -314,13 +342,13 @@ let register_xts t api =
         (fun ~iv data ->
           let k = match !xts_key with Some k -> k | None -> failwith "xts: no key" in
           with_protected_registers t ~sensitive:(key_schedule_head t) (fun () ->
-              Perf.charge t.machine t.variant ~bytes:(Bytes.length data);
+              Perf.charge_at (rate t) ~bytes:(Bytes.length data);
               Xts.encrypt k ~tweak:iv data));
       decrypt =
         (fun ~iv data ->
           let k = match !xts_key with Some k -> k | None -> failwith "xts: no key" in
           with_protected_registers t ~sensitive:(key_schedule_head t) (fun () ->
-              Perf.charge t.machine t.variant ~bytes:(Bytes.length data);
+              Perf.charge_at (rate t) ~bytes:(Bytes.length data);
               Xts.decrypt k ~tweak:iv data));
     }
 

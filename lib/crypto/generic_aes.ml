@@ -47,7 +47,7 @@ let require_block t =
     discipline — a context switch spills it. *)
 let encrypt_instrumented t ~iv data =
   let b = require_block t in
-  Cpu.load_regs (Machine.cpu t.machine) (b.Aes_block.acc.Accessor.load 0 64);
+  Cpu.load_regs (Machine.cpu t.machine) ~taint:Taint.Public (b.Aes_block.acc.Accessor.load 0 64);
   Aes_block.set_iv b iv;
   Mode.cbc_encrypt (Aes_block.cipher b) ~iv data
 
@@ -56,7 +56,7 @@ let encrypt_instrumented t ~iv data =
 let bulk t ~(dir : [ `Encrypt | `Decrypt ]) ~iv data =
   let k = match t.schedule with Some k -> k | None -> failwith "Generic_aes: no key" in
   let b = require_block t in
-  Cpu.load_regs (Machine.cpu t.machine) (b.Aes_block.acc.Accessor.load 0 64);
+  Cpu.load_regs (Machine.cpu t.machine) ~taint:Taint.Public (b.Aes_block.acc.Accessor.load 0 64);
   Perf.charge t.machine t.variant ~bytes:(Bytes.length data);
   Aes.cbc k ~dir ~iv data
 

@@ -56,22 +56,51 @@ let j_per_byte = function
   | Hw_accelerated `Downscaled -> Calib.aes_hw_j_per_byte
   | Hw_accelerated `Awake -> Calib.aes_hw_j_per_byte /. 4.0
 
-(** [charge m variant ~bytes] advances the simulated clock and energy
-    meter as if [bytes] had been transformed by [variant]. *)
-let charge m variant ~bytes =
-  let platform = platform_of_machine m in
-  let mb_s = throughput_mb_s ~platform variant in
-  let seconds = Sentry_util.Units.bytes_to_mb bytes /. mb_s in
-  let start_ns = Clock.now (Machine.clock m) in
-  Clock.advance (Machine.clock m) (seconds *. Sentry_util.Units.s);
+(** A charge resolved once for one machine and variant: the platform's
+    throughput, the energy rate, the clock and the "aes" energy meter.
+    Resolving it creates the "aes" category (at 0 J) if it has none
+    yet, so resolve it when a charge is about to be made. *)
+type rate = {
+  variant : variant;
+  clock : Clock.t;
+  mb_s : float;
+  j_per_byte : float;
+  aes : Energy.meter;
+}
+
+let rate m variant =
+  let mb_s = throughput_mb_s ~platform:(platform_of_machine m) variant in
+  {
+    variant;
+    clock = Machine.clock m;
+    mb_s;
+    j_per_byte = j_per_byte variant;
+    aes = Energy.meter (Machine.energy m) ~category:"aes";
+  }
+
+(* The clock and the meter are updated in place and [bytes_to_mb] is
+   spelled out, so an untraced charge makes no call and allocates
+   nothing; the float operations, and their order on each accumulator,
+   are those of [Units.bytes_to_mb], [Clock.advance] and
+   [Energy.charge]. *)
+let charge_at r ~bytes =
+  let clock = r.clock in
+  let start_ns = clock.Clock.now_ns in
+  let seconds = float_of_int bytes /. float_of_int Sentry_util.Units.mib /. r.mb_s in
+  clock.Clock.now_ns <- clock.Clock.now_ns +. (seconds *. Sentry_util.Units.s);
   if Sentry_obs.Trace.on () then
     Sentry_obs.Trace.span ~cat:Sentry_obs.Event.Crypto ~subsystem:"crypto.perf" ~start_ns
-      ~end_ns:(Clock.now (Machine.clock m))
+      ~end_ns:clock.Clock.now_ns
       ~args:
         [
-          ("variant", Sentry_obs.Event.Str (variant_name variant));
+          ("variant", Sentry_obs.Event.Str (variant_name r.variant));
           ("bytes", Sentry_obs.Event.Int bytes);
         ]
       "aes-charge";
-  Energy.charge (Machine.energy m) ~category:"aes"
-    (float_of_int bytes *. j_per_byte variant)
+  let j = float_of_int bytes *. r.j_per_byte and m = r.aes in
+  m.Energy.totals.Energy.j <- m.Energy.totals.Energy.j +. j;
+  m.Energy.own.Energy.j <- m.Energy.own.Energy.j +. j
+
+(** [charge m variant ~bytes] advances the simulated clock and energy
+    meter as if [bytes] had been transformed by [variant]. *)
+let charge m variant ~bytes = charge_at (rate m variant) ~bytes

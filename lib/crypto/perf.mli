@@ -23,3 +23,17 @@ val j_per_byte : variant -> float
 (** Advance the simulated clock and energy meter as if [bytes] had
     been transformed by [variant]. *)
 val charge : Machine.t -> variant -> bytes:int -> unit
+
+(** A charge resolved once for one machine and variant (platform
+    throughput, energy rate, clock and "aes" energy meter), for callers
+    that charge on every page.  Resolving creates the "aes" energy
+    category if it has none, so resolve at the first charge.
+    @raise Invalid_argument as [throughput_mb_s] does. *)
+type rate
+
+val rate : Machine.t -> variant -> rate
+
+(** [charge_at r ~bytes] is [charge] with the rate resolved: the same
+    clock and energy adds in the same order, no call and no allocation
+    when tracing is off. *)
+val charge_at : rate -> bytes:int -> unit

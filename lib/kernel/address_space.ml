@@ -80,3 +80,16 @@ let region_ptes t (region : region) =
       match Page_table.find t.table ~vpn with
       | Some pte -> (vpn, pte)
       | None -> invalid_arg "region_ptes: hole in region")
+
+(** [iter_region_ptes t region f] calls [f vpn pte] for every PTE of
+    [region], in page order: the pairs of [region_ptes], without
+    building the list.  A hole raises when the walk reaches it, after
+    [f] has seen the pages before it. *)
+let iter_region_ptes t (region : region) f =
+  let vpn0 = Page.vpn_of region.vstart in
+  for i = 0 to region.npages - 1 do
+    let vpn = vpn0 + i in
+    match Page_table.find_exn t.table ~vpn with
+    | pte -> f vpn pte
+    | exception Not_found -> invalid_arg "iter_region_ptes: hole in region"
+  done

@@ -30,3 +30,7 @@ val find_region : t -> name:string -> region option
 
 (** All (vpn, pte) pairs of a region, in page order. *)
 val region_ptes : t -> region -> (int * Page_table.pte) list
+
+(** [f vpn pte] for every pair of [region_ptes], in the same order,
+    without building the list; a hole raises when reached. *)
+val iter_region_ptes : t -> region -> (int -> Page_table.pte -> unit) -> unit

@@ -20,13 +20,17 @@ type transaction = {
   initiator : [ `Cpu | `L2 | `Dma ];
 }
 
+type counters = {
+  mutable transactions : int; (* total count, always maintained *)
+  mutable bytes_read : int;
+  mutable bytes_written : int;
+}
+
 type t = {
   clock : Clock.t;
   meter : Energy.meter; (* pre-resolved "bus" energy cell *)
   mutable monitors : (transaction -> unit) list;
-  mutable transactions : int; (* total count, always maintained *)
-  mutable bytes_read : int;
-  mutable bytes_written : int;
+  counts : counters;
 }
 
 let create ~clock ~energy =
@@ -34,10 +38,11 @@ let create ~clock ~energy =
     clock;
     meter = Energy.meter energy ~category:"bus";
     monitors = [];
-    transactions = 0;
-    bytes_read = 0;
-    bytes_written = 0;
+    counts = { transactions = 0; bytes_read = 0; bytes_written = 0 };
   }
+
+let counters t = t.counts
+let meter t = t.meter
 
 (** [attach_monitor t f] registers a probe called on every transaction.
     Returns a detach function. *)
@@ -65,10 +70,11 @@ let initiator_name = function `Cpu -> "cpu" | `L2 -> "l2" | `Dma -> "dma"
     attached, the delivered [data] is still a defensive snapshot taken
     here, preserving the aliasing contract of [record]. *)
 let record_view t ~initiator ~taint op addr buf ~off ~len =
-  t.transactions <- t.transactions + 1;
+  let c = t.counts in
+  c.transactions <- c.transactions + 1;
   (match op with
-  | Read -> t.bytes_read <- t.bytes_read + len
-  | Write -> t.bytes_written <- t.bytes_written + len);
+  | Read -> c.bytes_read <- c.bytes_read + len
+  | Write -> c.bytes_written <- c.bytes_written + len);
   Energy.meter_charge_bytes t.meter ~per_byte_j:Calib.dram_byte_j len;
   if Sentry_obs.Trace.on () then
     Sentry_obs.Trace.emit ~ts:(Clock.now t.clock) ~cat:Sentry_obs.Event.Bus ~subsystem:"soc.bus"
@@ -90,20 +96,7 @@ let record_view t ~initiator ~taint op addr buf ~off ~len =
 let record t ~initiator ?(taint = Taint.Public) op addr data =
   record_view t ~initiator ~taint op addr data ~off:0 ~len:(Bytes.length data)
 
-(** [account t op len] — the accounting-only core of [record_view],
-    for callers that have already checked [monitored t = false] and
-    that tracing is off (the batched page pipeline's line loop): same
-    transaction counters and bus energy, nothing else.  Must never be
-    used when a monitor is attached or tracing is on — those paths
-    need the full [record_view]. *)
-let account t op len =
-  t.transactions <- t.transactions + 1;
-  (match op with
-  | Read -> t.bytes_read <- t.bytes_read + len
-  | Write -> t.bytes_written <- t.bytes_written + len);
-  Energy.meter_charge_bytes t.meter ~per_byte_j:Calib.dram_byte_j len
-
-let stats t = (t.transactions, t.bytes_read, t.bytes_written)
+let stats t = (t.counts.transactions, t.counts.bytes_read, t.counts.bytes_written)
 
 let pp_op ppf = function Read -> Fmt.string ppf "R" | Write -> Fmt.string ppf "W"
 

@@ -52,11 +52,21 @@ val record_view :
   len:int ->
   unit
 
-(** The accounting-only core of [record_view] — identical transaction
-    counters and bus energy, no trace, no monitor delivery.  Only for
-    callers that have already checked [monitored t = false] and that
-    tracing is off (the batched page pipeline's line loop). *)
-val account : t -> op -> int -> unit
+(** The transaction counters behind [stats], and the pre-resolved
+    "bus" energy meter, for the L2's unobserved fast paths: with no
+    monitor attached and tracing off, a transaction is exactly one
+    increment of [transactions], one add to [bytes_read] or
+    [bytes_written], and a [len *. Calib.dram_byte_j] charge to the
+    meter, which those paths make in place.  Any other caller goes
+    through [record_view]. *)
+type counters = {
+  mutable transactions : int;
+  mutable bytes_read : int;
+  mutable bytes_written : int;
+}
+
+val counters : t -> counters
+val meter : t -> Energy.meter
 
 (** (transaction count, bytes read, bytes written). *)
 val stats : t -> int * int * int

@@ -1,6 +1,9 @@
 (** Simulated wall clock (nanoseconds). *)
 
-type t
+(** The record is exposed so that the per-cache-line paths can add to
+    [now_ns] in place: a one-field float record is stored flat, so an
+    in-place add allocates nothing and needs no call. *)
+type t = { mutable now_ns : float }
 
 val create : unit -> t
 val now : t -> float

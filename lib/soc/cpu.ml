@@ -10,12 +10,15 @@
 
 open Sentry_util
 
+(* The IRQ window's two times live in a float-only record, stored
+   flat, so the bracket updates them without boxing a float. *)
+type irq_window = { mutable disabled_at : float; mutable max_ns : float }
+
 type t = {
   regs : Bytes.t; (* r0-r12 + sp + lr + pc: 16 x 32-bit *)
   clock : Clock.t;
   mutable irqs_enabled : bool;
-  mutable irq_disabled_at : float;
-  mutable max_irq_window_ns : float;
+  window : irq_window;
   mutable reg_taint : Taint.level; (* label of the register file contents *)
   mutable zeroing_enabled : bool; (* fault knob: the onsoc_enable_irq zeroing *)
 }
@@ -28,8 +31,7 @@ let create ~clock =
     regs = Bytes.make reg_bytes '\000';
     clock;
     irqs_enabled = true;
-    irq_disabled_at = 0.0;
-    max_irq_window_ns = 0.0;
+    window = { disabled_at = 0.0; max_ns = 0.0 };
     reg_taint = Taint.Public;
     zeroing_enabled = true;
   }
@@ -44,7 +46,7 @@ let irqs_enabled t = t.irqs_enabled
 (** Load sensitive working state into the register file (models the
     compiler keeping AES round state in registers).  [taint] labels
     the contents; the register file carries one joint label. *)
-let load_regs t ?(taint = Taint.Public) b =
+let load_regs t ~taint b =
   let n = min (Bytes.length b) reg_bytes in
   Bytes.blit b 0 t.regs 0 n;
   t.reg_taint <- Taint.join t.reg_taint taint
@@ -60,16 +62,17 @@ let zero_regs t =
 let disable_irqs t =
   if t.irqs_enabled then begin
     t.irqs_enabled <- false;
-    t.irq_disabled_at <- Clock.now t.clock
+    t.window.disabled_at <- t.clock.Clock.now_ns
   end
 
 let enable_irqs t =
   if not t.irqs_enabled then begin
-    let window = Clock.elapsed t.clock ~since:t.irq_disabled_at in
-    if window > t.max_irq_window_ns then t.max_irq_window_ns <- window;
+    let w = t.window in
+    let window = t.clock.Clock.now_ns -. w.disabled_at in
+    if window > w.max_ns then w.max_ns <- window;
     (* the masked window renders as one span from disable to enable *)
     if Sentry_obs.Trace.on () then
-      Sentry_obs.Trace.emit ~ts:t.irq_disabled_at ~cat:Sentry_obs.Event.Irq ~subsystem:"soc.cpu"
+      Sentry_obs.Trace.emit ~ts:w.disabled_at ~cat:Sentry_obs.Event.Irq ~subsystem:"soc.cpu"
         ~phase:(Sentry_obs.Event.Complete window) "irqs-masked";
     t.irqs_enabled <- true
   end
@@ -86,7 +89,7 @@ let onsoc_enable_irq t =
 
 (** Longest observed interrupts-off window (the paper measures 160 us
     on average on Tegra 3). *)
-let max_irq_window_ns t = t.max_irq_window_ns
+let max_irq_window_ns t = t.window.max_ns
 
 (** [with_irqs_off t f] — the AES_On_SoC computation bracket. *)
 let with_irqs_off t f =

@@ -10,8 +10,10 @@ val create : clock:Clock.t -> t
 val irqs_enabled : t -> bool
 
 (** Load sensitive working state into the register file; [taint]
-    labels the contents (the file carries one joint label). *)
-val load_regs : t -> ?taint:Taint.level -> Bytes.t -> unit
+    labels the contents (the file carries one joint label).  [taint]
+    is required, so the per-page bracket never wraps it in an option;
+    pass [Taint.Public] for unlabelled state. *)
+val load_regs : t -> taint:Taint.level -> Bytes.t -> unit
 
 val regs_snapshot : t -> Bytes.t
 
@@ -22,6 +24,10 @@ val reg_taint : t -> Taint.level
 val zero_regs : t -> unit
 
 val enable_irqs : t -> unit
+
+(** The paper's [onsoc_disable_irq()]: mask interrupts so no context
+    switch can spill the registers while sensitive state is live. *)
+val onsoc_disable_irq : t -> unit
 
 (** The paper's [onsoc_enable_irq()]: zero every register, then
     re-enable interrupts. *)

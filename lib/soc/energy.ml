@@ -4,11 +4,10 @@
     and full-memory sweeps separately; categories keep those
     attributable without separate meters.
 
-    [charge] sits on the per-cache-line fast path, so accumulators are
-    single-float records (flat representation: updating one allocates
-    nothing) and the hit path uses exception-style [Hashtbl.find] —
-    the only allocation left per call is the caller's boxed float
-    argument. *)
+    Accumulators are single-float records (flat representation:
+    updating one allocates nothing).  The per-cache-line paths do not
+    call in here at all: they hold a [meter] and add to its two cells
+    in place. *)
 
 type cell = { mutable j : float }
 

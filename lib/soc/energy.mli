@@ -1,14 +1,22 @@
 (** Energy accounting (joules) with per-category attribution. *)
 
+(** An accumulator: a one-field float record, stored flat, so adding
+    to it in place allocates nothing. *)
+type cell = { mutable j : float }
+
 type t
 
 val create : unit -> t
 val charge : t -> category:string -> float -> unit
 
-(** A pre-resolved charging handle for one category: resolves the
-    accumulator cell once so per-cache-line charges skip the category
-    lookup.  Interchangeable and bit-identical with [charge]. *)
-type meter
+(** A pre-resolved charging handle for one category: [totals] is the
+    shared total and [own] the category's cell, resolved once so
+    per-cache-line charges skip the category lookup.  A charge of [j]
+    is [totals.j <- totals.j +. j] then [own.j <- own.j +. j], in that
+    order; callers on a hot path may make those two adds themselves.
+    Interchangeable and bit-identical with [charge].  [meter] creates
+    the category (at 0 J) if it has no cell yet. *)
+type meter = { totals : cell; own : cell }
 
 val meter : t -> category:string -> meter
 val meter_charge_bytes : meter -> per_byte_j:float -> int -> unit

@@ -39,6 +39,8 @@ type t = {
   dram : Dram.t;
   dbase : int; (* DRAM region base: store offset = address - dbase *)
   bus : Bus.t; (* the bus [dram] answers on *)
+  bus_counts : Bus.counters; (* [bus]'s counters and meter, charged in place *)
+  bus_meter : Energy.meter;
   clock : Clock.t;
   ways : int;
   way_size : int;
@@ -46,8 +48,7 @@ type t = {
   sets : int;
   set_shift : int; (* log2 line_size *)
   tag_shift : int; (* set_shift + log2 sets: address bits above the set index *)
-  fill_ns : float; (* per-line fill latency, precomputed so the miss
-                      path passes an already-boxed float to the clock *)
+  fill_ns : float; (* per-line fill latency: hit plus DRAM line *)
   meter : Energy.meter; (* pre-resolved "l2" energy cell *)
   data : Bytes.t; (* ways * way_size line bytes, slot-major *)
   tags : int array; (* one tag word per slot *)
@@ -65,6 +66,24 @@ type t = {
 (* Tag-word bits below the tag. *)
 let valid_bit = 1
 let dirty_bit = 2
+
+(* In-place charges for the per-line paths.  The clock and the meters'
+   cells are flat float records, so a charge is a load, an add and a
+   store: no call, no boxed argument.  [charge] adds to the shared
+   total first, then to the category's cell, as [Energy.charge] does,
+   and [bus_account] is [Bus.record_view]'s accounting without its
+   trace event and monitor delivery (callers have checked that nothing
+   observes the bus). *)
+let[@inline] advance (clock : Clock.t) dt = clock.now_ns <- clock.now_ns +. dt
+
+let[@inline] charge (m : Energy.meter) j =
+  m.totals.j <- m.totals.j +. j;
+  m.own.j <- m.own.j +. j
+
+let[@inline] bus_account (c : Bus.counters) m ~write len =
+  c.transactions <- c.transactions + 1;
+  if write then c.bytes_written <- c.bytes_written + len else c.bytes_read <- c.bytes_read + len;
+  charge m (float_of_int len *. Calib.dram_byte_j)
 
 let log2 n =
   let rec go acc n = if n <= 1 then acc else go (acc + 1) (n lsr 1) in
@@ -85,6 +104,8 @@ let create ?(ways = 8) ?(way_size = 128 * Sentry_util.Units.kib) ?(line_size = 3
     dram;
     dbase = (Dram.region dram).Memmap.base;
     bus = Dram.bus dram;
+    bus_counts = Bus.counters (Dram.bus dram);
+    bus_meter = Bus.meter (Dram.bus dram);
     clock;
     ways;
     way_size;
@@ -210,7 +231,7 @@ let write_back t w set =
         Dram.write_from t.dram ~initiator:`L2 ~taint:s ~taint_off:off addr t.data ~off
           ~len:t.line_size
     | None -> Dram.write_from t.dram ~initiator:`L2 addr t.data ~off ~len:t.line_size);
-    Clock.advance t.clock Calib.dram_line_ns;
+    advance t.clock Calib.dram_line_ns;
     t.tags.(slot) <- word land lnot dirty_bit;
     t.stats.writebacks <- t.stats.writebacks + 1;
     let locked = t.lockdown land (1 lsl w) <> 0 in
@@ -236,7 +257,7 @@ let fill t w set base =
   t.tags.((w * t.sets) + set) <- (tag_of_addr t base lsl 2) lor valid_bit;
   t.occ.(w) <- t.occ.(w) lor (1 lsl (set lsr t.block_shift));
   t.last_way.(set) <- w;
-  Clock.advance t.clock t.fill_ns;
+  advance t.clock t.fill_ns;
   if Sentry_obs.Trace.on () then
     trace t "line-fill"
       ~args:[ ("way", Sentry_obs.Event.Int w); ("addr", Sentry_obs.Event.Int base) ]
@@ -259,29 +280,32 @@ let[@inline] copy_line src soff dst doff len =
   else Bytes.unsafe_blit src soff dst doff len
 
 (* [write_back] without observers, for the walk's miss path and the
-   maintenance loop: the line in [slot] (set [set], tag word [word]) and
-   its labels go straight into the DRAM store and [dshadow] (the DRAM
-   shadow, read once by the caller), with the same counters, energy and
-   clock charge.  Tags only come from in-range fills, so [Dram.backing]
-   finds the chunk zeroed.  The caller clears the dirty bit. *)
-let[@inline] write_back_unobserved t dshadow slot set word =
-  let line_size = t.line_size and dbase = t.dbase in
-  let wb = ((word lsr 2) lsl t.tag_shift) lor (set lsl t.set_shift) in
+   maintenance loops: the line in [slot] (set [set], tag word [word])
+   and its labels go straight into the DRAM store [store] and [dshadow]
+   (the DRAM shadow), both fetched once per pass by the caller, with
+   the same counters, energy and clock charge.  The caller's one
+   [Dram.backing] call per pass is the power check; the line needs no
+   range check or first-touch zeroing of its own, because tags only
+   come from in-range fills, which zeroed the line's chunk.  The caller
+   clears the dirty bit. *)
+let[@inline] write_back_unobserved t store dshadow slot set word =
+  let line_size = t.line_size in
+  let doff = (((word lsr 2) lsl t.tag_shift) lor (set lsl t.set_shift)) - t.dbase in
   let loff = slot lsl t.set_shift in
-  copy_line t.data loff (Dram.backing t.dram wb line_size) (wb - dbase) line_size;
+  copy_line t.data loff store doff line_size;
   (match (dshadow, t.shadow) with
-  | Some ds, Some s -> copy_line s loff ds (wb - dbase) line_size
-  | Some ds, None -> Taint.fill ds (wb - dbase) line_size Taint.Public
+  | Some ds, Some s -> copy_line s loff ds doff line_size
+  | Some ds, None -> Taint.fill ds doff line_size Taint.Public
   | None, _ -> ());
-  Bus.account t.bus Bus.Write line_size;
-  Clock.advance t.clock Calib.dram_line_ns;
+  bus_account t.bus_counts t.bus_meter ~write:true line_size;
+  advance t.clock Calib.dram_line_ns;
   t.stats.writebacks <- t.stats.writebacks + 1
 
 let bypass t ~write ~taint addr buf buf_off len =
   if Sentry_obs.Trace.on () then
     trace t "bypass"
       ~args:[ ("addr", Sentry_obs.Event.Int addr); ("write", Sentry_obs.Event.Bool write) ];
-  Clock.advance t.clock Calib.dram_line_ns;
+  advance t.clock Calib.dram_line_ns;
   if write then Dram.write_from t.dram ~initiator:`Cpu ~level:taint addr buf ~off:buf_off ~len
   else Dram.read_into t.dram ~initiator:`Cpu addr buf ~off:buf_off ~len
 
@@ -308,18 +332,22 @@ let check_view name buf ~off ~len =
    go through [write_back]/[fill]/[bypass], which emit the events;
    otherwise the fill and bypass are inlined and the write-back is
    [write_back_unobserved], with bus accounting only (the same counters
-   and energy).  Array and bytes accesses are unsafe: set and
-   way indices are masked or register-bounded, line offsets bounded by
-   the chunk computation, the caller's view by [check_view], and DRAM
-   offsets by [Dram.backing].
+   and energy).  Every charge is an in-place add to the clock and the
+   meters ([advance], [charge], [bus_account]), in the order the
+   observed path makes the same charges through [Clock], [Bus] and
+   [Dram], so every float accumulator sees the same adds.  Array and
+   bytes accesses are unsafe: set and way indices are masked or
+   register-bounded, line offsets bounded by the chunk computation, the
+   caller's view by [check_view], and DRAM offsets by [Dram.backing].
 
    The unobserved miss path validates DRAM once per call, at the first
    miss, over the whole walk ([Dram.backing], which also zeroes its
    chunks on first touch); write-back addresses are in range by
    construction (tags only come from in-range fills) and their chunk is
-   already zeroed.  Power cannot change mid-walk, so only error paths
-   can tell this from a per-line check: a walk extending past the end
-   of DRAM raises at its first miss, not at the offending line. *)
+   already zeroed, so write-backs use the same store.  Power cannot
+   change mid-walk, so only error paths can tell this from a per-line
+   check: a walk extending past the end of DRAM raises at its first
+   miss, not at the offending line. *)
 let walk t ~write ~taint buf buf_off addr len =
   let observed =
     Sentry_obs.Trace.on () || t.on_writeback <> None || Bus.monitored t.bus
@@ -327,12 +355,14 @@ let walk t ~write ~taint buf buf_off addr len =
   let data = t.data and tags = t.tags and shadow = t.shadow in
   let occ = t.occ and block_shift = t.block_shift in
   let rr = t.rr and last_way = t.last_way and stats = t.stats in
-  let clock = t.clock and meter = t.meter and bus = t.bus and dram = t.dram in
+  let clock = t.clock and meter = t.meter and dram = t.dram in
+  let bus_counts = t.bus_counts and bus_meter = t.bus_meter in
   let line_size = t.line_size and set_shift = t.set_shift and tag_shift = t.tag_shift in
   let sets = t.sets and nways = t.ways and lockdown = t.lockdown in
   let set_mask = t.sets - 1 and line_mask = t.line_size - 1 in
   let fill_ns = t.fill_ns and dbase = t.dbase in
   let any_unlocked = lockdown <> (1 lsl nways) - 1 in
+  let hit_j = float_of_int line_size *. Calib.onsoc_byte_j in
   let dshadow = Dram.backing_shadow dram in
   let store = ref Bytes.empty (* [Dram.backing] of the walk, fetched at the first miss *) in
   let pos = ref addr and boff = ref buf_off and rem = ref len in
@@ -360,8 +390,8 @@ let walk t ~write ~taint buf buf_off addr len =
     let w =
       if w >= 0 then begin
         stats.hits <- stats.hits + 1;
-        Clock.advance clock Calib.l2_hit_line_ns;
-        Energy.meter_charge_bytes meter ~per_byte_j:Calib.onsoc_byte_j line_size;
+        advance clock Calib.l2_hit_line_ns;
+        charge meter hit_j;
         w
       end
       else begin
@@ -402,15 +432,15 @@ let walk t ~write ~taint buf buf_off addr len =
           if w < 0 then begin
             (* allocation impossible: uncached DRAM access *)
             stats.bypasses <- stats.bypasses + 1;
-            Clock.advance clock Calib.dram_line_ns;
+            advance clock Calib.dram_line_ns;
             if write then begin
               Bytes.unsafe_blit buf bo !store (a - dbase) chunk;
               (match dshadow with Some ds -> Taint.fill ds (a - dbase) chunk taint | None -> ());
-              Bus.account bus Bus.Write chunk
+              bus_account bus_counts bus_meter ~write:true chunk
             end
             else begin
               Bytes.unsafe_blit !store (a - dbase) buf bo chunk;
-              Bus.account bus Bus.Read chunk
+              bus_account bus_counts bus_meter ~write:false chunk
             end
           end
           else begin
@@ -418,10 +448,10 @@ let walk t ~write ~taint buf buf_off addr len =
             let loff = slot lsl set_shift in
             let word = Array.unsafe_get tags slot in
             if word land (valid_bit lor dirty_bit) = valid_bit lor dirty_bit then
-              write_back_unobserved t dshadow slot set word;
+              write_back_unobserved t !store dshadow slot set word;
             let base = a land lnot line_mask in
             copy_line !store (base - dbase) data loff line_size;
-            Bus.account bus Bus.Read line_size;
+            bus_account bus_counts bus_meter ~write:false line_size;
             (match (shadow, dshadow) with
             | Some s, Some ds -> copy_line ds (base - dbase) s loff line_size
             | Some s, None -> Taint.fill s loff line_size Taint.Public
@@ -429,7 +459,7 @@ let walk t ~write ~taint buf buf_off addr len =
             Array.unsafe_set tags slot key;
             Array.unsafe_set occ w (Array.unsafe_get occ w lor (1 lsl (set lsr block_shift)));
             Array.unsafe_set last_way set w;
-            Clock.advance clock fill_ns
+            advance clock fill_ns
           end
         end;
         w
@@ -504,22 +534,20 @@ let iter_resident t f =
 
 (* ---------------------- maintenance ops -------------------------- *)
 
-let invalidate t w set =
-  let slot = (w * t.sets) + set in
-  t.tags.(slot) <- t.tags.(slot) land lnot valid_bit
-
 (* Clean and invalidate every way not in [skip], for both flushes.
    Slots go way-major, sets ascending, through the occupied blocks only:
    a clear bit means no valid line, which a full scan would not charge
    either, so clock and energy see the same adds in the same order.  The
-   observer flag is read once, as in [walk].  A way's word is cleared
-   only once the way is clean; skipped ways keep theirs. *)
+   observer flag is read once, as in [walk]; unobserved, the DRAM store
+   is fetched, and power checked, at the first dirty line.  A way's word
+   is cleared only once the way is clean; skipped ways keep theirs. *)
 let clean_invalidate_ways t skip =
   let observed =
     Sentry_obs.Trace.on () || t.on_writeback <> None || Bus.monitored t.bus
   in
   let tags = t.tags and occ = t.occ and sets = t.sets and block_shift = t.block_shift in
   let dshadow = Dram.backing_shadow t.dram in
+  let store = ref Bytes.empty in
   for w = 0 to t.ways - 1 do
     if skip land (1 lsl w) = 0 then begin
       (* flushing a locked way is the §4.2 hazard: record it loudly *)
@@ -534,13 +562,17 @@ let clean_invalidate_ways t skip =
             if word land valid_bit <> 0 then begin
               if word land dirty_bit <> 0 then
                 if observed then write_back t w set
-                else write_back_unobserved t dshadow slot set word;
+                else begin
+                  if !store == Bytes.empty then
+                    store := Dram.backing t.dram (line_addr t set word) t.line_size;
+                  write_back_unobserved t !store dshadow slot set word
+                end;
               Array.unsafe_set tags slot (word land lnot (valid_bit lor dirty_bit))
             end
           done
       done;
       occ.(w) <- 0;
-      Clock.advance t.clock Calib.pl310_op_ns
+      advance t.clock Calib.pl310_op_ns
     end
   done
 
@@ -577,23 +609,55 @@ let flush_all_stock t =
   end;
   t.lockdown <- 0
 
-(** Per-line maintenance used by DMA coherence code.  Honours the
+(* Line-granule maintenance over [addr, addr + len) for DMA coherence:
+   each line of the range resident in a way the flush mask does not
+   skip is invalidated, after being cleaned when [clean] is set.  Lines
+   go in address order, with no closure.  As in [clean_invalidate_ways],
+   the observer flag is read once: observed, a dirty line goes through
+   [write_back] (events, hook, monitor snapshot); otherwise through
+   [write_back_unobserved], with the DRAM store fetched at the first
+   dirty line.  Invalidating alone observes nothing; it clears only the
+   valid bit, and no path reads an invalid line's dirty bit. *)
+let maintain_range t ~clean addr len =
+  if len > 0 then begin
+    let observed =
+      clean && (Sentry_obs.Trace.on () || t.on_writeback <> None || Bus.monitored t.bus)
+    in
+    let tags = t.tags and sets = t.sets and skip = t.flush_mask and line_size = t.line_size in
+    let dshadow = Dram.backing_shadow t.dram in
+    let store = ref Bytes.empty in
+    let last = (addr + len - 1) land lnot (line_size - 1) in
+    let a = ref (addr land lnot (line_size - 1)) in
+    while !a <= last do
+      let w = lookup_way t !a in
+      if w >= 0 && skip land (1 lsl w) = 0 then begin
+        let set = set_of_addr t !a in
+        let slot = (w * sets) + set in
+        if clean then
+          if observed then write_back t w set
+          else begin
+            let word = tags.(slot) in
+            if word land dirty_bit <> 0 then begin
+              if !store == Bytes.empty then
+                store := Dram.backing t.dram (line_addr t set word) line_size;
+              write_back_unobserved t !store dshadow slot set word;
+              tags.(slot) <- word land lnot dirty_bit
+            end
+          end;
+        tags.(slot) <- tags.(slot) land lnot valid_bit
+      end;
+      a := !a + line_size
+    done
+  end
+
+(** Per-line clean+invalidate used by DMA coherence code.  Honours the
     flush mask: lines resident in protected ways are left alone. *)
-let clean_invalidate_range t addr len =
-  iter_chunks t addr len (fun a _ ->
-      let w = lookup_way t a in
-      if w >= 0 && t.flush_mask land (1 lsl w) = 0 then begin
-        write_back t w (set_of_addr t a);
-        invalidate t w (set_of_addr t a)
-      end)
+let clean_invalidate_range t addr len = maintain_range t ~clean:true addr len
 
 (** Invalidate without cleaning (used before incoming DMA writes so
     the CPU does not read stale lines).  Locked/masked ways are
     skipped. *)
-let invalidate_range t addr len =
-  iter_chunks t addr len (fun a _ ->
-      let w = lookup_way t a in
-      if w >= 0 && t.flush_mask land (1 lsl w) = 0 then invalidate t w (set_of_addr t a))
+let invalidate_range t addr len = maintain_range t ~clean:false addr len
 
 (** Power-on reset: the low-level firmware resets the controller and
     zeroes the data arrays, so cache contents never survive a cold

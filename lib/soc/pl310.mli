@@ -121,11 +121,13 @@ val flush_masked : t -> unit
 val flush_all_stock : t -> unit
 
 (** Per-line clean+invalidate for DMA coherence; honours the flush
-    mask. *)
+    mask.  Like the flushes, it reads the observer flag once per call
+    (tracing, a write-back hook, a bus monitor) and, unobserved, makes
+    no call per line and allocates nothing. *)
 val clean_invalidate_range : t -> int -> int -> unit
 
 (** Invalidate without cleaning (before incoming DMA); locked/masked
-    ways are skipped. *)
+    ways are skipped.  Allocates nothing. *)
 val invalidate_range : t -> int -> int -> unit
 
 (** Power-on reset: invalidate and zero everything, clear both

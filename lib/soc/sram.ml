@@ -25,6 +25,7 @@ type t = {
   data : Bytes.t;
   clock : Clock.t;
   energy : Energy.t;
+  mutable meter : Energy.meter option; (* the bank's category, resolved at the first charge *)
   firmware_limit : int; (* writes below this address crash the firmware *)
   mutable firmware_ok : bool;
   mutable shadow : Bytes.t option; (* taint labels, one per data byte *)
@@ -38,6 +39,7 @@ let create ~clock ~energy ~name ~base ~size ~firmware_reserved =
     data = Bytes.make size '\000';
     clock;
     energy;
+    meter = None;
     firmware_limit = base + firmware_reserved;
     firmware_ok = true;
     shadow = None;
@@ -65,10 +67,25 @@ let check t addr len =
   if not (contains t addr && (len = 0 || contains t (addr + len - 1))) then
     invalid_arg (Printf.sprintf "Sram %s: access out of range 0x%x+%d" t.name addr len)
 
+(* In place, as [Clock.advance] and [Energy.charge] would add: an
+   access (the key schedule head read under every page's AES charge)
+   makes no call and allocates nothing.  The meter is resolved at the
+   first charge, so a bank never accessed adds no energy category. *)
 let charge t len =
   let lines = (len + 31) / 32 in
-  Clock.advance t.clock (float_of_int lines *. Calib.iram_line_ns);
-  Energy.charge t.energy ~category:t.name (float_of_int len *. Calib.onsoc_byte_j)
+  let clock = t.clock in
+  clock.Clock.now_ns <- clock.Clock.now_ns +. (float_of_int lines *. Calib.iram_line_ns);
+  let m =
+    match t.meter with
+    | Some m -> m
+    | None ->
+        let m = Energy.meter t.energy ~category:t.name in
+        t.meter <- Some m;
+        m
+  in
+  let j = float_of_int len *. Calib.onsoc_byte_j in
+  m.Energy.totals.Energy.j <- m.Energy.totals.Energy.j +. j;
+  m.Energy.own.Energy.j <- m.Energy.own.Energy.j +. j
 
 let trace t name ~addr ~len =
   if Sentry_obs.Trace.on () then

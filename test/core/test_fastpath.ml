@@ -9,6 +9,8 @@ open Sentry_kernel
 open Sentry_core
 
 let check_bytes = Alcotest.(check bytes)
+let checki = Alcotest.(check int)
+let checkf = Alcotest.(check (float 0.0)) (* exact: bit-identity, not tolerance *)
 
 let key = Bytes.of_string "sixteen byte key"
 
@@ -88,6 +90,50 @@ let test_encrypt_frame_allocation_ceiling () =
   if per_page > 512.0 then
     Alcotest.failf "encrypt_frame allocated %.1f minor words per page (ceiling 512)" per_page
 
+(* An unlock decrypts a DMA region eagerly and then runs the coherence
+   sweep ([Pl310.clean_invalidate_range]).  With a bus monitor attached
+   the L2 takes its observed paths (write-backs through [Dram], bus
+   transactions delivered), without one its in-place accounting; both
+   runs must reach the same simulated clock, energy total and
+   categories, and bus statistics, and the monitor must see the L2's
+   write-backs. *)
+let test_dma_unlock_monitor_invariant () =
+  let run ~monitor =
+    let system = System.boot `Tegra3 ~seed:5 in
+    let sentry = Sentry.install system (Config.default `Tegra3) in
+    let machine = System.machine system in
+    let proc = System.spawn system ~name:"gpuapp" ~bytes:(16 * Units.kib) in
+    let dma =
+      Address_space.map_region proc.Process.aspace ~name:"dma" ~kind:Address_space.Dma
+        ~bytes:(8 * Units.kib)
+    in
+    System.fill_region system proc dma (Bytes.of_string "DEVICEBUF");
+    Sentry.mark_sensitive sentry proc;
+    ignore (Sentry.lock sentry);
+    let seen = ref 0 in
+    if monitor then begin
+      let _detach : unit -> unit =
+        Bus.attach_monitor (Machine.bus machine) (fun txn ->
+            if txn.Bus.op = Bus.Write && txn.Bus.initiator = `L2 then incr seen)
+      in
+      ()
+    end;
+    (match Sentry.unlock sentry ~pin:"1234" with
+    | Ok stats -> checki "dma pages eager" 2 stats.Decrypt_on_unlock.dma_pages_eager
+    | Error _ -> Alcotest.fail "unlock refused");
+    (machine, !seen)
+  in
+  let plain, _ = run ~monitor:false and watched, seen = run ~monitor:true in
+  if seen = 0 then Alcotest.fail "the monitor saw no L2 write-back";
+  checkf "simulated clock" (Machine.now plain) (Machine.now watched);
+  checkf "energy total" (Energy.total (Machine.energy plain)) (Energy.total (Machine.energy watched));
+  Alcotest.(check (list (pair string (float 0.0))))
+    "energy categories"
+    (Energy.categories (Machine.energy plain))
+    (Energy.categories (Machine.energy watched));
+  Alcotest.(check (triple int int int))
+    "bus stats" (Bus.stats (Machine.bus plain)) (Bus.stats (Machine.bus watched))
+
 let () =
   Alcotest.run "sentry_core_fastpath"
     [
@@ -100,4 +146,9 @@ let () =
       ( "allocation",
         [ Alcotest.test_case "encrypt_frame ceiling" `Quick test_encrypt_frame_allocation_ceiling ]
       );
+      ( "observers",
+        [
+          Alcotest.test_case "dma unlock with and without monitor" `Quick
+            test_dma_unlock_monitor_invariant;
+        ] );
     ]

@@ -324,6 +324,40 @@ let test_cbc_decrypt_allocation_ceiling () =
   if words > 0.0 then
     Alcotest.failf "Aes.cbc_decrypt_into allocated %.0f minor words over 64 pages (ceiling 0)" words
 
+(* The charge around every page transform (the key schedule head read
+   into registers, the IRQ bracket, the modeled clock and energy adds)
+   allocates nothing either: 64 warm charged 4 KiB [bulk_fused_into]
+   calls allocate 0 minor words, in either direction, with the context
+   in iRAM or in DRAM behind the L2.  The input is fixed, so after the
+   first call the host kernel is a memo hit. *)
+let test_charged_page_allocation_ceiling () =
+  List.iter
+    (fun (where, storage, base_of) ->
+      let m = boot () in
+      let a = Aes_on_soc.create m ~storage ~base:(base_of m) ~key in
+      let src = payload 4096 and dst = Bytes.create 4096 in
+      List.iter
+        (fun dir ->
+          let page () =
+            Aes_on_soc.bulk_fused_into a ~dir ~iv ~iv_off:0 ~src ~src_off:0 ~dst ~dst_off:0
+              ~len:4096
+          in
+          page ();
+          let mw0 = Gc.minor_words () in
+          for _ = 1 to 64 do
+            page ()
+          done;
+          let words = Gc.minor_words () -. mw0 in
+          if words > 0.0 then
+            Alcotest.failf "charged page (%s, %s): %.0f minor words over 64 pages (ceiling 0)" where
+              (match dir with `Encrypt -> "encrypt" | `Decrypt -> "decrypt")
+              words)
+        [ `Encrypt; `Decrypt ])
+    [
+      ("iRAM", Aes_on_soc.In_iram, fun m -> (Machine.iram_region m).Memmap.base);
+      ("locked L2", Aes_on_soc.In_locked_l2, fun m -> (Machine.dram_region m).Memmap.base);
+    ]
+
 (* ------------------------ page transform memo ---------------------- *)
 
 (* [Aes_on_soc] reuses the host output of whole-page transforms it has
@@ -510,6 +544,7 @@ let () =
         [
           Alcotest.test_case "cbc into ceiling" `Quick test_cbc_into_allocation_ceiling;
           Alcotest.test_case "cbc decrypt page ceiling" `Quick test_cbc_decrypt_allocation_ceiling;
+          Alcotest.test_case "charged page ceiling" `Quick test_charged_page_allocation_ceiling;
           Alcotest.test_case "page memo ceiling" `Quick test_memo_allocation_ceiling;
         ] );
       ( "page memo",

@@ -133,6 +133,24 @@ let test_aspace_share_region () =
   let pte2 = List.hd (Address_space.region_ptes a2 r) |> snd in
   checkb "same pte object" true (pte1 == pte2)
 
+(* [iter_region_ptes] visits exactly [region_ptes]'s pairs, in order,
+   the PTEs themselves (not copies), a shared region's included. *)
+let test_aspace_iter_region_ptes () =
+  let machine, frames = boot () in
+  let a1 = Address_space.create machine ~frames in
+  let a2 = Address_space.create machine ~frames in
+  let heap = Address_space.map_region a1 ~name:"heap" ~kind:Address_space.Normal ~bytes:20000 in
+  let shm = Address_space.map_region a1 ~name:"shm" ~kind:(Address_space.Shared "g") ~bytes:8192 in
+  Address_space.share_region a2 ~from_space:a1 shm;
+  List.iter
+    (fun (aspace, r) ->
+      let seen = ref [] in
+      Address_space.iter_region_ptes aspace r (fun vpn pte -> seen := (vpn, pte) :: !seen);
+      let want = Address_space.region_ptes aspace r and got = List.rev !seen in
+      Alcotest.(check (list int)) "vpns in page order" (List.map fst want) (List.map fst got);
+      checkb "same pte objects" true (List.for_all2 (fun (_, a) (_, b) -> a == b) want got))
+    [ (a1, heap); (a1, shm); (a2, shm) ]
+
 let test_aspace_unmap_frees () =
   let machine, frames = boot () in
   let aspace = Address_space.create machine ~frames in
@@ -244,7 +262,7 @@ let test_sched_spills_registers () =
   Sched.admit sched p1;
   ignore (Sched.context_switch sched);
   (* p1 current *)
-  Cpu.load_regs (Machine.cpu machine) (Bytes.of_string "REGISTER-SECRETS");
+  Cpu.load_regs (Machine.cpu machine) ~taint:Taint.Public (Bytes.of_string "REGISTER-SECRETS");
   ignore (Sched.context_switch sched);
   checkb "spilled to kstack" true
     (Bytes_util.contains
@@ -638,6 +656,7 @@ let () =
           Alcotest.test_case "regions disjoint" `Quick test_aspace_regions_disjoint;
           Alcotest.test_case "share region" `Quick test_aspace_share_region;
           Alcotest.test_case "unmap frees" `Quick test_aspace_unmap_frees;
+          Alcotest.test_case "iter region ptes" `Quick test_aspace_iter_region_ptes;
         ] );
       ( "vm",
         [

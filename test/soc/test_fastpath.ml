@@ -347,6 +347,36 @@ let test_flush_allocation_ceiling () =
           per_call)
     [ ("8 dirty pages", dirtied); ("clean L2", clean) ]
 
+(* The DMA coherence operations allocate nothing when unobserved:
+   [clean_invalidate_range] over two dirty pages (every line written
+   back) and over the same pages clean, and [invalidate_range] over two
+   resident pages.  (The flush mask's skips are checked against the
+   reference model below.) *)
+let test_range_maintenance_allocation_ceiling () =
+  let m = mk () in
+  let l2 = Machine.l2 m in
+  let base = (Machine.dram_region m).Memmap.base in
+  let buf = Bytes.create 8192 in
+  let fill () = Machine.write_run_from m base buf ~off:0 ~len:8192 in
+  let words what op =
+    let total = ref 0.0 in
+    for _ = 1 to 64 do
+      fill ();
+      let mw0 = Gc.minor_words () in
+      op ();
+      total := !total +. (Gc.minor_words () -. mw0)
+    done;
+    if !total > 0.0 then
+      Alcotest.failf "%s allocated %.0f minor words over 64 calls (ceiling 0)" what !total
+  in
+  let wb0 = (Pl310.stats l2).Pl310.writebacks in
+  words "clean_invalidate_range (dirty)" (fun () -> Pl310.clean_invalidate_range l2 base 8192);
+  checki "every dirty line written back" (64 * 256) ((Pl310.stats l2).Pl310.writebacks - wb0);
+  words "clean_invalidate_range (clean)" (fun () ->
+      Pl310.clean_invalidate_range l2 base 8192;
+      Pl310.clean_invalidate_range l2 base 8192);
+  words "invalidate_range" (fun () -> Pl310.invalidate_range l2 (base + 5) 8000)
+
 (* Lines filled into a way the flush mask skips must survive that
    flush and still be cleaned by the next one once the mask is lifted:
    skipping a way may not forget which of its sets hold lines. *)
@@ -476,6 +506,7 @@ let same_scalars (a : sys) l2 (b : sys) rf =
   let sa = Pl310.stats l2 and sb = rf.Ref_pl310.stats in
   sa = sb
   && Clock.now a.clock = Clock.now b.clock
+  && Energy.total a.energy = Energy.total b.energy
   && Energy.categories a.energy = Energy.categories b.energy
   && Bus.stats a.bus = Bus.stats b.bus
 
@@ -611,5 +642,7 @@ let () =
           Alcotest.test_case "create ceiling" `Quick test_create_allocation_ceiling;
           Alcotest.test_case "cold run ceiling" `Quick test_cold_run_allocation_ceiling;
           Alcotest.test_case "flush ceiling" `Quick test_flush_allocation_ceiling;
+          Alcotest.test_case "range maintenance ceiling" `Quick
+            test_range_maintenance_allocation_ceiling;
         ] );
     ]

@@ -457,7 +457,7 @@ let test_fuse_jtag () =
 let test_cpu_regs_and_zero () =
   let m = fresh () in
   let cpu = Machine.cpu m in
-  Cpu.load_regs cpu (Bytes.of_string "0123456789abcdef");
+  Cpu.load_regs cpu ~taint:Taint.Public (Bytes.of_string "0123456789abcdef");
   checkb "loaded" true
     (Bytes_util.contains (Cpu.regs_snapshot cpu) (Bytes.of_string "0123456789abcdef"));
   Cpu.zero_regs cpu;
@@ -469,7 +469,7 @@ let test_cpu_irq_bracket () =
   checkb "irqs on" true (Cpu.irqs_enabled cpu);
   Cpu.with_irqs_off cpu (fun () ->
       checkb "irqs off inside" false (Cpu.irqs_enabled cpu);
-      Cpu.load_regs cpu (Bytes.of_string "sensitive-state!"));
+      Cpu.load_regs cpu ~taint:Taint.Public (Bytes.of_string "sensitive-state!"));
   checkb "irqs back on" true (Cpu.irqs_enabled cpu);
   checkb "regs zeroed on exit" true (Bytes_util.is_zero (Cpu.regs_snapshot cpu))
 
