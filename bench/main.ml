@@ -21,14 +21,19 @@ let find_or_die id =
    zero-allocation fast path is accountable to; the simulated outputs
    themselves are independent of them by construction.
 
-   Caches are dropped before the bracket so trials are i.i.d. — with
-   the Figs 2-5 memo warm, only the first trial did the work and the
-   committed fig2/fig4 rows showed min ≈ 4 µs vs max ≈ 6.4 s. *)
+   Each timing gets a fresh context, so trials are i.i.d.: with the
+   Figs 2-5 app cycles shared across trials, only the first trial did
+   the work and the committed fig2/fig4 rows showed min ≈ 4 µs vs
+   max ≈ 6.4 s.  The host heap is compacted before the bracket:
+   without it, major-heap garbage from earlier trials piles GC work
+   onto later ones (the committed fig5 timings showed mean 9.9 s with
+   stddev 6.6 s purely from that accumulation). *)
 let time_once run =
-  Sentry_experiments.Experiments.reset_caches ();
+  Gc.compact ();
+  let ctx = Sentry_experiments.Experiments.context () in
   let gc0 = Gc.quick_stat () in
   let t0 = Unix.gettimeofday () in
-  ignore (run ());
+  ignore (run ctx);
   let dt = Unix.gettimeofday () -. t0 in
   let gc1 = Gc.quick_stat () in
   (dt, gc1.Gc.minor_words -. gc0.Gc.minor_words, gc1.Gc.major_words -. gc0.Gc.major_words)

@@ -78,10 +78,12 @@ let exp_cmd =
                   exit 1)
             ids
     in
+    (* one context: Figs 2-5 share one run of the app cycles *)
+    let ctx = E.context () in
     List.iter
       (fun (e : E.entry) ->
-        if csv then List.iter (fun t -> print_string (Table.to_csv t)) (e.E.run ())
-        else E.run_and_print e)
+        if csv then List.iter (fun t -> print_string (Table.to_csv t)) (e.E.run ctx)
+        else E.run_and_print ctx e)
       entries
   in
   Cmd.v (Cmd.info "exp" ~doc) Term.(const run $ csv $ ids)

@@ -89,7 +89,6 @@ let install (system : System.t) (config : Config.t) =
       ~key:volatile_key
   in
   Sentry_crypto.Aes_on_soc.register aes system.System.crypto_api;
-  Sentry_crypto.Aes_on_soc.register_xts aes system.System.crypto_api;
   let pc = Page_crypt.create machine ~aes ~volatile_key in
   let background =
     match onsoc with

@@ -196,7 +196,7 @@ let decrypt_block t src src_off dst dst_off =
   bump_block_index t;
   Bytes.blit (t.acc.Accessor.load t.off_input 16) 0 dst dst_off 16
 
-(** Expose as a [Mode.cipher] so ECB/CBC/CTR come for free.  The CBC
+(** Expose as a [Mode.cipher] so CBC comes for free.  The CBC
     chaining vector (public state) is mirrored into the context's
     [cbc_ivec] slot by [set_iv]. *)
 let set_iv t iv = t.acc.Accessor.store t.off_ivec iv

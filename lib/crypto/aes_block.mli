@@ -36,7 +36,7 @@ val decrypt_block : t -> Bytes.t -> int -> Bytes.t -> int -> unit
 (** Mirror the CBC chaining vector into the context's public slot. *)
 val set_iv : t -> Bytes.t -> unit
 
-(** As a [Mode.cipher], so ECB/CBC/CTR come for free. *)
+(** As a [Mode.cipher], so CBC comes for free. *)
 val cipher : t -> Mode.cipher
 
 (** The permutation linking round-1 Te-lookup order to state byte

@@ -310,9 +310,9 @@ let set_key t key =
         Aes_block.init t.block.Aes_block.acc ~key);
   t.fast_key <- Aes.expand key
 
-(** Register with a [Crypto_api] {e above} the generic cipher and any
-    accelerator driver, so legacy Crypto-API users (dm-crypt) pick up
-    AES_On_SoC transparently (§7). *)
+(** Register with a [Crypto_api] {e above} the generic cipher, so
+    legacy Crypto-API users (dm-crypt) pick up AES_On_SoC
+    transparently (§7). *)
 let register t api =
   Crypto_api.register api
     {
@@ -322,34 +322,6 @@ let register t api =
       set_key = set_key t;
       encrypt = (fun ~iv data -> bulk t ~dir:`Encrypt ~iv data);
       decrypt = (fun ~iv data -> bulk t ~dir:`Decrypt ~iv data);
-    }
-
-(** XTS flavour: the 32-byte key's data half lives in the on-SoC
-    context (so nothing new reaches DRAM) and transforms run under the
-    same IRQ bracket and modeled cost. *)
-let register_xts t api =
-  let xts_key = ref None in
-  Crypto_api.register api
-    {
-      Crypto_api.name = "aes-on-soc-xts";
-      algorithm = "xts(aes)";
-      priority = 500;
-      set_key =
-        (fun key ->
-          set_key t (Bytes.sub key 0 16);
-          xts_key := Some (Xts.expand key));
-      encrypt =
-        (fun ~iv data ->
-          let k = match !xts_key with Some k -> k | None -> failwith "xts: no key" in
-          with_protected_registers t ~sensitive:(key_schedule_head t) (fun () ->
-              Perf.charge_at (rate t) ~bytes:(Bytes.length data);
-              Xts.encrypt k ~tweak:iv data));
-      decrypt =
-        (fun ~iv data ->
-          let k = match !xts_key with Some k -> k | None -> failwith "xts: no key" in
-          with_protected_registers t ~sensitive:(key_schedule_head t) (fun () ->
-              Perf.charge_at (rate t) ~bytes:(Bytes.length data);
-              Xts.decrypt k ~tweak:iv data));
     }
 
 (** Erase the on-SoC context (device shutdown / re-key). *)

@@ -95,12 +95,9 @@ val bulk_fused_raw :
 (** Re-key: rewrites the on-SoC context and the bulk-path key schedule together. *)
 val set_key : t -> Bytes.t -> unit
 
-(** Register with a [Crypto_api] above the generic cipher and any
-    accelerator driver (priority 500). *)
+(** Register with a [Crypto_api] above the generic cipher (priority
+    500). *)
 val register : t -> Crypto_api.t -> unit
-
-(** Register the XTS flavour under "xts(aes)" (priority 500). *)
-val register_xts : t -> Crypto_api.t -> unit
 
 (** Erase the on-SoC context: the erasure primitive for device
     shutdown and re-key.  Nothing calls it yet (see [lint.allow]). *)

@@ -21,8 +21,6 @@ let create () = { impls = [] }
 
 let register t impl = t.impls <- impl :: t.impls
 
-let unregister t ~name = t.impls <- List.filter (fun i -> i.name <> name) t.impls
-
 (** [find t ~algorithm] — highest-priority registered implementation.
     @raise Not_found if nothing implements [algorithm]. *)
 let find t ~algorithm =

@@ -16,7 +16,6 @@ type t
 
 val create : unit -> t
 val register : t -> impl -> unit
-val unregister : t -> name:string -> unit
 
 (** Highest-priority implementation of [algorithm].
     @raise Not_found if nothing implements it. *)

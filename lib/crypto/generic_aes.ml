@@ -71,31 +71,3 @@ let register t api =
       encrypt = (fun ~iv data -> bulk t ~dir:`Encrypt ~iv data);
       decrypt = (fun ~iv data -> bulk t ~dir:`Decrypt ~iv data);
     }
-
-(** XTS flavour of the stock cipher (dm-crypt's modern default).  The
-    32-byte key's expanded schedules land in DRAM just like the CBC
-    flavour's; the IV argument carries the 16-byte tweak block. *)
-let register_xts t api =
-  let xts_key = ref None in
-  Crypto_api.register api
-    {
-      Crypto_api.name = "aes-generic-xts";
-      algorithm = "xts(aes)";
-      priority = 100;
-      set_key =
-        (fun key ->
-          (* both halves' schedules written into the DRAM context, so
-             the cold-boot scanner finds them like any other *)
-          set_key t (Bytes.sub key 0 16);
-          xts_key := Some (Xts.expand key));
-      encrypt =
-        (fun ~iv data ->
-          let k = match !xts_key with Some k -> k | None -> failwith "xts: no key" in
-          Perf.charge t.machine t.variant ~bytes:(Bytes.length data);
-          Xts.encrypt k ~tweak:iv data);
-      decrypt =
-        (fun ~iv data ->
-          let k = match !xts_key with Some k -> k | None -> failwith "xts: no key" in
-          Perf.charge t.machine t.variant ~bytes:(Bytes.length data);
-          Xts.decrypt k ~tweak:iv data);
-    }

@@ -26,7 +26,3 @@ val bulk : t -> dir:[ `Encrypt | `Decrypt ] -> iv:Bytes.t -> Bytes.t -> Bytes.t
 
 (** Register with a [Crypto_api] at the stock priority (100). *)
 val register : t -> Crypto_api.t -> unit
-
-(** Register the XTS flavour under "xts(aes)" (32-byte keys; the IV
-    argument carries the tweak block). *)
-val register_xts : t -> Crypto_api.t -> unit

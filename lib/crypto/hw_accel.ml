@@ -54,16 +54,3 @@ let transform t ~(dir : [ `Encrypt | `Decrypt ]) ~iv data =
 
 let encrypt t ~iv data = transform t ~dir:`Encrypt ~iv data
 let decrypt t ~iv data = transform t ~dir:`Decrypt ~iv data
-
-(** Register with the Crypto API.  Real accelerator drivers register
-    above the generic software cipher but below Sentry's AES_On_SoC. *)
-let register t api =
-  Crypto_api.register api
-    {
-      Crypto_api.name = "aes-qce"; (* Qualcomm crypto engine style name *)
-      algorithm = "cbc(aes)";
-      priority = 300;
-      set_key = set_key t;
-      encrypt = (fun ~iv data -> encrypt t ~iv data);
-      decrypt = (fun ~iv data -> decrypt t ~iv data);
-    }

@@ -19,7 +19,3 @@ val throughput_mb_s : t -> bytes:int -> float
 val set_key : t -> Bytes.t -> unit
 val encrypt : t -> iv:Bytes.t -> Bytes.t -> Bytes.t
 val decrypt : t -> iv:Bytes.t -> Bytes.t -> Bytes.t
-
-(** Register with a [Crypto_api] (priority 300: above generic, below
-    AES_On_SoC). *)
-val register : t -> Crypto_api.t -> unit

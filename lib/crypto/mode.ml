@@ -1,7 +1,7 @@
-(** Block cipher modes of operation, generic over a 16-byte block
-    transform so the native and instrumented ciphers share them.
+(** CBC chaining, generic over a 16-byte block transform so the
+    native and instrumented ciphers share it.
 
-    Sentry uses CBC — the Android/Linux default (§6.1). *)
+    CBC is the one mode Sentry uses — the Android/Linux default (§6.1). *)
 
 type block_fn = bytes -> int -> bytes -> int -> unit
 (** [f src src_off dst dst_off] transforms one 16-byte block. *)
@@ -45,32 +45,6 @@ let xor16_at chain dst dst_off =
          lxor Char.code (Bytes.unsafe_get dst (dst_off + i))))
   done
 
-(* ------------------------------ ECB ------------------------------ *)
-
-let ecb_encrypt_into c ~src ~src_off ~dst ~dst_off ~len =
-  check_into "Mode.ecb_encrypt_into" ~src ~src_off ~dst ~dst_off ~len;
-  for i = 0 to (len / block) - 1 do
-    c.encrypt src (src_off + (block * i)) dst (dst_off + (block * i))
-  done
-
-let ecb_decrypt_into c ~src ~src_off ~dst ~dst_off ~len =
-  check_into "Mode.ecb_decrypt_into" ~src ~src_off ~dst ~dst_off ~len;
-  for i = 0 to (len / block) - 1 do
-    c.decrypt src (src_off + (block * i)) dst (dst_off + (block * i))
-  done
-
-let ecb_encrypt c data =
-  check_blocks "Mode.ecb_encrypt" data;
-  let out = Bytes.create (Bytes.length data) in
-  ecb_encrypt_into c ~src:data ~src_off:0 ~dst:out ~dst_off:0 ~len:(Bytes.length data);
-  out
-
-let ecb_decrypt c data =
-  check_blocks "Mode.ecb_decrypt" data;
-  let out = Bytes.create (Bytes.length data) in
-  ecb_decrypt_into c ~src:data ~src_off:0 ~dst:out ~dst_off:0 ~len:(Bytes.length data);
-  out
-
 (* ------------------------------ CBC ------------------------------ *)
 
 let cbc_encrypt_into ?scratch c ~iv ~src ~src_off ~dst ~dst_off ~len =
@@ -111,57 +85,3 @@ let cbc_decrypt c ~iv data =
   let out = Bytes.create (Bytes.length data) in
   cbc_decrypt_into c ~iv ~src:data ~src_off:0 ~dst:out ~dst_off:0 ~len:(Bytes.length data);
   out
-
-(* ------------------------------ CTR ------------------------------ *)
-
-let incr_counter ctr =
-  let rec go i =
-    if i >= 0 then begin
-      let v = (Char.code (Bytes.get ctr i) + 1) land 0xff in
-      Bytes.set ctr i (Char.chr v);
-      if v = 0 then go (i - 1)
-    end
-  in
-  go (block - 1)
-
-(** CTR encrypt = decrypt; works on any length. *)
-let ctr_transform c ~nonce data =
-  if Bytes.length nonce <> block then invalid_arg "Mode.ctr_transform: bad nonce";
-  let n = Bytes.length data in
-  let out = Bytes.create n in
-  let ctr = Bytes.copy nonce in
-  let keystream = Bytes.create block in
-  let off = ref 0 in
-  while !off < n do
-    c.encrypt ctr 0 keystream 0;
-    let chunk = min block (n - !off) in
-    for i = 0 to chunk - 1 do
-      Bytes.set out (!off + i)
-        (Char.chr
-           (Char.code (Bytes.get data (!off + i))
-           lxor Char.code (Bytes.get keystream i)))
-    done;
-    incr_counter ctr;
-    off := !off + block
-  done;
-  out
-
-(* ----------------------------- PKCS#7 ---------------------------- *)
-
-let pad_pkcs7 data =
-  let n = Bytes.length data in
-  let padlen = block - (n mod block) in
-  let out = Bytes.create (n + padlen) in
-  Bytes.blit data 0 out 0 n;
-  Bytes.fill out n padlen (Char.chr padlen);
-  out
-
-let unpad_pkcs7 data =
-  let n = Bytes.length data in
-  if n = 0 || n mod block <> 0 then invalid_arg "Mode.unpad_pkcs7: bad length";
-  let padlen = Char.code (Bytes.get data (n - 1)) in
-  if padlen = 0 || padlen > block then invalid_arg "Mode.unpad_pkcs7: bad padding";
-  for i = n - padlen to n - 1 do
-    if Char.code (Bytes.get data i) <> padlen then invalid_arg "Mode.unpad_pkcs7: bad padding"
-  done;
-  Bytes.sub data 0 (n - padlen)

@@ -1,5 +1,5 @@
-(** Block cipher modes of operation, generic over a 16-byte block
-    transform.  Sentry uses CBC (the Android/Linux default, §6.1). *)
+(** CBC chaining, generic over a 16-byte block transform: the one
+    mode Sentry uses (the Android/Linux default, §6.1). *)
 
 type block_fn = Bytes.t -> int -> Bytes.t -> int -> unit
 (** [f src src_off dst dst_off] transforms one 16-byte block. *)
@@ -25,12 +25,6 @@ type scratch
     fresh one. *)
 val make_scratch : unit -> scratch
 
-val ecb_encrypt_into :
-  cipher -> src:Bytes.t -> src_off:int -> dst:Bytes.t -> dst_off:int -> len:int -> unit
-
-val ecb_decrypt_into :
-  cipher -> src:Bytes.t -> src_off:int -> dst:Bytes.t -> dst_off:int -> len:int -> unit
-
 val cbc_encrypt_into :
   ?scratch:scratch ->
   cipher ->
@@ -55,19 +49,8 @@ val cbc_decrypt_into :
 
 (** {2 Allocating transforms} *)
 
-val ecb_encrypt : cipher -> Bytes.t -> Bytes.t
-val ecb_decrypt : cipher -> Bytes.t -> Bytes.t
-
 (** @raise Invalid_argument unless data is block-aligned and the IV is
     16 bytes (same for [cbc_decrypt]). *)
 val cbc_encrypt : cipher -> iv:Bytes.t -> Bytes.t -> Bytes.t
 
 val cbc_decrypt : cipher -> iv:Bytes.t -> Bytes.t -> Bytes.t
-
-(** CTR keystream xor — its own inverse; any data length. *)
-val ctr_transform : cipher -> nonce:Bytes.t -> Bytes.t -> Bytes.t
-
-val pad_pkcs7 : Bytes.t -> Bytes.t
-
-(** @raise Invalid_argument on malformed padding. *)
-val unpad_pkcs7 : Bytes.t -> Bytes.t

@@ -88,17 +88,3 @@ let digest msg =
   out
 
 let digest_string s = digest (Bytes.of_string s)
-
-(** HMAC-SHA256 (FIPS 198-1). *)
-let hmac ~key msg =
-  let block_len = 64 in
-  let key = if Bytes.length key > block_len then digest key else key in
-  let pad c =
-    let b = Bytes.make block_len c in
-    for i = 0 to Bytes.length key - 1 do
-      Bytes.set b i (Char.chr (Char.code (Bytes.get key i) lxor Char.code c))
-    done;
-    b
-  in
-  let ipad = pad '\x36' and opad = pad '\x5c' in
-  digest (Bytes.cat opad (digest (Bytes.cat ipad msg)))

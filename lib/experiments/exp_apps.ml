@@ -69,24 +69,5 @@ let run_app ?(backend = Sentry.Batched) (profile : App.profile) =
     script_mb = mb_of_bytes dec;
   }
 
-(* Memoized app-cycle results (default backend only), shared by
-   Figs 2-5 within one trial.
-   A resettable ref rather than [Lazy.t]: the bench harness calls
-   [reset] between trials so each trial re-runs the app cycles — with
-   the lazy, only the first trial did the work and the committed
-   fig2/fig4 timings showed min ≈ 4 µs vs max ≈ 6.4 s (stddev > mean).
-   Allowlisted in lint.allow (host-side memo; no simulated state). *)
-let cache : metrics list option ref = ref None
-
-(** All four apps, computed once per trial and shared by Figs 2-5. *)
-let all () =
-  match !cache with
-  | Some m -> m
-  | None ->
-      let m = List.map (fun p -> run_app p) Apps.all in
-      cache := Some m;
-      m
-
-(** Drop the memo so the next [all] re-runs the app cycles — called by
-    the bench harness between trials to keep trials i.i.d. *)
-let reset () = cache := None
+(** All four apps, one cycle each: the data of Figs 2-5. *)
+let all () = List.map (fun p -> run_app p) Apps.all

@@ -15,14 +15,10 @@ type metrics = {
   script_mb : float;
 }
 
-(** Run one app cycle under [backend] (default [Batched]).  Only the
-    default-backend results are memoized by [all]. *)
+(** Run one app cycle under [backend] (default [Batched]). *)
 val run_app :
   ?backend:Sentry_core.Sentry.backend -> Sentry_workloads.App.profile -> metrics
 
-(** All four apps, computed once per trial and shared by Figs 2-5. *)
+(** All four apps, one default-backend cycle each: the data of Figs
+    2-5, which share one run of it through [Experiments.context]. *)
 val all : unit -> metrics list
-
-(** Drop the memo behind [all] so the next call re-runs the app
-    cycles (bench trial isolation). *)
-val reset : unit -> unit

@@ -3,7 +3,7 @@
 
 open Sentry_util
 
-let run () =
+let run metrics =
   let rows =
     List.map
       (fun (m : Exp_apps.metrics) ->
@@ -12,7 +12,7 @@ let run () =
           Printf.sprintf "%.2f s" m.Exp_apps.unlock_s;
           Printf.sprintf "%.1f MB" m.Exp_apps.unlock_mb;
         ])
-      (Exp_apps.all ())
+      metrics
   in
   [
     Table.make ~title:"Fig 2: overhead upon device unlock (resume)"

@@ -2,4 +2,5 @@
 
     See the implementation for methodology notes. *)
 
-val run : unit -> Sentry_util.Table.t list
+(** The tables for the shared app cycles ([Exp_apps.all]). *)
+val run : Exp_apps.metrics list -> Sentry_util.Table.t list

@@ -3,7 +3,7 @@
 
 open Sentry_util
 
-let run () =
+let run metrics =
   let rows =
     List.map
       (fun (m : Exp_apps.metrics) ->
@@ -13,7 +13,7 @@ let run () =
           Printf.sprintf "%.1f%%" m.Exp_apps.script_overhead_pct;
           Printf.sprintf "%.1f MB" m.Exp_apps.script_mb;
         ])
-      (Exp_apps.all ())
+      metrics
   in
   [
     Table.make ~title:"Fig 3: runtime overhead during scripted use"

@@ -2,7 +2,7 @@
 
 open Sentry_util
 
-let run () =
+let run metrics =
   let rows =
     List.map
       (fun (m : Exp_apps.metrics) ->
@@ -11,7 +11,7 @@ let run () =
           Printf.sprintf "%.2f s" m.Exp_apps.lock_s;
           Printf.sprintf "%.1f MB" m.Exp_apps.lock_mb;
         ])
-      (Exp_apps.all ())
+      metrics
   in
   [
     Table.make ~title:"Fig 4: overhead upon device lock"

@@ -3,8 +3,7 @@
 
 open Sentry_util
 
-let run () =
-  let metrics = Exp_apps.all () in
+let run metrics =
   let rows =
     List.map
       (fun (m : Exp_apps.metrics) ->

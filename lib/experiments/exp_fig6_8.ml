@@ -72,12 +72,14 @@ let table_for (profile : Background_app.profile) ~figure ~paper_note =
       row "With Sentry (512KB)" with512;
     ]
 
-let run () =
-  [
-    table_for Background_app.alpine ~figure:"6"
-      ~paper_note:"Paper: alpine 2.74x slower with 256 KB of locked cache.";
-    table_for Background_app.vlock ~figure:"7"
-      ~paper_note:"Paper: vlock overhead small in absolute terms (tiny working set).";
-    table_for Background_app.xmms2 ~figure:"8"
-      ~paper_note:"Paper: xmms2 48% overhead with 512 KB of locked cache.";
-  ]
+let fig6 () =
+  table_for Background_app.alpine ~figure:"6"
+    ~paper_note:"Paper: alpine 2.74x slower with 256 KB of locked cache."
+
+let fig7 () =
+  table_for Background_app.vlock ~figure:"7"
+    ~paper_note:"Paper: vlock overhead small in absolute terms (tiny working set)."
+
+let fig8 () =
+  table_for Background_app.xmms2 ~figure:"8"
+    ~paper_note:"Paper: xmms2 48% overhead with 512 KB of locked cache."

@@ -1,5 +1,8 @@
 (** Figs 6-8: background computation performance while locked
     (alpine, vlock, xmms2). *)
 
-(** Three tables, one per figure. *)
-val run : unit -> Sentry_util.Table.t list
+(** One table per figure, each from its own three configurations. *)
+val fig6 : unit -> Sentry_util.Table.t
+
+val fig7 : unit -> Sentry_util.Table.t
+val fig8 : unit -> Sentry_util.Table.t

@@ -10,37 +10,27 @@
 
 open Sentry_crypto
 
-type iv_mode = Essiv_iv of Essiv.t | Plain64_tweak
-
 type t = {
   lower : Blockio.t;
   cipher : Crypto_api.impl;
-  iv_mode : iv_mode;
+  essiv : Essiv.t;
   mutable sectors_encrypted : int;
   mutable sectors_decrypted : int;
 }
 
 let sector = Block_dev.sector_size
 
-(** [create ?algorithm ~api ~key lower] opens an encrypted mapping over
-    [lower], picking the highest-priority implementation of
-    [algorithm] (default "cbc(aes)", the paper-era mode with ESSIV
-    IVs; "xts(aes)" gives the modern plain64-tweak mode and expects a
-    32-byte key). *)
-let create ?(algorithm = "cbc(aes)") ~api ~key lower =
-  let cipher = Crypto_api.find api ~algorithm in
+(** [create ~api ~key lower] opens an encrypted mapping over [lower]
+    through the highest-priority implementation of "cbc(aes)", with
+    ESSIV IVs derived from [key]. *)
+let create ~api ~key lower =
+  let cipher = Crypto_api.find api ~algorithm:"cbc(aes)" in
   cipher.Crypto_api.set_key key;
-  let iv_mode =
-    if String.equal algorithm "xts(aes)" then Plain64_tweak else Essiv_iv (Essiv.create ~key)
-  in
-  { lower; cipher; iv_mode; sectors_encrypted = 0; sectors_decrypted = 0 }
+  { lower; cipher; essiv = Essiv.create ~key; sectors_encrypted = 0; sectors_decrypted = 0 }
 
 let cipher_name t = t.cipher.Crypto_api.name
 
-let iv_for t idx =
-  match t.iv_mode with
-  | Essiv_iv essiv -> Essiv.iv essiv ~sector:idx
-  | Plain64_tweak -> Xts.tweak_of_sector idx
+let iv_for t idx = Essiv.iv t.essiv ~sector:idx
 
 (* dm-crypt holds no clock: spans use the recorder's installed time
    source, which Sentry points at the machine clock. *)

@@ -6,11 +6,10 @@ open Sentry_crypto
 
 type t
 
-(** [create ?algorithm ~api ~key lower] — [algorithm] defaults to
-    "cbc(aes)" (paper-era, ESSIV IVs); "xts(aes)" selects the modern
-    plain64-tweak mode (32-byte key).
-    @raise Not_found if nothing implements the algorithm. *)
-val create : ?algorithm:string -> api:Crypto_api.t -> key:Bytes.t -> Blockio.t -> t
+(** [create ~api ~key lower] — through the highest-priority
+    "cbc(aes)" driver, with ESSIV IVs derived from [key].
+    @raise Not_found if nothing implements "cbc(aes)". *)
+val create : api:Crypto_api.t -> key:Bytes.t -> Blockio.t -> t
 
 (** Which driver the registry picked (e.g. "aes-on-soc"). *)
 val cipher_name : t -> string

@@ -16,7 +16,7 @@ let fastpath_modules =
     "lib/util/bytes_util.ml";  (* scatter-gather blit/compare kernels *)
     "lib/util/prng.ml";  (* hot-path fill with hoisted bounds *)
     "lib/crypto/aes.ml";  (* T-table rounds over pre-sized state *)
-    "lib/crypto/mode.ml";  (* in-place CBC/ECB/XTS over scratch *)
+    "lib/crypto/mode.ml";  (* in-place CBC over scratch *)
     "lib/soc/pl310.ml";  (* per-access way scan, read_run fast path *)
     "lib/soc/dram.ml";  (* validated-once run blits *)
     "lib/soc/taint.ml";  (* shadow-store run scans *)

@@ -215,7 +215,7 @@ let spawn_entries = [ "Domain.spawn"; "Dpool.submit"; "Dpool.run" ]
    domain-local slot.  [Trace.install] / [Injector.activate] are the
    blessed per-domain setup and deliberately absent. *)
 let ambient_apis =
-  [ "Trace.emit"; "Trace.span"; "Trace.enter_span"; "Trace.exit_span"; "Trace.clear";
+  [ "Trace.emit"; "Trace.span"; "Trace.enter_span"; "Trace.exit_span";
     "Trace.set_time_source"; "Injector.fire"; "Injector.poll" ]
 
 (* Last two path components: [Sentry_obs.Trace.emit] and [Trace.emit]

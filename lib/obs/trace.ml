@@ -248,18 +248,3 @@ let enter_span ?ts ~cat ~subsystem name =
 
 let exit_span ?ts ?args () =
   match installed () with None -> () | Some t -> exit_span_r t ?ts ?args ()
-
-let stats () =
-  match installed () with
-  | None -> { emitted = 0; dropped = 0; capacity = 0 }
-  | Some t -> stats_r t
-
-(** Retained events, oldest first. *)
-let events () = match installed () with None -> [] | Some t -> events_r t
-
-(** Per-category emission counts (includes dropped events). *)
-let category_counts () = match installed () with None -> [] | Some t -> category_counts_r t
-
-(** Drop every retained event and reset the counters, keeping the
-    recorder installed. *)
-let clear () = match installed () with None -> () | Some t -> clear_r t

@@ -104,9 +104,9 @@ val installed : unit -> Recorder.t option
     must check this before building argument lists. *)
 val on : unit -> bool
 
-(** The remaining module-level functions delegate to the ambient
-    recorder and are no-ops (or zeros / empty lists) when none is
-    installed. *)
+(** The emitters below delegate to the ambient recorder and are
+    no-ops when none is installed.  Harvesting goes through a
+    {!Recorder} handle ([installed], or the one that was installed). *)
 
 val set_time_source : (unit -> float) -> unit
 val now : unit -> float
@@ -131,8 +131,3 @@ val span :
 
 val enter_span : ?ts:float -> cat:Event.category -> subsystem:string -> string -> unit
 val exit_span : ?ts:float -> ?args:(string * Event.arg) list -> unit -> unit
-
-val stats : unit -> stats
-val events : unit -> Event.t list
-val category_counts : unit -> (Event.category * int) list
-val clear : unit -> unit

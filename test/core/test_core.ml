@@ -465,6 +465,17 @@ let test_sentry_registers_crypto_api () =
   let impl = Sentry_crypto.Crypto_api.find system.System.crypto_api ~algorithm:"cbc(aes)" in
   checkb "aes-on-soc wins" true (impl.Sentry_crypto.Crypto_api.name = "aes-on-soc")
 
+(* Sentry registers one driver, for the one mode dm-crypt uses. *)
+let test_sentry_registers_one_driver () =
+  let system = boot () in
+  ignore (install system);
+  Alcotest.(check (list (pair string string)))
+    "drivers" [ ("aes-on-soc", "cbc(aes)") ]
+    (List.map
+       (fun (i : Sentry_crypto.Crypto_api.impl) ->
+         (i.Sentry_crypto.Crypto_api.name, i.Sentry_crypto.Crypto_api.algorithm))
+       (Sentry_crypto.Crypto_api.list system.System.crypto_api))
+
 let test_sentry_journal_flag () =
   let system = boot ~seed:30 () in
   let sentry = install system in
@@ -931,6 +942,7 @@ let () =
           Alcotest.test_case "nexus config" `Quick test_sentry_nexus_config;
           Alcotest.test_case "config validation" `Quick test_sentry_config_validation;
           Alcotest.test_case "crypto api registration" `Quick test_sentry_registers_crypto_api;
+          Alcotest.test_case "one crypto api driver" `Quick test_sentry_registers_one_driver;
           Alcotest.test_case "journal flag" `Quick test_sentry_journal_flag;
           Alcotest.test_case "backend switch guarded" `Quick
             test_sentry_backend_switch_guarded;

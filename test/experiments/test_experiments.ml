@@ -57,7 +57,11 @@ let test_table4_access_protected_total () =
 
 (* ------------------------------ Figs 2-5 -------------------------- *)
 
-let metrics = lazy (Sentry_experiments.Exp_apps.all ())
+(* One context for the whole suite, as in one [sentry_cli exp] run:
+   the shape tests and the rendered pins of Figs 2-5 share one run of
+   the app cycles. *)
+let ctx = Sentry_experiments.Experiments.context ()
+let metrics = ctx.Sentry_experiments.Experiments.apps
 
 let find_app name =
   List.find
@@ -204,7 +208,7 @@ let rendered_md5 ?(drop = fun _ -> false) id =
   match Sentry_experiments.Experiments.find id with
   | None -> Alcotest.failf "no experiment %S" id
   | Some e ->
-      e.Sentry_experiments.Experiments.run ()
+      e.Sentry_experiments.Experiments.run ctx
       |> List.map (fun (t : Table.t) ->
              Table.to_string { t with Table.rows = List.filter (fun r -> not (drop r)) t.Table.rows })
       |> String.concat "" |> Digest.string |> Digest.to_hex

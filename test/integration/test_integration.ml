@@ -563,7 +563,9 @@ let test_experiment_tables_nonempty () =
     (fun id ->
       match Sentry_experiments.Experiments.find id with
       | Some e ->
-          let tables = e.Sentry_experiments.Experiments.run () in
+          let tables =
+            e.Sentry_experiments.Experiments.run (Sentry_experiments.Experiments.context ())
+          in
           checkb (id ^ " has tables") true (tables <> []);
           List.iter
             (fun t -> checkb (id ^ " has rows") true (t.Table.rows <> []))

@@ -395,33 +395,6 @@ let test_dm_crypt_wrong_key_garbage () =
   let got = Blockio.read (Dm_crypt.target dm2) ~off:0 ~len:512 in
   checkb "garbage under wrong key" false (Bytes.equal got (Bytes.make 512 'P'))
 
-let test_dm_crypt_xts_mode () =
-  let machine, frames = boot () in
-  let api = make_api machine frames in
-  (* also register the xts flavour *)
-  let g2 =
-    Sentry_crypto.Generic_aes.create machine ~ctx_base:(Frame_alloc.alloc frames)
-      ~variant:Sentry_crypto.Perf.Crypto_api_kernel
-  in
-  Sentry_crypto.Generic_aes.register_xts g2 api;
-  let dev = Block_dev.create machine ~kind:Block_dev.Ramdisk ~size:(64 * Units.kib) in
-  let dm =
-    Dm_crypt.create ~algorithm:"xts(aes)" ~api ~key:(Bytes.make 32 'k') (Block_dev.target dev)
-  in
-  checkb "xts driver" true (Dm_crypt.cipher_name dm = "aes-generic-xts");
-  let t = Dm_crypt.target dm in
-  let secret = Bytes.of_string "xts protected filesystem data!!!" in
-  Blockio.write t ~off:1024 secret;
-  check_bytes "roundtrip" secret (Blockio.read t ~off:1024 ~len:(Bytes.length secret));
-  checkb "ciphertext on medium" false (Bytes_util.contains (Block_dev.raw dev) secret);
-  (* identical sectors still diverge (tweak = sector number) *)
-  let s0 = Bytes.make 512 'S' in
-  Blockio.write t ~off:0 s0;
-  Blockio.write t ~off:512 s0;
-  let raw = Block_dev.raw dev in
-  checkb "no watermark under xts" false
-    (Bytes.equal (Bytes.sub raw 0 512) (Bytes.sub raw 512 512))
-
 let test_dm_crypt_stats () =
   let machine, frames = boot () in
   let api = make_api machine frames in
@@ -692,7 +665,6 @@ let () =
           Alcotest.test_case "essiv no watermark" `Quick test_dm_crypt_sector_ivs_differ;
           Alcotest.test_case "wrong key" `Quick test_dm_crypt_wrong_key_garbage;
           Alcotest.test_case "stats" `Quick test_dm_crypt_stats;
-          Alcotest.test_case "xts mode" `Quick test_dm_crypt_xts_mode;
         ] );
       ( "buffer_cache",
         [

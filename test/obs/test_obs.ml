@@ -163,8 +163,9 @@ module Json = struct
 end
 
 let with_fresh_trace ?capacity f =
-  Trace.install (Trace.Recorder.create ?capacity ());
-  Fun.protect ~finally:Trace.uninstall f
+  let r = Trace.Recorder.create ?capacity () in
+  Trace.install r;
+  Fun.protect ~finally:Trace.uninstall (fun () -> f r)
 
 (* ------------------------------ trace ----------------------------- *)
 
@@ -178,18 +179,18 @@ let emit_n n =
   done
 
 let test_trace_off_is_silent () =
+  let r = Trace.Recorder.create () in
+  Trace.install r;
   Trace.uninstall ();
   checkb "off" false (Trace.on ());
   Trace.emit ~cat:Event.Bus ~subsystem:"soc.bus" "ignored";
-  checki "no events" 0 (List.length (Trace.events ()));
-  let s = Trace.stats () in
-  checki "emitted" 0 s.Trace.emitted;
-  checki "capacity" 0 s.Trace.capacity
+  checki "no events" 0 (List.length (Trace.Recorder.events r));
+  checki "emitted" 0 (Trace.Recorder.stats r).Trace.emitted
 
 let test_trace_records_in_order () =
-  with_fresh_trace (fun () ->
+  with_fresh_trace (fun r ->
       emit_n 5;
-      let evs = Trace.events () in
+      let evs = Trace.Recorder.events r in
       checki "count" 5 (List.length evs);
       List.iteri
         (fun i (e : Event.t) ->
@@ -198,34 +199,34 @@ let test_trace_records_in_order () =
         evs)
 
 let test_ring_overflow_keeps_newest () =
-  with_fresh_trace ~capacity:8 (fun () ->
+  with_fresh_trace ~capacity:8 (fun r ->
       emit_n 20;
-      let s = Trace.stats () in
+      let s = Trace.Recorder.stats r in
       checki "emitted" 20 s.Trace.emitted;
       checki "dropped" 12 s.Trace.dropped;
-      let evs = Trace.events () in
+      let evs = Trace.Recorder.events r in
       checki "retained = capacity" 8 (List.length evs);
       (* newest 8 survive: ts 12..19, oldest first *)
       List.iteri
         (fun i (e : Event.t) -> checkf "newest window" (float_of_int (12 + i)) e.Event.ts_ns)
         evs;
       (* per-category counts include dropped events *)
-      match Trace.category_counts () with
+      match Trace.Recorder.category_counts r with
       | [ (Event.Bus, n) ] -> checki "category total" 20 n
       | _ -> Alcotest.fail "expected only Bus counts")
 
 let test_trace_clear_keeps_recorder () =
-  with_fresh_trace (fun () ->
+  with_fresh_trace (fun r ->
       emit_n 3;
-      Trace.clear ();
+      Trace.Recorder.clear r;
       checkb "still on" true (Trace.on ());
-      checki "empty" 0 (List.length (Trace.events ())))
+      checki "empty" 0 (List.length (Trace.Recorder.events r)))
 
 let test_span_duration () =
-  with_fresh_trace (fun () ->
+  with_fresh_trace (fun r ->
       Trace.span ~cat:Event.Crypto ~subsystem:"crypto.perf" ~start_ns:100.0 ~end_ns:350.0
         "op";
-      match Trace.events () with
+      match Trace.Recorder.events r with
       | [ e ] -> (
           checkf "start" 100.0 e.Event.ts_ns;
           match e.Event.phase with
@@ -751,9 +752,10 @@ let test_metrics_jsonl () =
 (* ------------------------- end-to-end runs ------------------------ *)
 
 let run_scenario ?seed name platform =
-  Trace.install (Trace.Recorder.create ());
+  let recorder = Trace.Recorder.create () in
+  Trace.install recorder;
   let r = Sentry_core.Trace_scenario.run ?seed name platform in
-  let evs = Trace.events () in
+  let evs = Trace.Recorder.events recorder in
   let flat = Sentry_core.Obs_report.flat r.Sentry_core.Trace_scenario.sentry in
   Trace.uninstall ();
   (evs, flat)
