@@ -43,31 +43,32 @@ type t = {
   mutable cur_pass : int;
   mutable cur_pid : int;
   mutable cur_pages : int;
+  buf : Bytes.t; (* the record, rebuilt in place by every [write]; bytes 24..31 stay zero *)
 }
 
 let size_bytes = 32
 let magic = 0x4e524a53l (* "SJRN" little-endian *)
 let version = 1
 
-let create machine ~addr = { machine; addr; cur_pass = 0; cur_pid = 0; cur_pages = 0 }
+let create machine ~addr =
+  { machine; addr; cur_pass = 0; cur_pid = 0; cur_pages = 0; buf = Bytes.make size_bytes '\x00' }
 
 let addr t = t.addr
 
-let checksum ~pass ~pid ~pages =
-  Int32.logand
-    (Int32.add (Int32.of_int (version + pass + pid)) (Int32.of_int pages))
-    0xffffffffl
+(* Sum of words 1..4 mod 2^32.  An [int], not an [int32]: a returned
+   [int32] is boxed on every record write. *)
+let checksum ~pass ~pid ~pages = (version + pass + pid + pages) land 0xffffffff
 
 let write t =
   let traced = Sentry_obs.Trace.on () in
   let start_ns = if traced then Clock.now (Machine.clock t.machine) else 0.0 in
-  let b = Bytes.make size_bytes '\x00' in
+  let b = t.buf in
   Bytes.set_int32_le b 0 magic;
   Bytes.set_int32_le b 4 (Int32.of_int version);
   Bytes.set_int32_le b 8 (Int32.of_int t.cur_pass);
   Bytes.set_int32_le b 12 (Int32.of_int t.cur_pid);
   Bytes.set_int32_le b 16 (Int32.of_int t.cur_pages);
-  Bytes.set_int32_le b 20 (checksum ~pass:t.cur_pass ~pid:t.cur_pid ~pages:t.cur_pages);
+  Bytes.set_int32_le b 20 (Int32.of_int (checksum ~pass:t.cur_pass ~pid:t.cur_pid ~pages:t.cur_pages));
   Machine.write_from t.machine t.addr b ~off:0 ~len:size_bytes;
   if traced then
     Sentry_obs.Trace.span ~cat:Sentry_obs.Event.Lock ~subsystem:"core.lock_journal" ~start_ns
@@ -137,7 +138,7 @@ let load t =
     let pid = Int32.to_int (Bytes.get_int32_le b 12) in
     let pages = Int32.to_int (Bytes.get_int32_le b 16) in
     let sum = Bytes.get_int32_le b 20 in
-    if sum <> checksum ~pass:pass_raw ~pid ~pages then None
+    if sum <> Int32.of_int (checksum ~pass:pass_raw ~pid ~pages) then None
     else
       match pass_of_code pass_raw with
       | None -> None

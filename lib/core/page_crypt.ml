@@ -82,8 +82,7 @@ let encrypt_frame ?(commit = fun () -> ()) t ~pid ~vpn ~frame =
   (* in place over the staging buffer: read, transform, write back *)
   Aes_on_soc.bulk_into t.aes ~dir:`Encrypt ~iv:(iv t ~pid ~vpn) ~src:t.page_buf ~src_off:0
     ~dst:t.page_buf ~dst_off:0 ~len:Page.size;
-  Machine.with_taint t.machine Taint.Ciphertext (fun () ->
-      Machine.write_from t.machine frame t.page_buf ~off:0 ~len:Page.size);
+  Machine.write_labelled t.machine Taint.Ciphertext frame t.page_buf ~off:0 ~len:Page.size;
   (* the caller's commit (PTE flag + journal record) belongs to the
      same crash unit as the write-back: it must land before the
      page-boundary fault hook, or a crash at the hook would leave
@@ -104,8 +103,7 @@ let decrypt_frame t ~pid ~vpn ~frame =
   Sentry_faults.Injector.fire Sentry_faults.Injector.Points.frame_transform;
   Aes_on_soc.bulk_into t.aes ~dir:`Decrypt ~iv:(iv t ~pid ~vpn) ~src:t.page_buf ~src_off:0
     ~dst:t.page_buf ~dst_off:0 ~len:Page.size;
-  Machine.with_taint t.machine Taint.Secret_cleartext (fun () ->
-      Machine.write_from t.machine frame t.page_buf ~off:0 ~len:Page.size);
+  Machine.write_labelled t.machine Taint.Secret_cleartext frame t.page_buf ~off:0 ~len:Page.size;
   Sentry_faults.Injector.fire Sentry_faults.Injector.Points.page_decrypted
 
 (* ------------------------- batch engine -------------------------- *)
@@ -126,8 +124,7 @@ type batch_item = { pid : int; vpn : int; frame : int }
    submits the page as a command to the [Offload_engine] queue; every
    other backend charges the CPU inside the IRQ bracket.  Bytes, PTEs
    and taint are bit-identical either way. *)
-let transform_item ~(backend : Backend.kind) t ~(dir : [ `Encrypt | `Decrypt ])
-    { pid; vpn; frame } =
+let transform_page ~(backend : Backend.kind) t ~(dir : [ `Encrypt | `Decrypt ]) ~pid ~vpn ~frame =
   trace_frame t (match dir with `Encrypt -> "encrypt-frame" | `Decrypt -> "decrypt-frame") ~pid
     ~vpn ~frame;
   Machine.read_into t.machine frame t.page_buf ~off:0 ~len:Page.size;
@@ -145,8 +142,7 @@ let transform_item ~(backend : Backend.kind) t ~(dir : [ `Encrypt | `Decrypt ])
       Aes_on_soc.bulk_fused_into t.aes ~dir ~iv:t.iv_buf ~iv_off:0 ~src:t.page_buf ~src_off:0
         ~dst:t.page_buf ~dst_off:0 ~len:Page.size);
   let level = match dir with `Encrypt -> Taint.Ciphertext | `Decrypt -> Taint.Secret_cleartext in
-  Machine.with_taint t.machine level (fun () ->
-      Machine.write_from t.machine frame t.page_buf ~off:0 ~len:Page.size)
+  Machine.write_labelled t.machine level frame t.page_buf ~off:0 ~len:Page.size
 
 (* The [Offload] queue is polled for completion once, after the last
    page of a batch: the fixed per-command latency is amortized over
@@ -184,7 +180,7 @@ let encrypt_batch ~backend t items ~complete =
   with_batch_span ~backend t "encrypt-batch" items (fun () ->
       Array.iteri
         (fun i item ->
-          transform_item ~backend t ~dir:`Encrypt item;
+          transform_page ~backend t ~dir:`Encrypt ~pid:item.pid ~vpn:item.vpn ~frame:item.frame;
           complete i;
           Sentry_faults.Injector.fire Sentry_faults.Injector.Points.page_encrypted)
         items)
@@ -199,7 +195,7 @@ let decrypt_batch ~backend t items ~prepare ~complete =
       Array.iteri
         (fun i item ->
           prepare i;
-          transform_item ~backend t ~dir:`Decrypt item;
+          transform_page ~backend t ~dir:`Decrypt ~pid:item.pid ~vpn:item.vpn ~frame:item.frame;
           Sentry_faults.Injector.fire Sentry_faults.Injector.Points.page_decrypted;
           complete i)
         items)
@@ -209,7 +205,7 @@ let decrypt_batch ~backend t items ~prepare ~complete =
     blocking completion poll that pays the engine's full fixed
     latency, then the [page_decrypted] fault hook. *)
 let decrypt_page ~backend t ~pid ~vpn ~frame =
-  transform_item ~backend t ~dir:`Decrypt { pid; vpn; frame };
+  transform_page ~backend t ~dir:`Decrypt ~pid ~vpn ~frame;
   complete_commands ~backend t;
   Sentry_faults.Injector.fire Sentry_faults.Injector.Points.page_decrypted
 

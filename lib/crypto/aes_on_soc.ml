@@ -151,37 +151,46 @@ let run_kernel t ~(dir : [ `Encrypt | `Decrypt ]) ~iv ~iv_off ~src ~src_off ~dst
    machine, like [fast_key].
 
    It is domain-local ([Domain.DLS]) rather than per instance: a fleet
-   call boots a system per shard, and 128 KiB per instance would add up
-   in peak RSS.  Its slots are allocated on a domain's first page
-   transform. *)
+   call boots a system per shard, and 1 MiB per instance would add up
+   in peak RSS.  128 entries hold a fleet-churn shard's 76 sensitive
+   pages.  Each field is one flat array, so that the lookup scans
+   only the int prefilter [hashes] and touches an entry's key, IV and
+   page only on a prefix match.  The page stores are allocated,
+   uninitialised, on a domain's first page transform; an empty slot
+   is never read, because its owner is [no_key]. *)
 
 let memo_page = 4096
-let memo_slots = 16
+let memo_slots = 128
 
-type entry = {
-  mutable owner : Aes.key; (* [no_key] while the entry is empty or being refilled *)
-  iv_bytes : Bytes.t;
-  clear : Bytes.t;
-  cipher : Bytes.t;
-  mutable used : int; (* LRU stamp *)
+(* the first 8 IV bytes as an int, for the prefilter; a primitive, so
+   the [int64] is never boxed *)
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+
+type memo = {
+  owners : Aes.key array; (* [no_key] while an entry is empty or being refilled *)
+  hashes : int array; (* the first 8 IV bytes of each entry, as an int *)
+  used : int array; (* LRU stamps *)
+  ivs : Bytes.t; (* 16 bytes per entry *)
+  clears : Bytes.t; (* [memo_page] bytes per entry *)
+  ciphers : Bytes.t;
+  no_key : Aes.key;
+  mutable tick : int;
 }
-
-type memo = { entries : entry array; no_key : Aes.key; mutable tick : int }
 
 let memo_key : memo Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
       (* a schedule no instance holds: [==] never matches it *)
       let no_key = Aes.expand (Bytes.make 16 '\000') in
-      let entry _ =
-        {
-          owner = no_key;
-          iv_bytes = Bytes.create 16;
-          clear = Bytes.create memo_page;
-          cipher = Bytes.create memo_page;
-          used = 0;
-        }
-      in
-      { entries = Array.init memo_slots entry; no_key; tick = 0 })
+      {
+        owners = Array.make memo_slots no_key;
+        hashes = Array.make memo_slots 0;
+        used = Array.make memo_slots 0;
+        ivs = Bytes.create (memo_slots * 16);
+        clears = Bytes.create (memo_slots * memo_page);
+        ciphers = Bytes.create (memo_slots * memo_page);
+        no_key;
+        tick = 0;
+      })
 
 (* The kernel for a whole page, through the memo.  At most one entry
    holds a given key and IV: a miss refills that entry if there is
@@ -189,27 +198,41 @@ let memo_key : memo Domain.DLS.key =
    before the kernel runs, since the kernel may transform in place. *)
 let memo_kernel t ~(dir : [ `Encrypt | `Decrypt ]) ~iv ~iv_off ~src ~src_off ~dst ~dst_off =
   let m = Domain.DLS.get memo_key in
-  let entries = m.entries and key = t.fast_key in
+  let key = t.fast_key and hash = Int64.to_int (get64 iv iv_off) in
   m.tick <- m.tick + 1;
-  let same = ref (-1) and lru = ref 0 in
-  for i = 0 to memo_slots - 1 do
-    let e = entries.(i) in
-    if e.owner == key && Sentry_util.Bytes_util.equal_view e.iv_bytes 0 iv iv_off 16 then same := i
-    else if e.used < entries.(!lru).used then lru := i
+  let same = ref (-1) and i = ref 0 in
+  while !same < 0 && !i < memo_slots do
+    if
+      m.hashes.(!i) = hash
+      && m.owners.(!i) == key
+      && Sentry_util.Bytes_util.equal_view m.ivs (!i * 16) iv iv_off 16
+    then same := !i;
+    incr i
   done;
-  let e = entries.(if !same >= 0 then !same else !lru) in
-  let input = match dir with `Encrypt -> e.clear | `Decrypt -> e.cipher in
-  let output = match dir with `Encrypt -> e.cipher | `Decrypt -> e.clear in
-  e.used <- m.tick;
-  if !same >= 0 && Sentry_util.Bytes_util.equal_view input 0 src src_off memo_page then
-    Bytes.blit output 0 dst dst_off memo_page
+  let slot =
+    if !same >= 0 then !same
+    else begin
+      let lru = ref 0 in
+      for i = 1 to memo_slots - 1 do
+        if m.used.(i) < m.used.(!lru) then lru := i
+      done;
+      !lru
+    end
+  in
+  let input = match dir with `Encrypt -> m.clears | `Decrypt -> m.ciphers in
+  let output = match dir with `Encrypt -> m.ciphers | `Decrypt -> m.clears in
+  let page_off = slot * memo_page in
+  m.used.(slot) <- m.tick;
+  if !same >= 0 && Sentry_util.Bytes_util.equal_view input page_off src src_off memo_page then
+    Bytes.blit output page_off dst dst_off memo_page
   else begin
-    e.owner <- m.no_key;
-    Bytes.blit src src_off input 0 memo_page;
+    m.owners.(slot) <- m.no_key;
+    Bytes.blit src src_off input page_off memo_page;
     run_kernel t ~dir ~iv ~iv_off ~src ~src_off ~dst ~dst_off ~len:memo_page;
-    Bytes.blit dst dst_off output 0 memo_page;
-    Bytes.blit iv iv_off e.iv_bytes 0 16;
-    e.owner <- key
+    Bytes.blit dst dst_off output page_off memo_page;
+    Bytes.blit iv iv_off m.ivs (slot * 16) 16;
+    m.hashes.(slot) <- hash;
+    m.owners.(slot) <- key
   end
 
 (* Host compute for [len] bytes: whole pages through the memo, any

@@ -40,6 +40,11 @@ val decrypt : t -> iv:Bytes.t -> Bytes.t -> Bytes.t
     always compute. *)
 val bulk : t -> dir:[ `Encrypt | `Decrypt ] -> iv:Bytes.t -> Bytes.t -> Bytes.t
 
+(** Entries in a domain's page transform memo: the distinct (key
+    schedule, IV) pairs whose last page transform it remembers, least
+    recently used first out. *)
+val memo_slots : int
+
 (** Scatter-gather bulk path: transform the [len]-byte view of [src]
     at [src_off] into [dst] at [dst_off] through the fused
     register-chained CBC kernel ([Aes.cbc_*_into]), with the modeled

@@ -205,6 +205,20 @@ let write_from t addr buf ~off ~len =
 (** Cached CPU write; bytes are labelled with the ambient taint. *)
 let write t addr b = write_from t addr b ~off:0 ~len:(Bytes.length b)
 
+(** [write_labelled t level addr buf ~off ~len] is [write_from] under
+    [with_taint t level], without its closures: the page transforms'
+    write-back, run once per page.  The ambient label is set for the
+    store and put back after it, also when the store raises. *)
+let write_labelled t level addr buf ~off ~len =
+  let saved = t.ambient_taint in
+  t.ambient_taint <- level;
+  match write_from t addr buf ~off ~len with
+  | () -> t.ambient_taint <- saved
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      t.ambient_taint <- saved;
+      Printexc.raise_with_backtrace e bt
+
 (** Page-run read alias of [read_into].  The L2 has one access path. *)
 let read_run_into = read_into
 

@@ -88,6 +88,12 @@ val read_into : t -> int -> Bytes.t -> off:int -> len:int -> unit
 
 val write_from : t -> int -> Bytes.t -> off:int -> len:int -> unit
 
+(** [write_labelled t level addr buf ~off ~len] — [write_from] with
+    the stored bytes labelled [level], as under [with_taint t level],
+    but with no closure allocated.  The previous ambient label is back
+    in place when it returns or raises. *)
+val write_labelled : t -> Taint.level -> int -> Bytes.t -> off:int -> len:int -> unit
+
 (** Page-run aliases of [read_into] / [write_from], kept for the
     benchmark's callers.  The L2 has one access path. *)
 val read_run_into : t -> int -> Bytes.t -> off:int -> len:int -> unit

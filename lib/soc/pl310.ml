@@ -486,10 +486,11 @@ let read_into t addr buf ~off ~len =
   check_view "read_into" buf ~off ~len;
   walk t ~write:false ~taint:Taint.Public buf off addr len
 
-(** [write_from t ?taint addr buf ~off ~len] performs a cached CPU
+(** [write_from t ~taint addr buf ~off ~len] performs a cached CPU
     write (write-allocate) of the [len]-byte view of [buf] at [off],
-    labelling the written bytes [taint]. *)
-let write_from t ?(taint = Taint.Public) addr buf ~off ~len =
+    labelling the written bytes [taint].  The label is required, not
+    optional: an optional argument boxes a [Some] on every write. *)
+let write_from t ~taint addr buf ~off ~len =
   check_view "write_from" buf ~off ~len;
   walk t ~write:true ~taint buf off addr len
 

@@ -76,7 +76,7 @@ val read_into : t -> int -> Bytes.t -> off:int -> len:int -> unit
 (** Cached write (write-allocate, write-back) of the [len]-byte view
     of [buf] at [off]; [taint] labels the written bytes when taint
     tracking is on. *)
-val write_from : t -> ?taint:Taint.level -> int -> Bytes.t -> off:int -> len:int -> unit
+val write_from : t -> taint:Taint.level -> int -> Bytes.t -> off:int -> len:int -> unit
 
 (** {2 Taint tracking} *)
 

@@ -100,8 +100,9 @@ let read_into t addr buf ~off ~len =
   trace t "read" ~addr ~len;
   Bytes.blit t.data (Memmap.offset t.region addr) buf off len
 
-(** Write the [len]-byte view of [buf] at [off]. *)
-let write_from t ?(level = Taint.Public) addr buf ~off ~len =
+(** Write the [len]-byte view of [buf] at [off].  [level] is
+    required: an optional argument boxes a [Some] on every write. *)
+let write_from t ~level addr buf ~off ~len =
   check t addr len;
   charge t len;
   trace t "write" ~addr ~len;

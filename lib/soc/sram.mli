@@ -29,7 +29,7 @@ val read_into : t -> int -> Bytes.t -> off:int -> len:int -> unit
 (** Write the [len]-byte view of [buf] at [off].  Writing inside the
     firmware-reserved bytes marks the platform crashed.  [level]
     labels the written bytes when taint tracking is on. *)
-val write_from : t -> ?level:Taint.level -> int -> Bytes.t -> off:int -> len:int -> unit
+val write_from : t -> level:Taint.level -> int -> Bytes.t -> off:int -> len:int -> unit
 
 (** Lazily allocate the taint shadow. *)
 val enable_taint : t -> unit

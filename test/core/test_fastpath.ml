@@ -90,6 +90,85 @@ let test_encrypt_frame_allocation_ceiling () =
   if per_page > 512.0 then
     Alcotest.failf "encrypt_frame allocated %.1f minor words per page (ceiling 512)" per_page
 
+(* The per-page write-back labels its store without a closure: a
+   warm single-page decrypt ([Page_crypt.decrypt_page], the lazy
+   fault's transform) allocates nothing with tracing off. *)
+let test_decrypt_page_allocation_ceiling () =
+  let m = boot () in
+  let pc = mk_pc m in
+  let frame = (Machine.dram_region m).Memmap.base + (4 * Page.size) in
+  Machine.write m frame (Bytes.make Page.size 'p');
+  let page () = Page_crypt.decrypt_page ~backend:Backend.Batched pc ~pid:2 ~vpn:5 ~frame in
+  page () (* warm-up *);
+  let mw0 = Gc.minor_words () in
+  for _ = 1 to 32 do
+    page ()
+  done;
+  let words = Gc.minor_words () -. mw0 in
+  if words > 0.0 then
+    Alcotest.failf "decrypt_page allocated %.0f minor words over 32 pages (ceiling 0)" words
+
+(* The journal rebuilds its one record in a buffer it owns: a pass of
+   [begin_pass], coalesced [record_batch] writes and [commit]
+   allocates nothing. *)
+let test_journal_allocation_ceiling () =
+  let m = boot () in
+  let j = Lock_journal.create m ~addr:((Machine.iram_region m).Memmap.base + 0x8000) in
+  let pass () =
+    Lock_journal.begin_pass j Lock_journal.Lock_pass ~pid:7;
+    for _ = 1 to 8 do
+      Lock_journal.record_batch j ~pid:7 ~pages:Lock_journal.coalesce
+    done;
+    Lock_journal.commit j
+  in
+  pass () (* warm-up *);
+  let mw0 = Gc.minor_words () in
+  for _ = 1 to 16 do
+    pass ()
+  done;
+  let words = Gc.minor_words () -. mw0 in
+  if words > 0.0 then
+    Alcotest.failf "journal passes allocated %.0f minor words over 16 passes (ceiling 0)" words;
+  (* the reused buffer still writes a whole, valid record *)
+  Lock_journal.begin_pass j Lock_journal.Unlock_pass ~pid:9;
+  Lock_journal.record_batch j ~pid:9 ~pages:3;
+  match Lock_journal.load j with
+  | Some { Lock_journal.pass = Lock_journal.Unlock_pass; pid = 9; pages_done = 3 } -> ()
+  | _ -> Alcotest.fail "journal record does not read back"
+
+(* A fault raised inside the write-back's store (a crash between
+   kernel stores, at [machine.write]) unwinds through the labelled
+   write: the machine's ambient label must be the one in place
+   before the page transform, not the write-back's. *)
+let test_write_back_fault_keeps_label () =
+  let module Injector = Sentry_faults.Injector in
+  let module Plan = Sentry_faults.Plan in
+  let m = boot () in
+  Machine.enable_taint m;
+  let pc = mk_pc m in
+  let frame = (Machine.dram_region m).Memmap.base + (4 * Page.size) in
+  Machine.write m frame (Bytes.make Page.size 'p');
+  let plan =
+    Plan.make ~name:"write-back"
+      [
+        Plan.trigger ~point:Injector.Points.machine_write ~kind:Sentry_faults.Fault.Reset
+          ~at:(Plan.Nth 1);
+      ]
+  in
+  Machine.with_taint m Taint.Ciphertext (fun () ->
+      Injector.activate (Injector.create plan);
+      let raised =
+        match Page_crypt.decrypt_page ~backend:Backend.Batched pc ~pid:2 ~vpn:5 ~frame with
+        | () -> false
+        | exception Injector.Injected _ -> true
+      in
+      Injector.deactivate ();
+      Alcotest.(check bool) "the write-back faulted" true raised;
+      Alcotest.(check bool)
+        "previous ambient label in place" true
+        (Machine.ambient_taint m = Taint.Ciphertext));
+  Alcotest.(check bool) "outer label restored" true (Machine.ambient_taint m = Taint.Public)
+
 (* An unlock decrypts a DMA region eagerly and then runs the coherence
    sweep ([Pl310.clean_invalidate_range]).  With a bus monitor attached
    the L2 takes its observed paths (write-backs through [Dram], bus
@@ -144,8 +223,16 @@ let () =
           Alcotest.test_case "taint relabel" `Quick test_frame_taint_relabel;
         ] );
       ( "allocation",
-        [ Alcotest.test_case "encrypt_frame ceiling" `Quick test_encrypt_frame_allocation_ceiling ]
-      );
+        [
+          Alcotest.test_case "encrypt_frame ceiling" `Quick test_encrypt_frame_allocation_ceiling;
+          Alcotest.test_case "decrypt_page ceiling" `Quick test_decrypt_page_allocation_ceiling;
+          Alcotest.test_case "journal pass ceiling" `Quick test_journal_allocation_ceiling;
+        ] );
+      ( "faults",
+        [
+          Alcotest.test_case "write-back fault keeps label" `Quick
+            test_write_back_fault_keeps_label;
+        ] );
       ( "observers",
         [
           Alcotest.test_case "dma unlock with and without monitor" `Quick

@@ -440,8 +440,97 @@ let run_memo_ops ops =
           && (layout <> `Disjoint || guards_intact dst dst_off 4096))
     ops
 
+(* The memo at capacity: sequences over more than [memo_slots]
+   distinct (key schedule, IV) pairs, so that entries are evicted and
+   refilled.  Two instances under different keys share the domain's
+   memo; IVs come in twins that share their first 8 bytes (the
+   lookup's prefilter) and differ in the last 8.  Each op encrypts one
+   of two pool pages, or decrypts the ciphertext of one under its own
+   IV or under its twin's, so a lookup that trusted the prefilter, or
+   matched another instance's entry, would return the wrong page.
+   Every output must be the bytes [Aes.cbc_*_into] computes on a
+   copy. *)
+
+let cap_ivs =
+  Array.init Aes_on_soc.memo_slots (fun j ->
+      let iv = Bytes.create 16 in
+      Bytes.set_int64_le iv 0 (Int64.of_int (0x5eed0000 + (j / 2)));
+      Bytes.set_int64_le iv 8 (Int64.of_int (0x7a110000 + j));
+      iv)
+
+type cap_op = {
+  pair : int;  (** instance [pair mod 2], IV [cap_ivs.(pair / 2)] *)
+  cap_dir : [ `Encrypt | `Decrypt ];
+  page : int;  (** pool page (encrypt), or page whose ciphertext to decrypt *)
+  twin : bool;  (** decrypt the ciphertext made under the twin IV *)
+  in_place : bool;
+}
+
+let cap_case =
+  let open QCheck.Gen in
+  let ops =
+    (* how many pairs the sequence cycles over: below, at and above
+       capacity (up to twice it) *)
+    let slots = Aes_on_soc.memo_slots in
+    let* pairs = oneofl [ slots / 2; slots; slots + 1; 2 * slots ] in
+    let op =
+      let* pair = int_bound (pairs - 1) in
+      let* cap_dir = oneofl [ `Encrypt; `Decrypt ] in
+      let* page = int_bound 1 in
+      let* twin = bool in
+      let* in_place = bool in
+      return { pair; cap_dir; page; twin; in_place }
+    in
+    list_size (int_range 200 600) op
+  in
+  QCheck.make
+    ~print:(fun ops ->
+      String.concat "; "
+        (List.map
+           (fun o ->
+             Printf.sprintf "%s pair %d page %d%s%s"
+               (match o.cap_dir with `Encrypt -> "encrypt" | `Decrypt -> "decrypt")
+               o.pair o.page
+               (if o.twin then " twin" else "")
+               (if o.in_place then " in place" else ""))
+           ops))
+    ops
+
+let run_cap_ops ops =
+  let keys = [| memo_keys.(0); memo_keys.(1) |] in
+  let instances =
+    Array.map
+      (fun k ->
+        let m = boot () in
+        Aes_on_soc.create m ~storage:Aes_on_soc.In_iram ~base:(Machine.iram_region m).Memmap.base ~key:k)
+      keys
+  in
+  List.for_all
+    (fun { pair; cap_dir; page; twin; in_place } ->
+      let key = keys.(pair mod 2) and ivj = pair / 2 in
+      let iv = cap_ivs.(ivj) in
+      let input =
+        match cap_dir with
+        | `Encrypt -> memo_pool.(page)
+        | `Decrypt ->
+            let made_under = if twin then cap_ivs.(ivj lxor 1) else iv in
+            reference_page ~key ~dir:`Encrypt ~iv:made_under memo_pool.(page)
+      in
+      let want = reference_page ~key ~dir:cap_dir ~iv input in
+      let src = Bytes.copy input in
+      let dst = if in_place then src else Bytes.create 4096 in
+      Aes_on_soc.bulk_into instances.(pair mod 2) ~dir:cap_dir ~iv ~src ~src_off:0 ~dst ~dst_off:0
+        ~len:4096;
+      Bytes.equal want dst)
+    ops
+
 let qcheck_memo =
-  [ QCheck.Test.make ~name:"memoised page transforms = Aes.cbc_*_into" ~count:150 memo_case run_memo_ops ]
+  [
+    QCheck.Test.make ~name:"memoised page transforms = Aes.cbc_*_into" ~count:150 memo_case
+      run_memo_ops;
+    QCheck.Test.make ~name:"page transforms at memo capacity = Aes.cbc_*_into" ~count:20 cap_case
+      run_cap_ops;
+  ]
 
 (* A hit must charge exactly what a miss does: the memo skips host
    compute only.  The memo is domain-local, so the same second call
@@ -498,6 +587,38 @@ let test_memo_allocation_ceiling () =
         [ ("all hits", src, dst); ("all misses", buf, buf) ])
     [ `Encrypt; `Decrypt ]
 
+(* The same at capacity: a lookup scans every entry.  Cycling a fixed
+   page through [memo_slots] IVs hits every time once the entries are
+   filled; cycling through twice as many misses every time, each miss
+   evicting the least recently used entry.  Both allocate 0 minor
+   words. *)
+let test_memo_capacity_allocation_ceiling () =
+  let m = boot () in
+  let a = mk_aes m in
+  let slots = Aes_on_soc.memo_slots in
+  let ivs = Bytes.create (2 * slots * 16) in
+  for j = 0 to (2 * slots) - 1 do
+    Bytes.set_int64_le ivs (16 * j) (Int64.of_int j);
+    Bytes.set_int64_le ivs ((16 * j) + 8) (Int64.of_int (j * 31))
+  done;
+  let src = payload 4096 and dst = Bytes.create 4096 in
+  List.iter
+    (fun (runs, n) ->
+      let cycle () =
+        for j = 0 to n - 1 do
+          Aes_on_soc.bulk_fused_raw a ~dir:`Encrypt ~iv:ivs ~iv_off:(16 * j) ~src ~src_off:0 ~dst
+            ~dst_off:0 ~len:4096
+        done
+      in
+      cycle ();
+      let mw0 = Gc.minor_words () in
+      cycle ();
+      cycle ();
+      let words = Gc.minor_words () -. mw0 in
+      if words > 0.0 then
+        Alcotest.failf "%s: %.0f minor words over %d pages (ceiling 0)" runs words (2 * n))
+    [ ("all hits over every entry", slots); ("all misses over twice the entries", 2 * slots) ]
+
 let () =
   Alcotest.run "sentry_crypto_fastpath"
     [
@@ -523,6 +644,8 @@ let () =
           Alcotest.test_case "cbc decrypt page ceiling" `Quick test_cbc_decrypt_allocation_ceiling;
           Alcotest.test_case "charged page ceiling" `Quick test_charged_page_allocation_ceiling;
           Alcotest.test_case "page memo ceiling" `Quick test_memo_allocation_ceiling;
+          Alcotest.test_case "page memo ceiling at capacity" `Quick
+            test_memo_capacity_allocation_ceiling;
         ] );
       ( "page memo",
         Alcotest.test_case "hit charges as miss" `Quick test_memo_hit_charges_as_miss
